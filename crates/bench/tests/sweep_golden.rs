@@ -62,6 +62,18 @@ fn tab2_mt_patterns_matches_pre_migration_output() {
 }
 
 #[test]
+fn tab4_slow_switch_matches_committed_output() {
+    golden_matches(env!("CARGO_BIN_EXE_tab4_slow_switch"), "tab4_slow_switch.txt");
+}
+
+#[test]
+fn tab6_sgx_matches_committed_output() {
+    // The SGX channels are not registry rows, so this binary is their
+    // only determinism pin.
+    golden_matches(env!("CARGO_BIN_EXE_tab6_sgx"), "tab6_sgx.txt");
+}
+
+#[test]
 fn tab7_spectre_miss_rates_matches_pre_migration_output() {
     golden_matches(
         env!("CARGO_BIN_EXE_tab7_spectre_miss_rates"),
