@@ -63,7 +63,10 @@ fn tab2_mt_patterns_matches_pre_migration_output() {
 
 #[test]
 fn tab4_slow_switch_matches_committed_output() {
-    golden_matches(env!("CARGO_BIN_EXE_tab4_slow_switch"), "tab4_slow_switch.txt");
+    golden_matches(
+        env!("CARGO_BIN_EXE_tab4_slow_switch"),
+        "tab4_slow_switch.txt",
+    );
 }
 
 #[test]

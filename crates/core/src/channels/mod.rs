@@ -1,10 +1,11 @@
-//! Covert-channel implementations (paper §V).
+//! Covert-channel implementations (paper §V, §VII).
 //!
-//! All channels share the three-step Init/Encode/Decode structure and the
-//! same code layout discipline: receiver and sender occupy disjoint virtual
-//! address regions whose instruction mix blocks collide in one chosen DSB
-//! set (Fig. 3).
+//! All channels share the three-step Init/Encode/Decode structure, run
+//! by the one [`driver::Driver`], and the same code layout discipline:
+//! receiver and sender occupy disjoint virtual address regions whose
+//! instruction mix blocks collide in one chosen DSB set (Fig. 3).
 
+pub mod driver;
 pub mod mt;
 pub mod non_mt;
 pub mod power;
@@ -15,6 +16,7 @@ use leaky_isa::{Alignment, BlockChain, CodeRegion, DsbSet, FrontendGeometry};
 use leaky_stats::threshold::CalibrationError;
 use leaky_stats::{ThresholdDecoder, ThresholdDecoderBuilder};
 
+use crate::channels::non_mt::NonMtKind;
 use crate::params::ChannelParams;
 use crate::run::ChannelRun;
 
@@ -25,9 +27,10 @@ pub use registry::{channel_info, channel_names, BuildError, ChannelInfo, Channel
 /// CLIs and tests can hold a `Box<dyn CovertChannel>` built from a
 /// [`ChannelSpec`] instead of matching on concrete types.
 ///
-/// Implemented by [`non_mt::NonMtChannel`], [`mt::MtChannel`],
-/// [`power::PowerChannel`] and [`slow_switch::SlowSwitchChannel`]; the
-/// concrete constructors remain available as thin shims.
+/// Implemented once, by [`driver::Driver`], so every channel — the
+/// registry's and the §VIII SGX channels in [`crate::sgx`] — calibrates,
+/// decodes and traces the same way; the concrete constructors
+/// ([`non_mt::NonMtChannel::new`], …) remain available as thin shims.
 pub trait CovertChannel: std::fmt::Debug {
     /// The channel's stable registry name (e.g. `"mt-eviction"`; see
     /// [`registry::REGISTRY`]).
@@ -64,21 +67,14 @@ pub trait CovertChannel: std::fmt::Debug {
     /// `None` when calibration fails (dead channel).
     fn debug_decoder(&mut self) -> Option<ThresholdDecoder>;
 
-    /// Installs a trace hook (DESIGN.md §12); behavior-free. Channels
-    /// that carry a simulated core thread the hook down to its
-    /// `Frontend` and add their own calibration / per-bit decode events;
-    /// the default ignores it, so sinks simply see no events from
-    /// channels that predate the trace layer.
-    fn set_trace(&mut self, hook: leaky_trace::TraceHook) {
-        let _ = hook;
-    }
+    /// Installs a trace hook (DESIGN.md §12); behavior-free. The hook
+    /// reaches the channel's simulated `Frontend` and also receives the
+    /// driver's calibration and per-bit decode events.
+    fn set_trace(&mut self, hook: leaky_trace::TraceHook);
 
     /// Detaches the trace hook installed by
-    /// [`CovertChannel::set_trace`], leaving tracing off. The default
-    /// (for untraced channels) reports tracing off.
-    fn take_trace(&mut self) -> leaky_trace::TraceHook {
-        leaky_trace::TraceHook::Off
-    }
+    /// [`CovertChannel::set_trace`], leaving tracing off.
+    fn take_trace(&mut self) -> leaky_trace::TraceHook;
 }
 
 /// Virtual-address region bases for the two parties (arbitrary, disjoint;
@@ -92,59 +88,53 @@ pub(crate) const SENDER_ALT_REGION: u64 = 0x00c3_0000;
 pub(crate) const SET_X: u8 = 3;
 pub(crate) const SET_Y: u8 = 19;
 
-/// Code layout for an eviction-based channel (§V-A/§V-C): receiver holds
-/// `d` aligned blocks of set `x`; the sender's 1-encoding accesses
-/// `N + 1 − d` aligned blocks of set `x`; the stealthy 0-encoding accesses
-/// the same number of blocks mapping to set `y`.
-pub(crate) struct EvictionLayout {
-    pub recv: BlockChain,
-    pub send_one: BlockChain,
-    pub send_zero: BlockChain,
-}
-
-pub(crate) fn eviction_layout(params: &ChannelParams, geom: &FrontendGeometry) -> EvictionLayout {
-    let mut recv_region = CodeRegion::with_geometry(RECEIVER_REGION, *geom);
-    let mut send_region = CodeRegion::with_geometry(SENDER_REGION, *geom);
-    let mut alt_region = CodeRegion::with_geometry(SENDER_ALT_REGION, *geom);
-    let sender = params.sender_blocks_eviction(geom.dsb_ways);
-    EvictionLayout {
-        recv: recv_region.same_set_chain(DsbSet::new(SET_X), params.d, Alignment::Aligned),
-        send_one: send_region.same_set_chain(DsbSet::new(SET_X), sender, Alignment::Aligned),
-        send_zero: alt_region.same_set_chain(DsbSet::new(SET_Y), sender, Alignment::Aligned),
-    }
-}
-
-/// Code layout for a misalignment-based channel (§V-B/§V-D): receiver holds
-/// `d` aligned blocks of set `x`; the 1-encoding accesses `M − d`
-/// *misaligned* blocks of set `x`; the stealthy 0-encoding accesses `M − d`
-/// aligned blocks of set `x` (same work, no collision).
-pub(crate) struct MisalignmentLayout {
-    pub recv: BlockChain,
-    pub send_one: BlockChain,
-    pub send_zero: BlockChain,
-}
-
-pub(crate) fn misalignment_layout(
+/// The code layout of a §V channel, `(recv, one, zero)`: the receiver
+/// holds `d` aligned blocks of set `x`.
+///
+/// * Eviction (§V-A/§V-C): the 1-encoding accesses `N + 1 − d` aligned
+///   blocks of set `x`; the stealthy 0-encoding accesses the same number
+///   of blocks mapping to set `y`.
+/// * Misalignment (§V-B/§V-D): the 1-encoding accesses `M − d`
+///   *misaligned* blocks of set `x`; the stealthy 0-encoding accesses
+///   `M − d` aligned blocks of set `x` (same work, no collision).
+///
+/// # Panics
+///
+/// Panics if `params` violate the §V constraints under `geom` (see
+/// [`ChannelParams::validate`]).
+pub(crate) fn layout(
+    kind: NonMtKind,
     params: &ChannelParams,
     geom: &FrontendGeometry,
-) -> MisalignmentLayout {
+) -> (BlockChain, BlockChain, BlockChain) {
+    let misaligned = kind == NonMtKind::Misalignment;
+    params.validate(geom.dsb_ways, misaligned);
     let mut recv_region = CodeRegion::with_geometry(RECEIVER_REGION, *geom);
     let mut send_region = CodeRegion::with_geometry(SENDER_REGION, *geom);
     let mut alt_region = CodeRegion::with_geometry(SENDER_ALT_REGION, *geom);
-    let sender = params.sender_blocks_misalignment();
-    MisalignmentLayout {
-        recv: recv_region.same_set_chain(DsbSet::new(SET_X), params.d, Alignment::Aligned),
-        send_one: send_region.same_set_chain(DsbSet::new(SET_X), sender, Alignment::Misaligned),
-        send_zero: alt_region.same_set_chain(DsbSet::new(SET_X), sender, Alignment::Aligned),
-    }
+    let x = DsbSet::new(SET_X);
+    let recv = recv_region.same_set_chain(x, params.d, Alignment::Aligned);
+    let (one, zero) = if misaligned {
+        let sender = params.sender_blocks_misalignment();
+        (
+            send_region.same_set_chain(x, sender, Alignment::Misaligned),
+            alt_region.same_set_chain(x, sender, Alignment::Aligned),
+        )
+    } else {
+        let sender = params.sender_blocks_eviction(geom.dsb_ways);
+        (
+            send_region.same_set_chain(x, sender, Alignment::Aligned),
+            alt_region.same_set_chain(DsbSet::new(SET_Y), sender, Alignment::Aligned),
+        )
+    };
+    (recv, one, zero)
 }
 
 /// Calibrates a threshold decoder by transmitting a known alternating
 /// pattern and averaging the 0-bit and 1-bit measurements (§VI-B),
 /// reporting failure when the two classes coincide. This is the single
-/// home of the decoder settings (ambiguity band, robust averaging):
-/// every channel's calibration — panicking or fallible — routes here,
-/// so they can never drift apart.
+/// home of the decoder settings (ambiguity band, robust averaging); the
+/// [`driver::Driver`] calibrates every channel through it.
 pub(crate) fn try_calibrate_decoder(
     mut measure: impl FnMut(bool) -> f64,
     calibration_bits: usize,
@@ -158,16 +148,6 @@ pub(crate) fn try_calibrate_decoder(
     builder.build()
 }
 
-/// Panicking wrapper over [`try_calibrate_decoder`] for channels where
-/// indistinguishable classes indicate a broken layout, not a defense.
-pub(crate) fn calibrate_decoder(
-    measure: impl FnMut(bool) -> f64,
-    calibration_bits: usize,
-) -> ThresholdDecoder {
-    try_calibrate_decoder(measure, calibration_bits)
-        .expect("calibration produced indistinguishable classes")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -176,42 +156,41 @@ mod tests {
     #[test]
     fn eviction_layout_collides_in_set_x() {
         let params = ChannelParams::eviction_defaults();
-        let l = eviction_layout(&params, &FrontendGeometry::skylake());
-        assert_eq!(l.recv.len(), 6);
-        assert_eq!(l.send_one.len(), 3);
-        assert_eq!(l.send_zero.len(), 3);
-        for b in l.recv.blocks().iter().chain(l.send_one.blocks()) {
+        let g = FrontendGeometry::skylake();
+        let (recv, one, zero) = layout(NonMtKind::Eviction, &params, &g);
+        assert_eq!(recv.len(), 6);
+        assert_eq!(one.len(), 3);
+        assert_eq!(zero.len(), 3);
+        for b in recv.blocks().iter().chain(one.blocks()) {
             assert_eq!(b.dsb_set().index(), SET_X);
         }
-        for b in l.send_zero.blocks() {
+        for b in zero.blocks() {
             assert_eq!(b.dsb_set().index(), SET_Y);
         }
         // Receiver + 1-sender exceed the ways; receiver + 0-sender do not
         // share a set at all.
-        let g = FrontendGeometry::skylake();
-        assert!(l.recv.dsb_lines(&g) + l.send_one.dsb_lines(&g) > g.dsb_ways);
+        assert!(recv.dsb_lines(&g) + one.dsb_lines(&g) > g.dsb_ways);
     }
 
     #[test]
     fn misalignment_layout_fits_ways_but_crosses_windows() {
         let params = ChannelParams::misalignment_defaults();
-        let l = misalignment_layout(&params, &FrontendGeometry::skylake());
         let g = FrontendGeometry::skylake();
-        assert_eq!(l.recv.len(), 5);
-        assert_eq!(l.send_one.misaligned_count(), 3);
-        assert_eq!(l.send_zero.misaligned_count(), 0);
+        let (recv, one, zero) = layout(NonMtKind::Misalignment, &params, &g);
+        assert_eq!(recv.len(), 5);
+        assert_eq!(one.misaligned_count(), 3);
+        assert_eq!(zero.misaligned_count(), 0);
         // Head lines in set x: 5 + 3 = 8 ≤ ways — no eviction, only LSD
         // window-tracking collisions.
-        let head_lines = l.recv.len() + l.send_one.len();
-        assert!(head_lines <= g.dsb_ways);
+        assert!(recv.len() + one.len() <= g.dsb_ways);
     }
 
     #[test]
     fn regions_are_disjoint() {
         let params = ChannelParams::eviction_defaults();
-        let l = eviction_layout(&params, &FrontendGeometry::skylake());
-        let recv_end = l.recv.blocks().last().unwrap().end().value();
-        let send_start = l.send_one.blocks()[0].base().value();
+        let (recv, one, _) = layout(NonMtKind::Eviction, &params, &FrontendGeometry::skylake());
+        let recv_end = recv.blocks().last().unwrap().end().value();
+        let send_start = one.blocks()[0].base().value();
         assert!(recv_end <= send_start);
     }
 
@@ -219,7 +198,7 @@ mod tests {
     fn calibration_learns_polarity() {
         // Synthetic measurements: 1 → ~50, 0 → ~100 (inverted polarity).
         let mut i = 0usize;
-        let decoder = calibrate_decoder(
+        let decoder = try_calibrate_decoder(
             |bit| {
                 i += 1;
                 if bit {
@@ -229,7 +208,8 @@ mod tests {
                 }
             },
             16,
-        );
+        )
+        .expect("the classes are well separated");
         assert!(decoder.decode(52.0));
         assert!(!decoder.decode(97.0));
     }

@@ -12,17 +12,16 @@
 //! early bit declaration once the signal is decisive, which is why all-1s
 //! messages transmit faster than all-0s (Table II).
 
-use leaky_cpu::{Core, MicrocodePatch, ProcessorModel, ThreadWork};
+use leaky_cpu::{Core, ProcessorModel, ThreadWork};
 use leaky_frontend::{ThreadId, UarchProfile};
 use leaky_isa::BlockChain;
-use leaky_stats::ThresholdDecoder;
-use leaky_trace::{TraceEvent, TraceHook};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::channels::{eviction_layout, misalignment_layout, CovertChannel};
+use crate::channels::driver::{Driver, Measure, MeasureCtx};
+use crate::channels::layout;
+use crate::channels::non_mt::NonMtKind;
 use crate::params::ChannelParams;
-use crate::run::{ChannelRun, Provenance};
 
 /// Which frontend primitive the MT channel modulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -74,9 +73,6 @@ impl Default for MtNoise {
     }
 }
 
-/// Bits used for threshold calibration.
-const CALIBRATION_BITS: usize = 24;
-
 /// Receiver decode batches per bit; early declaration is possible after
 /// [`MIN_BATCHES`].
 const BATCHES: u64 = 10;
@@ -95,24 +91,141 @@ const PER_BIT_SYNC_CYCLES: f64 = 1_500.0;
 const NOISE_FLOOR_CYCLES: f64 = 2.5;
 
 /// A multi-threaded covert channel (§V-A / §V-B).
+pub type MtChannel = Driver<Mt>;
+
+/// The MT receiver: it times its own `d`-block loop on `T0` while the
+/// sender encodes on `T1`, under the environmental-noise model.
 #[derive(Debug, Clone)]
-pub struct MtChannel {
-    core: Core,
+pub struct Mt {
     kind: MtKind,
-    params: ChannelParams,
     noise: MtNoise,
-    profile_key: &'static str,
     recv: BlockChain,
     send_one: BlockChain,
-    decoder: Option<ThresholdDecoder>,
     rng: StdRng,
 }
 
-/// The registry name of an MT variant (see [`crate::channels::registry`]).
-const fn mt_name(kind: MtKind) -> &'static str {
-    match kind {
-        MtKind::Eviction => "mt-eviction",
-        MtKind::Misalignment => "mt-misalignment",
+impl Mt {
+    /// One receiver batch of `p` iterations, against `q` concurrent sender
+    /// iterations when `contended`; returns the receiver's cycles.
+    fn batch(&self, core: &mut Core, contended: bool, p: u64, q: u64) -> f64 {
+        if contended {
+            let (r, _s) = core.run_concurrent(
+                ThreadWork {
+                    chain: &self.recv,
+                    iterations: p,
+                },
+                ThreadWork {
+                    chain: &self.send_one,
+                    iterations: q,
+                },
+            );
+            r.cycles
+        } else {
+            core.run_loop(ThreadId::T0, &self.recv, p).cycles
+        }
+    }
+}
+
+impl Measure for Mt {
+    const WARMUP_BITS: usize = 8;
+    const CALIBRATION_BITS: usize = 24;
+    const MAX_RESAMPLE: u32 = 0;
+    const BOTH_THREADS: bool = true;
+
+    fn name(&self) -> &'static str {
+        match self.kind {
+            MtKind::Eviction => "mt-eviction",
+            MtKind::Misalignment => "mt-misalignment",
+        }
+    }
+
+    /// Measures one bit: mean receiver per-iteration cycles across up to
+    /// `BATCHES` batches, with early declaration once decisive (given a
+    /// decoder). A bit that differs from the previous one is a
+    /// *transition*, exposed to desynchronisation and phase slips.
+    fn measure(&mut self, m: bool, ctx: MeasureCtx<'_>) -> f64 {
+        let MeasureCtx {
+            core,
+            params,
+            decoder,
+            prev,
+        } = ctx;
+        let transition = prev.is_some_and(|p| p != m);
+        let p_batch = (params.p / BATCHES).max(1);
+        // The sender keeps encoding for the whole decode window (the paper's
+        // q encode *steps* repeat until the bit slot ends). Iterations are
+        // balanced by block count so sender and receiver finish their batch
+        // at roughly the same wall time regardless of d.
+        let recv_blocks = self.recv.len().max(1) as u64;
+        let send_blocks = self.send_one.len().max(1) as u64;
+        // Sender blocks decode via the contended MITE (~2x a receiver
+        // block), so halve the iteration ratio to balance wall time.
+        let q_batch = (p_batch * recv_blocks / (2 * send_blocks)).max(1);
+        let burst = self.rng.gen_bool(self.noise.burst_probability);
+        // Sender/receiver desynchronisation mostly happens when the sender
+        // switches activity between bits (§VI-D: constant patterns are
+        // stable); constant runs stay in lock-step.
+        let desync = transition && self.rng.gen_bool(self.noise.desync_probability);
+
+        let mut cycles = 0.0;
+        let mut iters = 0u64;
+        let t0 = core.rdtscp(ThreadId::T0);
+        // Phase slip on transitions: the first measured batches still see
+        // the *previous* bit's frontend state — stale contention bleeds in
+        // after a 1, a quiet prefix dilutes the signal after a 0.
+        if transition && self.rng.gen_bool(self.noise.phase_slip_probability) {
+            for _ in 0..2 {
+                cycles += self.batch(core, !m, p_batch, q_batch);
+                iters += p_batch;
+            }
+        }
+        for batch in 0..BATCHES {
+            // Desync: the sender misses most of the decode window.
+            let q_eff = if desync { q_batch / 4 } else { q_batch };
+            cycles += self.batch(core, m, p_batch, q_eff.max(1));
+            if burst {
+                // Interference inflates the receiver's wall time in
+                // proportion to its current pace.
+                let pace = cycles / (iters + p_batch) as f64;
+                let extra = self.noise.burst_relative * pace * p_batch as f64;
+                core.idle(ThreadId::T0, extra);
+                cycles += extra;
+            }
+            iters += p_batch;
+            // Early declaration: a decisively slow/fast signal lets the
+            // receiver move to the next bit without burning all batches.
+            if let Some(dec) = decoder {
+                if batch + 1 >= MIN_BATCHES {
+                    let avg = cycles / iters as f64;
+                    let decided_one = dec.decode(avg);
+                    let margin = (avg - dec.threshold()).abs();
+                    // Early declaration needs the margin to clear both the
+                    // relative band and an absolute noise floor — small-d
+                    // channels (tiny timing deltas) must keep sampling,
+                    // which is why rate grows with d (Fig. 8).
+                    if decided_one && margin > (dec.separation() * 0.4).max(NOISE_FLOOR_CYCLES) {
+                        break;
+                    }
+                }
+            }
+        }
+        // Confirmation pass: a 0-looking measurement is re-observed before
+        // the receiver commits to "no signal".
+        if let Some(dec) = decoder {
+            if !dec.decode(cycles / iters as f64) {
+                for _ in 0..ZERO_CONFIRM_BATCHES {
+                    self.batch(core, m, p_batch, q_batch);
+                    iters += p_batch;
+                }
+            }
+        }
+        let t1 = core.rdtscp(ThreadId::T0);
+        core.idle(ThreadId::T0, PER_BIT_SYNC_CYCLES);
+        // Per-iteration average over the rdtscp bracket (the receiver-only
+        // `cycles` above only steer early declaration); timer noise and
+        // bursts are folded into the bracket, and calibration absorbs
+        // fixed offsets.
+        (t1 - t0).max(1.0) / iters as f64
     }
 }
 
@@ -160,35 +273,25 @@ impl MtChannel {
         if !model.smt_enabled {
             return Err(MtUnsupported { model: model.name });
         }
-        let geom = &profile.geometry;
-        params.validate(geom.dsb_ways, kind == MtKind::Misalignment);
-        let (recv, send_one) = match kind {
-            MtKind::Eviction => {
-                let l = eviction_layout(&params, geom);
-                (l.recv, l.send_one)
-            }
-            MtKind::Misalignment => {
-                let l = misalignment_layout(&params, geom);
-                (l.recv, l.send_one)
-            }
+        let layout_kind = match kind {
+            MtKind::Eviction => NonMtKind::Eviction,
+            MtKind::Misalignment => NonMtKind::Misalignment,
         };
-        Ok(MtChannel {
-            core: Core::with_profile(model, MicrocodePatch::Patch1, profile, seed),
+        let (recv, send_one, _) = layout(layout_kind, &params, &profile.geometry);
+        let primitive = Mt {
             kind,
-            params,
             noise: MtNoise::default(),
-            profile_key: profile.key,
             recv,
             send_one,
-            decoder: None,
             rng: StdRng::seed_from_u64(seed ^ 0xc0ff_ee00),
-        })
+        };
+        Ok(Driver::on_profile(model, profile, params, seed, primitive))
     }
 
     /// Overrides the environmental-noise model (for ablations; the default
     /// reproduces the paper's MT error regime).
     pub fn set_noise(&mut self, noise: MtNoise) {
-        self.noise = noise;
+        self.primitive.noise = noise;
     }
 
     /// Rebuilds the channel's core with an explicit frontend configuration
@@ -198,288 +301,12 @@ impl MtChannel {
     ///
     /// Panics on a degenerate cache geometry (`SetAssocCache::new`).
     pub fn set_frontend_config(&mut self, config: leaky_frontend::FrontendConfig) {
-        self.core =
-            Core::with_frontend_config(*self.core.model(), self.core.microcode(), config, 0xab1a7e);
-        self.decoder = None;
-        self.profile_key = "custom";
+        self.reset_frontend(config, 0xab1a7e);
     }
 
     /// The channel variant.
     pub fn kind(&self) -> MtKind {
-        self.kind
-    }
-
-    /// Measures one bit: mean receiver per-iteration cycles across up to
-    /// [`BATCHES`] batches, with early declaration once decisive.
-    fn measure_bit(
-        &mut self,
-        m: bool,
-        decoder: Option<&ThresholdDecoder>,
-        transition: bool,
-    ) -> f64 {
-        let p_batch = (self.params.p / BATCHES).max(1);
-        // The sender keeps encoding for the whole decode window (the paper's
-        // q encode *steps* repeat until the bit slot ends). Iterations are
-        // balanced by block count so sender and receiver finish their batch
-        // at roughly the same wall time regardless of d.
-        let recv_blocks = self.recv.len().max(1) as u64;
-        let send_blocks = self.send_one.len().max(1) as u64;
-        // Sender blocks decode via the contended MITE (~2x a receiver
-        // block), so halve the iteration ratio to balance wall time.
-        let q_batch = (p_batch * recv_blocks / (2 * send_blocks)).max(1);
-        let burst = self.rng.gen_bool(self.noise.burst_probability);
-        // Sender/receiver desynchronisation mostly happens when the sender
-        // switches activity between bits (§VI-D: constant patterns are
-        // stable); constant runs stay in lock-step.
-        let desync = transition && self.rng.gen_bool(self.noise.desync_probability);
-
-        let mut cycles = 0.0;
-        let mut iters = 0u64;
-        let t0 = self.core.rdtscp(ThreadId::T0);
-        // Phase slip on transitions: the first measured batches still see
-        // the *previous* bit's frontend state.
-        if transition && self.rng.gen_bool(self.noise.phase_slip_probability) {
-            for _ in 0..2 {
-                if !m {
-                    // Previous bit was 1: stale contention bleeds in.
-                    let (r, _s) = self.core.run_concurrent(
-                        ThreadWork {
-                            chain: &self.recv,
-                            iterations: p_batch,
-                        },
-                        ThreadWork {
-                            chain: &self.send_one,
-                            iterations: q_batch,
-                        },
-                    );
-                    cycles += r.cycles;
-                } else {
-                    // Previous bit was 0: a quiet prefix dilutes the signal.
-                    let r = self.core.run_loop(ThreadId::T0, &self.recv, p_batch);
-                    cycles += r.cycles;
-                }
-                iters += p_batch;
-            }
-        }
-        for batch in 0..BATCHES {
-            if m {
-                // Desync: the sender misses most of the decode window.
-                let q_eff = if desync { q_batch / 4 } else { q_batch };
-                let (r, _s) = self.core.run_concurrent(
-                    ThreadWork {
-                        chain: &self.recv,
-                        iterations: p_batch,
-                    },
-                    ThreadWork {
-                        chain: &self.send_one,
-                        iterations: q_eff.max(1),
-                    },
-                );
-                cycles += r.cycles;
-            } else {
-                let r = self.core.run_loop(ThreadId::T0, &self.recv, p_batch);
-                cycles += r.cycles;
-            }
-            if burst {
-                // Interference inflates the receiver's wall time in
-                // proportion to its current pace.
-                let pace = cycles / (iters + p_batch) as f64;
-                let extra = self.noise.burst_relative * pace * p_batch as f64;
-                self.core.idle(ThreadId::T0, extra);
-                cycles += extra;
-            }
-            iters += p_batch;
-            // Early declaration: a decisively slow/fast signal lets the
-            // receiver move to the next bit without burning all batches.
-            if let Some(dec) = decoder {
-                if batch + 1 >= MIN_BATCHES {
-                    let avg = cycles / iters as f64;
-                    let decided_one = dec.decode(avg);
-                    let margin = (avg - dec.threshold()).abs();
-                    // Early declaration needs the margin to clear both the
-                    // relative band and an absolute noise floor — small-d
-                    // channels (tiny timing deltas) must keep sampling,
-                    // which is why rate grows with d (Fig. 8).
-                    if decided_one && margin > (dec.separation() * 0.4).max(NOISE_FLOOR_CYCLES) {
-                        break;
-                    }
-                }
-            }
-        }
-        // Confirmation pass: a 0-looking measurement is re-observed before
-        // the receiver commits to "no signal".
-        if let Some(dec) = decoder {
-            let looks_zero = !dec.decode(cycles / iters as f64);
-            if looks_zero {
-                for _ in 0..ZERO_CONFIRM_BATCHES {
-                    if m {
-                        let (r, _s) = self.core.run_concurrent(
-                            ThreadWork {
-                                chain: &self.recv,
-                                iterations: p_batch,
-                            },
-                            ThreadWork {
-                                chain: &self.send_one,
-                                iterations: q_batch,
-                            },
-                        );
-                        cycles += r.cycles;
-                    } else {
-                        let r = self.core.run_loop(ThreadId::T0, &self.recv, p_batch);
-                        cycles += r.cycles;
-                    }
-                    iters += p_batch;
-                }
-            }
-        }
-        let t1 = self.core.rdtscp(ThreadId::T0);
-        let _ = cycles; // receiver-only cycles; the timed bracket is used
-        self.core.idle(ThreadId::T0, PER_BIT_SYNC_CYCLES);
-        // Per-iteration average; timer noise and bursts are folded into the
-        // rdtscp bracket, and calibration absorbs fixed offsets.
-        let value = (t1 - t0).max(1.0) / iters as f64;
-        self.core
-            .trace_mut()
-            .emit(|| TraceEvent::ChannelMeasure { sent: m, value });
-        value
-    }
-
-    /// Attempts calibration, reporting failure instead of panicking: a
-    /// hardened (e.g. constant-time-profile) frontend may present no
-    /// timing difference between the bit classes, which is the §XII
-    /// defense succeeding rather than a harness error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rebuilding the channel spec for calibration fails
-    /// validation (`ChannelSpec::build`); parameters accepted at
-    /// construction never do.
-    pub fn try_calibrate(&mut self) -> Result<(), leaky_stats::threshold::CalibrationError> {
-        if self.decoder.is_some() {
-            return Ok(());
-        }
-        for i in 0..8 {
-            let _ = self.measure_bit(i % 2 == 1, None, false); // warmup
-        }
-        match crate::channels::try_calibrate_decoder(
-            |bit| self.measure_bit(bit, None, false),
-            CALIBRATION_BITS,
-        ) {
-            Ok(decoder) => {
-                self.core.trace_mut().emit(|| TraceEvent::Calibration {
-                    zero_mean: decoder.zero_mean(),
-                    one_mean: decoder.one_mean(),
-                    threshold: decoder.threshold(),
-                    separation: decoder.separation(),
-                });
-                self.decoder = Some(decoder);
-                Ok(())
-            }
-            Err(err) => {
-                self.core.trace_mut().emit(|| TraceEvent::CalibrationFailed);
-                Err(err)
-            }
-        }
-    }
-
-    fn ensure_calibrated(&mut self) {
-        self.try_calibrate()
-            .expect("calibration produced indistinguishable classes"); // lint: allow(panic-path) — undefended layouts always separate classes
-    }
-
-    /// Transmits a message; calibration happens first and is excluded from
-    /// the reported rate.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transmission spans no cycles (`ChannelRun::new`);
-    /// a calibrated channel never produces one.
-    pub fn transmit(&mut self, message: &[bool]) -> ChannelRun {
-        self.ensure_calibrated();
-        let decoder = self.decoder.expect("calibrated above"); // lint: allow(panic-path) — set by ensure_calibrated on the previous line
-        let start = self
-            .core
-            .clock(ThreadId::T0)
-            .max(self.core.clock(ThreadId::T1));
-        self.core.trace_mut().emit(|| TraceEvent::SessionStart {
-            bits: message.len() as u64,
-        });
-        let mut received = Vec::with_capacity(message.len());
-        let mut errors = 0u64;
-        let mut prev: Option<bool> = None;
-        for (index, &bit) in message.iter().enumerate() {
-            let transition = prev.is_some_and(|p| p != bit);
-            let meas = self.measure_bit(bit, Some(&decoder), transition);
-            let out = decoder.decode(meas);
-            errors += u64::from(out != bit);
-            self.core.trace_mut().emit(|| TraceEvent::BitDecoded {
-                index: index as u64,
-                sent: bit,
-                received: out,
-                value: meas,
-                resamples: 0,
-            });
-            received.push(out);
-            prev = Some(bit);
-        }
-        self.core.trace_mut().emit(|| TraceEvent::SessionEnd {
-            bits: message.len() as u64,
-            errors,
-        });
-        let end = self
-            .core
-            .clock(ThreadId::T0)
-            .max(self.core.clock(ThreadId::T1));
-        ChannelRun::new(
-            message.to_vec(),
-            received,
-            end - start,
-            self.core.model().freq_hz(),
-        )
-        .with_provenance(Provenance {
-            channel: mt_name(self.kind),
-            profile: self.profile_key,
-            params: self.params,
-        })
-    }
-}
-
-impl CovertChannel for MtChannel {
-    fn name(&self) -> &'static str {
-        mt_name(self.kind)
-    }
-
-    fn profile_key(&self) -> &'static str {
-        self.profile_key
-    }
-
-    fn params(&self) -> ChannelParams {
-        self.params
-    }
-
-    fn try_calibrate(&mut self) -> Result<(), leaky_stats::threshold::CalibrationError> {
-        MtChannel::try_calibrate(self)
-    }
-
-    fn transmit(&mut self, message: &[bool]) -> ChannelRun {
-        MtChannel::transmit(self, message)
-    }
-
-    fn debug_measure(&mut self, bit: bool) -> f64 {
-        self.measure_bit(bit, None, false)
-    }
-
-    fn debug_decoder(&mut self) -> Option<ThresholdDecoder> {
-        MtChannel::try_calibrate(self).ok()?;
-        self.decoder
-    }
-
-    fn set_trace(&mut self, hook: TraceHook) {
-        self.core.set_trace(hook);
-    }
-
-    fn take_trace(&mut self) -> TraceHook {
-        self.core.take_trace()
+        self.primitive.kind
     }
 }
 

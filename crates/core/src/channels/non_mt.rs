@@ -6,15 +6,13 @@
 //! frontend path of the blocks that the Init and Decode steps execute,
 //! while the 0-encoding (silent or decoy-set) leaves them alone.
 
-use leaky_cpu::{Core, MicrocodePatch, ProcessorModel};
+use leaky_cpu::ProcessorModel;
 use leaky_frontend::{ThreadId, UarchProfile};
 use leaky_isa::BlockChain;
-use leaky_stats::ThresholdDecoder;
-use leaky_trace::{TraceEvent, TraceHook};
 
-use crate::channels::{eviction_layout, misalignment_layout, CovertChannel};
+use crate::channels::driver::{cycles_over, round, Driver, Measure, MeasureCtx};
+use crate::channels::layout;
 use crate::params::{ChannelParams, EncodeMode};
-use crate::run::{ChannelRun, Provenance};
 
 /// Which frontend primitive the channel modulates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,40 +41,59 @@ impl std::fmt::Display for NonMtKind {
 const FAST_OVERHEAD_CYCLES: f64 = 2_200.0;
 const STEALTHY_OVERHEAD_CYCLES: f64 = 2_600.0;
 
-/// Warm-up bits discarded before calibration (cold-start transients).
-const WARMUP_BITS: usize = 8;
-
-/// Bits used for threshold calibration before a transmission.
-const CALIBRATION_BITS: usize = 32;
-
-/// Maximum re-measurements when a reading falls in the ambiguity band.
-const MAX_RESAMPLE: u32 = 3;
-
 /// A non-MT covert channel (§V-C eviction or §V-D misalignment variant, in
 /// stealthy or fast mode).
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
+pub type NonMtChannel = Driver<NonMt>;
+
+/// The non-MT receiver: it times `p` whole Init-Encode-Decode rounds.
 #[derive(Debug, Clone)]
-pub struct NonMtChannel {
-    core: Core,
+pub struct NonMt {
     kind: NonMtKind,
     mode: EncodeMode,
-    params: ChannelParams,
-    profile_key: &'static str,
     recv: BlockChain,
     send_one: BlockChain,
+    /// The stealthy decoy encoding of a 0 (`None`: silent, fast mode).
     send_zero: Option<BlockChain>,
-    decoder: Option<ThresholdDecoder>,
 }
 
-/// The registry name of a non-MT variant (see
-/// [`crate::channels::registry`]).
-const fn non_mt_name(kind: NonMtKind, mode: EncodeMode) -> &'static str {
-    match (kind, mode) {
-        (NonMtKind::Eviction, EncodeMode::Stealthy) => "non-mt-stealthy-eviction",
-        (NonMtKind::Eviction, EncodeMode::Fast) => "non-mt-fast-eviction",
-        (NonMtKind::Misalignment, EncodeMode::Stealthy) => "non-mt-stealthy-misalignment",
-        (NonMtKind::Misalignment, EncodeMode::Fast) => "non-mt-fast-misalignment",
+impl Measure for NonMt {
+    const WARMUP_BITS: usize = 8;
+    const CALIBRATION_BITS: usize = 32;
+    const MAX_RESAMPLE: u32 = 3;
+    const BOTH_THREADS: bool = false;
+
+    fn name(&self) -> &'static str {
+        match (self.kind, self.mode) {
+            (NonMtKind::Eviction, EncodeMode::Stealthy) => "non-mt-stealthy-eviction",
+            (NonMtKind::Eviction, EncodeMode::Fast) => "non-mt-fast-eviction",
+            (NonMtKind::Misalignment, EncodeMode::Stealthy) => "non-mt-stealthy-misalignment",
+            (NonMtKind::Misalignment, EncodeMode::Fast) => "non-mt-fast-misalignment",
+        }
+    }
+
+    /// One complete Init-Encode-Decode measurement for a bit (§V-C): the
+    /// receiver's timer brackets `p` rounds of the three steps; the
+    /// eviction/misalignment effects of the encode step show up when the
+    /// Decode step re-accesses the `d` blocks.
+    fn measure(&mut self, bit: bool, ctx: MeasureCtx<'_>) -> f64 {
+        let encode = if bit {
+            Some(&self.send_one)
+        } else {
+            self.send_zero.as_ref()
+        };
+        let value = cycles_over(ctx.core, |core| {
+            for _ in 0..ctx.params.p {
+                round(core, &self.recv, encode);
+            }
+        });
+        let overhead = match self.mode {
+            EncodeMode::Fast => FAST_OVERHEAD_CYCLES,
+            EncodeMode::Stealthy => STEALTHY_OVERHEAD_CYCLES,
+        };
+        ctx.core.idle(ThreadId::T0, overhead);
+        value
     }
 }
 
@@ -116,33 +133,16 @@ impl NonMtChannel {
         profile: &UarchProfile,
         seed: u64,
     ) -> Self {
-        let geom = &profile.geometry;
-        params.validate(geom.dsb_ways, kind == NonMtKind::Misalignment);
-        let (recv, send_one, send_zero) = match kind {
-            NonMtKind::Eviction => {
-                let l = eviction_layout(&params, geom);
-                (l.recv, l.send_one, l.send_zero)
-            }
-            NonMtKind::Misalignment => {
-                let l = misalignment_layout(&params, geom);
-                (l.recv, l.send_one, l.send_zero)
-            }
-        };
-        let send_zero = match mode {
-            EncodeMode::Stealthy => Some(send_zero),
-            EncodeMode::Fast => None,
-        };
-        NonMtChannel {
-            core: Core::with_profile(model, MicrocodePatch::Patch1, profile, seed),
+        let (recv, send_one, send_zero) = layout(kind, &params, &profile.geometry);
+        let send_zero = (mode == EncodeMode::Stealthy).then_some(send_zero);
+        let primitive = NonMt {
             kind,
             mode,
-            params,
-            profile_key: profile.key,
             recv,
             send_one,
             send_zero,
-            decoder: None,
-        }
+        };
+        Driver::on_profile(model, profile, params, seed, primitive)
     }
 
     /// Replaces the channel's core with one built from an explicit frontend
@@ -157,192 +157,25 @@ impl NonMtChannel {
         config: leaky_frontend::FrontendConfig,
         seed: u64,
     ) -> Self {
-        self.core =
-            Core::with_frontend_config(*self.core.model(), self.core.microcode(), config, seed);
-        self.decoder = None;
-        self.profile_key = "custom";
+        self.reset_frontend(config, seed);
         self
-    }
-
-    /// Attempts calibration, reporting failure instead of panicking — a
-    /// defended frontend may be *uncalibratable* (no timing difference
-    /// between the bit classes), which is itself the §XII success metric.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rebuilding the channel spec for calibration fails
-    /// validation (`ChannelSpec::build`); parameters accepted at
-    /// construction never do.
-    pub fn try_calibrate(&mut self) -> Result<(), leaky_stats::threshold::CalibrationError> {
-        if self.decoder.is_some() {
-            return Ok(());
-        }
-        for i in 0..WARMUP_BITS {
-            let _ = self.measure_bit(i % 2 == 1);
-        }
-        match crate::channels::try_calibrate_decoder(|bit| self.measure_bit(bit), CALIBRATION_BITS)
-        {
-            Ok(decoder) => {
-                self.core.trace_mut().emit(|| TraceEvent::Calibration {
-                    zero_mean: decoder.zero_mean(),
-                    one_mean: decoder.one_mean(),
-                    threshold: decoder.threshold(),
-                    separation: decoder.separation(),
-                });
-                self.decoder = Some(decoder);
-                Ok(())
-            }
-            Err(err) => {
-                self.core.trace_mut().emit(|| TraceEvent::CalibrationFailed);
-                Err(err)
-            }
-        }
     }
 
     /// The channel variant.
     pub fn kind(&self) -> NonMtKind {
-        self.kind
+        self.primitive.kind
     }
 
     /// The zero-encoding mode.
     pub fn mode(&self) -> EncodeMode {
-        self.mode
-    }
-
-    /// One complete Init-Encode-Decode measurement for a bit (§V-C): the
-    /// receiver's timer brackets `p` rounds of the three steps.
-    fn measure_bit(&mut self, m: bool) -> f64 {
-        let tid = ThreadId::T0;
-        let t0 = self.core.rdtscp(tid);
-        for _ in 0..self.params.p {
-            // Init: receiver's d blocks onto their fast path.
-            self.core.run_once(tid, &self.recv);
-            // Encode: the sender's secret-dependent accesses.
-            if m {
-                self.core.run_once(tid, &self.send_one);
-            } else if let Some(zero) = &self.send_zero {
-                self.core.run_once(tid, zero);
-            }
-            // Decode: re-access the d blocks; eviction/misalignment effects
-            // of the encode step show up here.
-            self.core.run_once(tid, &self.recv);
-        }
-        let t1 = self.core.rdtscp(tid);
-        let overhead = match self.mode {
-            EncodeMode::Fast => FAST_OVERHEAD_CYCLES,
-            EncodeMode::Stealthy => STEALTHY_OVERHEAD_CYCLES,
-        };
-        self.core.idle(tid, overhead);
-        let value = t1 - t0;
-        self.core
-            .trace_mut()
-            .emit(|| TraceEvent::ChannelMeasure { sent: m, value });
-        value
-    }
-
-    fn ensure_calibrated(&mut self) {
-        self.try_calibrate()
-            .expect("calibration produced indistinguishable classes"); // lint: allow(panic-path) — undefended layouts always separate classes
-    }
-
-    /// Transmits a message, returning sent/received bits and timing.
-    /// Calibration (if not yet done) happens first and is excluded from the
-    /// reported transmission time, matching the paper's methodology.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transmission spans no cycles (`ChannelRun::new`);
-    /// a calibrated channel never produces one.
-    pub fn transmit(&mut self, message: &[bool]) -> ChannelRun {
-        self.ensure_calibrated();
-        let decoder = self.decoder.expect("calibrated above"); // lint: allow(panic-path) — set by ensure_calibrated on the previous line
-        let start = self.core.clock(ThreadId::T0);
-        self.core.trace_mut().emit(|| TraceEvent::SessionStart {
-            bits: message.len() as u64,
-        });
-        let mut received = Vec::with_capacity(message.len());
-        let mut errors = 0u64;
-        for (index, &bit) in message.iter().enumerate() {
-            let mut value = self.measure_bit(bit);
-            let mut decoded = decoder.decode_checked(value);
-            let mut tries = 0;
-            while decoded.is_ambiguous() && tries < MAX_RESAMPLE {
-                value = self.measure_bit(bit);
-                decoded = decoder.decode_checked(value);
-                tries += 1;
-            }
-            let out = decoded.bit();
-            errors += u64::from(out != bit);
-            self.core.trace_mut().emit(|| TraceEvent::BitDecoded {
-                index: index as u64,
-                sent: bit,
-                received: out,
-                value,
-                resamples: tries,
-            });
-            received.push(out);
-        }
-        self.core.trace_mut().emit(|| TraceEvent::SessionEnd {
-            bits: message.len() as u64,
-            errors,
-        });
-        let cycles = self.core.clock(ThreadId::T0) - start;
-        ChannelRun::new(
-            message.to_vec(),
-            received,
-            cycles,
-            self.core.model().freq_hz(),
-        )
-        .with_provenance(Provenance {
-            channel: non_mt_name(self.kind, self.mode),
-            profile: self.profile_key,
-            params: self.params,
-        })
-    }
-}
-
-impl CovertChannel for NonMtChannel {
-    fn name(&self) -> &'static str {
-        non_mt_name(self.kind, self.mode)
-    }
-
-    fn profile_key(&self) -> &'static str {
-        self.profile_key
-    }
-
-    fn params(&self) -> ChannelParams {
-        self.params
-    }
-
-    fn try_calibrate(&mut self) -> Result<(), leaky_stats::threshold::CalibrationError> {
-        NonMtChannel::try_calibrate(self)
-    }
-
-    fn transmit(&mut self, message: &[bool]) -> ChannelRun {
-        NonMtChannel::transmit(self, message)
-    }
-
-    fn debug_measure(&mut self, bit: bool) -> f64 {
-        self.measure_bit(bit)
-    }
-
-    fn debug_decoder(&mut self) -> Option<ThresholdDecoder> {
-        NonMtChannel::try_calibrate(self).ok()?;
-        self.decoder
-    }
-
-    fn set_trace(&mut self, hook: TraceHook) {
-        self.core.set_trace(hook);
-    }
-
-    fn take_trace(&mut self) -> TraceHook {
-        self.core.take_trace()
+        self.primitive.mode
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::channels::CovertChannel;
     use crate::params::MessagePattern;
 
     fn channel(model: ProcessorModel, kind: NonMtKind, mode: EncodeMode) -> NonMtChannel {
@@ -542,7 +375,9 @@ mod tests {
         assert_eq!(summary.bits, 16);
         assert_eq!(summary.error_rate(), rt.error_rate());
         // Warm-up + calibration + per-bit decodes all measure.
-        assert!(summary.channel_measures as usize >= WARMUP_BITS + CALIBRATION_BITS + 16);
+        assert!(
+            summary.channel_measures as usize >= NonMt::WARMUP_BITS + NonMt::CALIBRATION_BITS + 16
+        );
         assert!(summary.iterations > 0, "frontend events flow through too");
         assert!(summary.last_calibration.is_some());
     }

@@ -10,27 +10,21 @@
 //! fast-forwarded with [`leaky_cpu::Core::replay`], which deposits energy
 //! identically to full simulation.
 
-use leaky_cpu::{Core, LoopRun, MicrocodePatch, ProcessorModel};
-use leaky_frontend::{ThreadId, UarchProfile};
+use leaky_cpu::ProcessorModel;
+use leaky_frontend::UarchProfile;
 use leaky_isa::BlockChain;
-use leaky_stats::ThresholdDecoder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::channels::driver::{run_rounds, watts_over, Driver, Measure, MeasureCtx};
+use crate::channels::layout;
 use crate::channels::non_mt::NonMtKind;
-use crate::channels::{eviction_layout, misalignment_layout, CovertChannel};
 use crate::params::ChannelParams;
-use crate::run::{ChannelRun, Provenance};
-
-/// Rounds simulated exactly before fast-forwarding the remainder.
-const WARM_ROUNDS: u64 = 24;
 
 /// System power noise on a per-bit watts estimate (σ, watts): co-running
 /// package activity that RAPL cannot separate from the attack (§VII's
 /// error-rate source).
 const WATTS_NOISE_SIGMA: f64 = 1.8;
-
-const CALIBRATION_BITS: usize = 16;
 
 /// A power-based non-MT covert channel (§VII, Table V).
 ///
@@ -52,25 +46,42 @@ const CALIBRATION_BITS: usize = 16;
 /// let run = ch.transmit(&msg);
 /// assert!(run.rate_kbps() < 10.0, "power channels are slow");
 /// ```
+pub type PowerChannel = Driver<Power>;
+
+/// The power receiver: average package watts over `p` Init/Encode/Decode
+/// rounds (stealthy zero-encoding), plus system power noise.
 #[derive(Debug, Clone)]
-pub struct PowerChannel {
-    core: Core,
+pub struct Power {
     kind: NonMtKind,
-    params: ChannelParams,
-    profile_key: &'static str,
     recv: BlockChain,
     send_one: BlockChain,
     send_zero: BlockChain,
-    decoder: Option<ThresholdDecoder>,
     rng: StdRng,
 }
 
-/// The registry name of a power variant (see
-/// [`crate::channels::registry`]).
-const fn power_name(kind: NonMtKind) -> &'static str {
-    match kind {
-        NonMtKind::Eviction => "power-eviction",
-        NonMtKind::Misalignment => "power-misalignment",
+impl Measure for Power {
+    const WARMUP_BITS: usize = 4;
+    const CALIBRATION_BITS: usize = 16;
+    const MAX_RESAMPLE: u32 = 0;
+    const BOTH_THREADS: bool = false;
+
+    fn name(&self) -> &'static str {
+        match self.kind {
+            NonMtKind::Eviction => "power-eviction",
+            NonMtKind::Misalignment => "power-misalignment",
+        }
+    }
+
+    fn measure(&mut self, bit: bool, ctx: MeasureCtx<'_>) -> f64 {
+        let encode = if bit { &self.send_one } else { &self.send_zero };
+        let watts = watts_over(ctx.core, |core| {
+            run_rounds(core, &self.recv, Some(encode), ctx.params.p);
+        });
+        let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
+        let u2: f64 = self.rng.gen_range(0.0..1.0);
+        let noise =
+            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos() * WATTS_NOISE_SIGMA;
+        watts + noise
     }
 }
 
@@ -100,173 +111,20 @@ impl PowerChannel {
         profile: &UarchProfile,
         seed: u64,
     ) -> Self {
-        let geom = &profile.geometry;
-        params.validate(geom.dsb_ways, kind == NonMtKind::Misalignment);
-        let (recv, send_one, send_zero) = match kind {
-            NonMtKind::Eviction => {
-                let l = eviction_layout(&params, geom);
-                (l.recv, l.send_one, l.send_zero)
-            }
-            NonMtKind::Misalignment => {
-                let l = misalignment_layout(&params, geom);
-                (l.recv, l.send_one, l.send_zero)
-            }
-        };
-        PowerChannel {
-            core: Core::with_profile(model, MicrocodePatch::Patch1, profile, seed),
+        let (recv, send_one, send_zero) = layout(kind, &params, &profile.geometry);
+        let primitive = Power {
             kind,
-            params,
-            profile_key: profile.key,
             recv,
             send_one,
             send_zero,
-            decoder: None,
             rng: StdRng::seed_from_u64(seed ^ 0x70f_f4e7),
-        }
+        };
+        Driver::on_profile(model, profile, params, seed, primitive)
     }
 
     /// The underlying frontend primitive.
     pub fn kind(&self) -> NonMtKind {
-        self.kind
-    }
-
-    /// One Init/Encode/Decode round for bit `m`; returns the round's run.
-    fn one_round(&mut self, m: bool) -> LoopRun {
-        let tid = ThreadId::T0;
-        let a = self.core.run_once(tid, &self.recv);
-        let b = if m {
-            self.core.run_once(tid, &self.send_one)
-        } else {
-            self.core.run_once(tid, &self.send_zero)
-        };
-        let c = self.core.run_once(tid, &self.recv);
-        LoopRun {
-            cycles: a.cycles + b.cycles + c.cycles,
-            iterations: a.iterations + b.iterations + c.iterations,
-            report: a.report + b.report + c.report,
-        }
-    }
-
-    /// Measures one bit as average watts over the bit window: bracket the
-    /// p-round workload with RAPL reads and divide energy by time.
-    fn measure_bit(&mut self, m: bool) -> f64 {
-        let tid = ThreadId::T0;
-        let e0 = self.core.read_rapl();
-        let t0 = self.core.seconds();
-        // Warm rounds simulated exactly...
-        let mut last = self.one_round(m);
-        for _ in 1..WARM_ROUNDS.min(self.params.p) {
-            last = self.one_round(m);
-        }
-        // ...then fast-forward the remaining identical rounds.
-        if self.params.p > WARM_ROUNDS {
-            self.core.replay(tid, &last, self.params.p - WARM_ROUNDS);
-        }
-        let e1 = self.core.read_rapl();
-        let t1 = self.core.seconds();
-        let joules = (e1.saturating_sub(e0)) as f64 * 1e-6;
-        let dt = (t1 - t0).max(1e-9);
-        let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
-        let u2: f64 = self.rng.gen_range(0.0..1.0);
-        let noise =
-            (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos() * WATTS_NOISE_SIGMA;
-        joules / dt + noise // watts
-    }
-
-    /// Attempts calibration, reporting failure instead of panicking (a
-    /// cost-equalized frontend may show no per-bit power difference).
-    /// The watts samples are collected up front and fed to the shared
-    /// `try_calibrate_decoder` routine, the single home of the decoder
-    /// settings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rebuilding the channel spec for calibration fails
-    /// validation (`ChannelSpec::build`); parameters accepted at
-    /// construction never do.
-    pub fn try_calibrate(&mut self) -> Result<(), leaky_stats::threshold::CalibrationError> {
-        if self.decoder.is_some() {
-            return Ok(());
-        }
-        for i in 0..4 {
-            let _ = self.measure_bit(i % 2 == 1); // cold-start warmup
-        }
-        let mut samples = Vec::with_capacity(CALIBRATION_BITS);
-        for i in 0..CALIBRATION_BITS {
-            let bit = i % 2 == 1;
-            samples.push(self.measure_bit(bit));
-        }
-        let mut iter = samples.into_iter();
-        self.decoder = Some(crate::channels::try_calibrate_decoder(
-            move |_| iter.next().expect("calibration sample"), // lint: allow(panic-path) — closure is called exactly CALIBRATION_BITS times
-            CALIBRATION_BITS,
-        )?);
-        Ok(())
-    }
-
-    fn ensure_calibrated(&mut self) {
-        self.try_calibrate()
-            .expect("calibration produced indistinguishable classes"); // lint: allow(panic-path) — undefended layouts always separate classes
-    }
-
-    /// Transmits a message over the power channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transmission spans no cycles (`ChannelRun::new`);
-    /// a calibrated channel never produces one.
-    pub fn transmit(&mut self, message: &[bool]) -> ChannelRun {
-        self.ensure_calibrated();
-        let decoder = self.decoder.expect("calibrated above"); // lint: allow(panic-path) — set by ensure_calibrated on the previous line
-        let start = self.core.clock(ThreadId::T0);
-        let mut received = Vec::with_capacity(message.len());
-        for &bit in message {
-            let watts = self.measure_bit(bit);
-            received.push(decoder.decode(watts));
-        }
-        let cycles = self.core.clock(ThreadId::T0) - start;
-        ChannelRun::new(
-            message.to_vec(),
-            received,
-            cycles,
-            self.core.model().freq_hz(),
-        )
-        .with_provenance(Provenance {
-            channel: power_name(self.kind),
-            profile: self.profile_key,
-            params: self.params,
-        })
-    }
-}
-
-impl CovertChannel for PowerChannel {
-    fn name(&self) -> &'static str {
-        power_name(self.kind)
-    }
-
-    fn profile_key(&self) -> &'static str {
-        self.profile_key
-    }
-
-    fn params(&self) -> ChannelParams {
-        self.params
-    }
-
-    fn try_calibrate(&mut self) -> Result<(), leaky_stats::threshold::CalibrationError> {
-        PowerChannel::try_calibrate(self)
-    }
-
-    fn transmit(&mut self, message: &[bool]) -> ChannelRun {
-        PowerChannel::transmit(self, message)
-    }
-
-    fn debug_measure(&mut self, bit: bool) -> f64 {
-        self.measure_bit(bit)
-    }
-
-    fn debug_decoder(&mut self) -> Option<ThresholdDecoder> {
-        PowerChannel::try_calibrate(self).ok()?;
-        self.decoder
+        self.primitive.kind
     }
 }
 

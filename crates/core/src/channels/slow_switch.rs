@@ -8,21 +8,16 @@
 //! instruction-count monitoring — only the *interleaving* differs (§IV-H,
 //! Fig. 4).
 
-use leaky_cpu::{Core, MicrocodePatch, ProcessorModel};
+use leaky_cpu::ProcessorModel;
 use leaky_frontend::{ThreadId, UarchProfile};
 use leaky_isa::{BlockChain, CodeRegion, LcpPattern};
-use leaky_stats::ThresholdDecoder;
 
-use crate::channels::CovertChannel;
+use crate::channels::driver::{cycles_over, Driver, Measure, MeasureCtx};
 use crate::params::ChannelParams;
-use crate::run::{ChannelRun, Provenance};
 
 /// Per-bit protocol overhead (cycles), calibrated alongside the non-MT
 /// channels.
 const PER_BIT_OVERHEAD_CYCLES: f64 = 2_200.0;
-
-const CALIBRATION_BITS: usize = 32;
-const MAX_RESAMPLE: u32 = 3;
 
 /// The §V-E slow-switch channel.
 ///
@@ -42,14 +37,39 @@ const MAX_RESAMPLE: u32 = 3;
 /// let run = ch.transmit(&msg);
 /// assert!(run.error_rate() < 0.2);
 /// ```
+pub type SlowSwitchChannel = Driver<SlowSwitch>;
+
+/// The slow-switch receiver: it times `p` iterations of the mixed (1) or
+/// ordered (0) loop body.
 #[derive(Debug, Clone)]
-pub struct SlowSwitchChannel {
-    core: Core,
-    params: ChannelParams,
-    profile_key: &'static str,
+pub struct SlowSwitch {
     mixed: BlockChain,
     ordered: BlockChain,
-    decoder: Option<ThresholdDecoder>,
+}
+
+impl Measure for SlowSwitch {
+    const WARMUP_BITS: usize = 0;
+    const CALIBRATION_BITS: usize = 32;
+    const MAX_RESAMPLE: u32 = 3;
+    const BOTH_THREADS: bool = false;
+
+    fn name(&self) -> &'static str {
+        "slow-switch"
+    }
+
+    /// One bit measurement: the receiver brackets `p` iterations of the
+    /// secret-selected loop body with the timer (§V-E: Init starts the
+    /// timer, Decode stops it).
+    fn measure(&mut self, bit: bool, ctx: MeasureCtx<'_>) -> f64 {
+        let chain = if bit { &self.mixed } else { &self.ordered };
+        let value = cycles_over(ctx.core, |core| {
+            for _ in 0..ctx.params.p {
+                core.run_once(ThreadId::T0, chain);
+            }
+        });
+        ctx.core.idle(ThreadId::T0, PER_BIT_OVERHEAD_CYCLES);
+        value
+    }
 }
 
 impl SlowSwitchChannel {
@@ -84,128 +104,7 @@ impl SlowSwitchChannel {
             CodeRegion::with_geometry(crate::channels::SENDER_REGION, profile.geometry);
         let mixed = BlockChain::new(vec![region.lcp_block(LcpPattern::Mixed, params.r)]);
         let ordered = BlockChain::new(vec![region.lcp_block(LcpPattern::Ordered, params.r)]);
-        SlowSwitchChannel {
-            core: Core::with_profile(model, MicrocodePatch::Patch1, profile, seed),
-            params,
-            profile_key: profile.key,
-            mixed,
-            ordered,
-            decoder: None,
-        }
-    }
-
-    /// One bit measurement: the receiver brackets `p` iterations of the
-    /// secret-selected loop body with the timer (§V-E: Init starts the
-    /// timer, Decode stops it).
-    fn measure_bit(&mut self, m: bool) -> f64 {
-        let tid = ThreadId::T0;
-        let t0 = self.core.rdtscp(tid);
-        let chain = if m { &self.mixed } else { &self.ordered };
-        for _ in 0..self.params.p {
-            self.core.run_once(tid, chain);
-        }
-        let t1 = self.core.rdtscp(tid);
-        self.core.idle(tid, PER_BIT_OVERHEAD_CYCLES);
-        t1 - t0
-    }
-
-    /// Attempts calibration, reporting failure instead of panicking: on a
-    /// cost model without LCP/path-switch asymmetry (e.g. the §XII
-    /// constant-time profile) the mixed and ordered loop bodies time
-    /// identically, which is a dead channel rather than a harness error.
-    /// The samples route through the shared `try_calibrate_decoder`, the
-    /// single home of the decoder settings.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rebuilding the channel spec for calibration fails
-    /// validation (`ChannelSpec::build`); parameters accepted at
-    /// construction never do.
-    pub fn try_calibrate(&mut self) -> Result<(), leaky_stats::threshold::CalibrationError> {
-        if self.decoder.is_some() {
-            return Ok(());
-        }
-        let mut samples = Vec::with_capacity(CALIBRATION_BITS);
-        for i in 0..CALIBRATION_BITS {
-            let bit = i % 2 == 1;
-            samples.push(self.measure_bit(bit));
-        }
-        let mut iter = samples.into_iter();
-        self.decoder = Some(crate::channels::try_calibrate_decoder(
-            move |_| iter.next().expect("calibration sample"), // lint: allow(panic-path) — closure is called exactly CALIBRATION_BITS times
-            CALIBRATION_BITS,
-        )?);
-        Ok(())
-    }
-
-    fn ensure_calibrated(&mut self) {
-        self.try_calibrate()
-            .expect("calibration produced indistinguishable classes"); // lint: allow(panic-path) — undefended layouts always separate classes
-    }
-
-    /// Transmits a message (calibration excluded from the reported rate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transmission spans no cycles (`ChannelRun::new`);
-    /// a calibrated channel never produces one.
-    pub fn transmit(&mut self, message: &[bool]) -> ChannelRun {
-        self.ensure_calibrated();
-        let decoder = self.decoder.expect("calibrated above"); // lint: allow(panic-path) — set by ensure_calibrated on the previous line
-        let start = self.core.clock(ThreadId::T0);
-        let mut received = Vec::with_capacity(message.len());
-        for &bit in message {
-            let mut decoded = decoder.decode_checked(self.measure_bit(bit));
-            let mut tries = 0;
-            while decoded.is_ambiguous() && tries < MAX_RESAMPLE {
-                decoded = decoder.decode_checked(self.measure_bit(bit));
-                tries += 1;
-            }
-            received.push(decoded.bit());
-        }
-        let cycles = self.core.clock(ThreadId::T0) - start;
-        ChannelRun::new(
-            message.to_vec(),
-            received,
-            cycles,
-            self.core.model().freq_hz(),
-        )
-        .with_provenance(Provenance {
-            channel: "slow-switch",
-            profile: self.profile_key,
-            params: self.params,
-        })
-    }
-}
-
-impl CovertChannel for SlowSwitchChannel {
-    fn name(&self) -> &'static str {
-        "slow-switch"
-    }
-
-    fn profile_key(&self) -> &'static str {
-        self.profile_key
-    }
-
-    fn params(&self) -> ChannelParams {
-        self.params
-    }
-
-    fn try_calibrate(&mut self) -> Result<(), leaky_stats::threshold::CalibrationError> {
-        SlowSwitchChannel::try_calibrate(self)
-    }
-
-    fn transmit(&mut self, message: &[bool]) -> ChannelRun {
-        SlowSwitchChannel::transmit(self, message)
-    }
-
-    fn debug_measure(&mut self, bit: bool) -> f64 {
-        self.measure_bit(bit)
-    }
-
-    fn debug_decoder(&mut self) -> Option<ThresholdDecoder> {
-        SlowSwitchChannel::try_calibrate(self).ok()?;
-        self.decoder
+        Driver::on_profile(model, profile, params, seed, SlowSwitch { mixed, ordered })
     }
 }
 
@@ -250,8 +149,14 @@ mod tests {
                 .filter(|i| i.has_lcp() == lcp)
                 .count()
         };
-        assert_eq!(count(&ch.mixed, true), count(&ch.ordered, true));
-        assert_eq!(count(&ch.mixed, false), count(&ch.ordered, false));
+        assert_eq!(
+            count(&ch.primitive.mixed, true),
+            count(&ch.primitive.ordered, true)
+        );
+        assert_eq!(
+            count(&ch.primitive.mixed, false),
+            count(&ch.primitive.ordered, false)
+        );
     }
 
     #[test]

@@ -9,19 +9,20 @@
 //! * **MT** (§VIII-1): the sender thread stays inside the enclave and
 //!   encodes continuously; the receiver on the sibling thread times its own
 //!   loop, observing DSB partitioning and evictions.
+//!
+//! The channels are [`Measure`] primitives on the shared [`Driver`], so
+//! they calibrate, decode and trace exactly like the registry channels;
+//! they are not registry rows.
 
-use leaky_cpu::{Core, ProcessorModel, ThreadWork};
-use leaky_frontend::ThreadId;
-use leaky_isa::{BlockChain, FrontendGeometry};
+use leaky_cpu::{ProcessorModel, ThreadWork};
+use leaky_frontend::{ThreadId, UarchProfile};
+use leaky_isa::BlockChain;
 use leaky_sgx::Enclave;
-use leaky_stats::ThresholdDecoder;
 
+use crate::channels::driver::{cycles_over, run_rounds, watts_over, Driver, Measure, MeasureCtx};
+use crate::channels::layout;
 use crate::channels::non_mt::NonMtKind;
-use crate::channels::{calibrate_decoder, eviction_layout, misalignment_layout};
 use crate::params::{ChannelParams, EncodeMode};
-use crate::run::ChannelRun;
-
-const CALIBRATION_BITS: usize = 16;
 
 /// Errors from SGX attack construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,18 +52,78 @@ impl std::fmt::Display for SgxAttackError {
 
 impl std::error::Error for SgxAttackError {}
 
+/// Checks the machine can host an SGX attack (and SMT, for the MT one),
+/// then builds the channel's layout under the `skylake` geometry and its
+/// core under the `skylake` profile.
+///
+/// # Panics
+///
+/// Panics if `params` violate the §V constraints
+/// (`ChannelParams::validate`).
+fn sgx_driver<M: Measure>(
+    model: ProcessorModel,
+    needs_smt: bool,
+    kind: NonMtKind,
+    params: ChannelParams,
+    seed: u64,
+    primitive: impl FnOnce(BlockChain, BlockChain, BlockChain) -> M,
+) -> Result<Driver<M>, SgxAttackError> {
+    if !model.sgx {
+        return Err(SgxAttackError::NoSgx { model: model.name });
+    }
+    if needs_smt && !model.smt_enabled {
+        return Err(SgxAttackError::NoSmt { model: model.name });
+    }
+    let profile = UarchProfile::skylake();
+    let (recv, one, zero) = layout(kind, &params, &profile.geometry);
+    let primitive = primitive(recv, one, zero);
+    Ok(Driver::on_profile(model, &profile, params, seed, primitive))
+}
+
 /// Non-MT SGX covert channel (§VIII-2): one enclave entry and exit per bit,
 /// timed from outside.
+pub type SgxNonMtChannel = Driver<SgxNonMt>;
+
+/// The non-MT SGX receiver: it times one whole enclave call that runs `p`
+/// Init/Encode/Decode rounds inside.
 #[derive(Debug, Clone)]
-pub struct SgxNonMtChannel {
-    core: Core,
+pub struct SgxNonMt {
     enclave: Enclave,
-    params: ChannelParams,
+    kind: NonMtKind,
     mode: EncodeMode,
     recv: BlockChain,
     send_one: BlockChain,
-    send_zero: BlockChain,
-    decoder: Option<ThresholdDecoder>,
+    /// The stealthy decoy encoding of a 0 (`None`: silent, fast mode).
+    send_zero: Option<BlockChain>,
+}
+
+impl Measure for SgxNonMt {
+    const WARMUP_BITS: usize = 4;
+    const CALIBRATION_BITS: usize = 16;
+    const MAX_RESAMPLE: u32 = 0;
+    const BOTH_THREADS: bool = false;
+
+    fn name(&self) -> &'static str {
+        match (self.kind, self.mode) {
+            (NonMtKind::Eviction, EncodeMode::Stealthy) => "sgx-non-mt-stealthy-eviction",
+            (NonMtKind::Eviction, EncodeMode::Fast) => "sgx-non-mt-fast-eviction",
+            (NonMtKind::Misalignment, EncodeMode::Stealthy) => "sgx-non-mt-stealthy-misalignment",
+            (NonMtKind::Misalignment, EncodeMode::Fast) => "sgx-non-mt-fast-misalignment",
+        }
+    }
+
+    fn measure(&mut self, bit: bool, ctx: MeasureCtx<'_>) -> f64 {
+        let encode = if bit {
+            Some(&self.send_one)
+        } else {
+            self.send_zero.as_ref()
+        };
+        cycles_over(ctx.core, |core| {
+            self.enclave.call(core, ThreadId::T0, |core, _| {
+                run_rounds(core, &self.recv, encode, ctx.params.p);
+            });
+        })
+    }
 }
 
 impl SgxNonMtChannel {
@@ -83,115 +144,16 @@ impl SgxNonMtChannel {
         params: ChannelParams,
         seed: u64,
     ) -> Result<Self, SgxAttackError> {
-        if !model.sgx {
-            return Err(SgxAttackError::NoSgx { model: model.name });
-        }
-        let geom = FrontendGeometry::skylake();
-        params.validate(geom.dsb_ways, kind == NonMtKind::Misalignment);
-        let (recv, send_one, send_zero) = match kind {
-            NonMtKind::Eviction => {
-                let l = eviction_layout(&params, &geom);
-                (l.recv, l.send_one, l.send_zero)
+        sgx_driver(model, false, kind, params, seed, |recv, send_one, zero| {
+            SgxNonMt {
+                enclave: Enclave::default(),
+                kind,
+                mode,
+                recv,
+                send_one,
+                send_zero: (mode == EncodeMode::Stealthy).then_some(zero),
             }
-            NonMtKind::Misalignment => {
-                let l = misalignment_layout(&params, &geom);
-                (l.recv, l.send_one, l.send_zero)
-            }
-        };
-        Ok(SgxNonMtChannel {
-            core: Core::new(model, seed),
-            enclave: Enclave::default(),
-            params,
-            mode,
-            recv,
-            send_one,
-            send_zero,
-            decoder: None,
         })
-    }
-
-    /// Times one whole enclave call that runs `p` Init/Encode/Decode rounds
-    /// for bit `m` inside.
-    fn measure_bit(&mut self, m: bool) -> f64 {
-        let tid = ThreadId::T0;
-        let t0 = self.core.rdtscp(tid);
-        let recv = &self.recv;
-        let send_one = &self.send_one;
-        let send_zero = &self.send_zero;
-        let rounds = self.params.p;
-        let mode = self.mode;
-        self.enclave.call(&mut self.core, tid, |core, tid| {
-            // Simulate a prefix exactly, then fast-forward the steady tail
-            // (the enclave body repeats identical rounds).
-            let warm = 24u64.min(rounds);
-            let mut last_cycles = 0.0;
-            let mut last_report = leaky_frontend::IterationReport::default();
-            for _ in 0..warm {
-                let a = core.run_once(tid, recv);
-                let b = if m {
-                    Some(core.run_once(tid, send_one))
-                } else if mode == EncodeMode::Stealthy {
-                    Some(core.run_once(tid, send_zero))
-                } else {
-                    None
-                };
-                let c = core.run_once(tid, recv);
-                last_cycles = a.cycles + b.as_ref().map_or(0.0, |x| x.cycles) + c.cycles;
-                last_report =
-                    a.report + b.as_ref().map_or_else(Default::default, |x| x.report) + c.report;
-            }
-            if rounds > warm {
-                let round = leaky_cpu::LoopRun {
-                    cycles: last_cycles,
-                    iterations: 1,
-                    report: last_report,
-                };
-                core.replay(tid, &round, rounds - warm);
-            }
-        });
-        let t1 = self.core.rdtscp(tid);
-        t1 - t0
-    }
-
-    fn ensure_calibrated(&mut self) {
-        if self.decoder.is_some() {
-            return;
-        }
-        for i in 0..4 {
-            let _ = self.measure_bit(i % 2 == 1); // cold-start warmup
-        }
-        let mut samples = Vec::with_capacity(CALIBRATION_BITS);
-        for i in 0..CALIBRATION_BITS {
-            samples.push(self.measure_bit(i % 2 == 1));
-        }
-        let mut iter = samples.into_iter();
-        self.decoder = Some(calibrate_decoder(
-            move |_| iter.next().expect("calibration sample"), // lint: allow(panic-path) — closure is called exactly CALIBRATION_BITS times
-            CALIBRATION_BITS,
-        ));
-    }
-
-    /// Transmits a message out of the enclave.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transmission spans no cycles (`ChannelRun::new`);
-    /// a calibrated channel never produces one.
-    pub fn transmit(&mut self, message: &[bool]) -> ChannelRun {
-        self.ensure_calibrated();
-        let decoder = self.decoder.expect("calibrated above"); // lint: allow(panic-path) — set by ensure_calibrated on the previous line
-        let start = self.core.clock(ThreadId::T0);
-        let received: Vec<bool> = message
-            .iter()
-            .map(|&bit| decoder.decode(self.measure_bit(bit)))
-            .collect();
-        let cycles = self.core.clock(ThreadId::T0) - start;
-        ChannelRun::new(
-            message.to_vec(),
-            received,
-            cycles,
-            self.core.model().freq_hz(),
-        )
     }
 }
 
@@ -200,20 +162,45 @@ impl SgxNonMtChannel {
 /// disabled, a *privileged* (malicious-OS) attacker can read the package
 /// energy counter around enclave calls — SGX explicitly distrusts the OS,
 /// yet leaks through it. One RAPL-bracketed enclave call per bit.
+pub type SgxPowerChannel = Driver<SgxPower>;
+
+/// The SGX power receiver: average package watts over one enclave call
+/// that runs `p` rounds (stealthy zero-encoding, matching the §VII power
+/// channels).
 #[derive(Debug, Clone)]
-pub struct SgxPowerChannel {
-    core: Core,
+pub struct SgxPower {
     enclave: Enclave,
-    params: ChannelParams,
+    kind: NonMtKind,
     recv: BlockChain,
     send_one: BlockChain,
     send_zero: BlockChain,
-    decoder: Option<ThresholdDecoder>,
+}
+
+impl Measure for SgxPower {
+    const WARMUP_BITS: usize = 4;
+    const CALIBRATION_BITS: usize = 16;
+    const MAX_RESAMPLE: u32 = 0;
+    const BOTH_THREADS: bool = false;
+
+    fn name(&self) -> &'static str {
+        match self.kind {
+            NonMtKind::Eviction => "sgx-power-eviction",
+            NonMtKind::Misalignment => "sgx-power-misalignment",
+        }
+    }
+
+    fn measure(&mut self, bit: bool, ctx: MeasureCtx<'_>) -> f64 {
+        let encode = if bit { &self.send_one } else { &self.send_zero };
+        watts_over(ctx.core, |core| {
+            self.enclave.call(core, ThreadId::T0, |core, _| {
+                run_rounds(core, &self.recv, Some(encode), ctx.params.p);
+            });
+        })
+    }
 }
 
 impl SgxPowerChannel {
-    /// Builds the channel (stealthy zero-encoding, matching the §VII power
-    /// channels).
+    /// Builds the channel.
     ///
     /// # Errors
     ///
@@ -229,123 +216,74 @@ impl SgxPowerChannel {
         params: ChannelParams,
         seed: u64,
     ) -> Result<Self, SgxAttackError> {
-        if !model.sgx {
-            return Err(SgxAttackError::NoSgx { model: model.name });
-        }
-        let geom = FrontendGeometry::skylake();
-        params.validate(geom.dsb_ways, kind == NonMtKind::Misalignment);
-        let (recv, send_one, send_zero) = match kind {
-            NonMtKind::Eviction => {
-                let l = eviction_layout(&params, &geom);
-                (l.recv, l.send_one, l.send_zero)
-            }
-            NonMtKind::Misalignment => {
-                let l = misalignment_layout(&params, &geom);
-                (l.recv, l.send_one, l.send_zero)
-            }
-        };
-        Ok(SgxPowerChannel {
-            core: Core::new(model, seed),
-            enclave: Enclave::default(),
+        sgx_driver(
+            model,
+            false,
+            kind,
             params,
-            recv,
-            send_one,
-            send_zero,
-            decoder: None,
-        })
-    }
-
-    /// One bit: RAPL-bracketed whole-enclave execution of `p` rounds.
-    fn measure_bit(&mut self, m: bool) -> f64 {
-        let tid = ThreadId::T0;
-        let e0 = self.core.read_rapl();
-        let t0 = self.core.seconds();
-        let recv = &self.recv;
-        let send_one = &self.send_one;
-        let send_zero = &self.send_zero;
-        let rounds = self.params.p;
-        self.enclave.call(&mut self.core, tid, |core, tid| {
-            let warm = 24u64.min(rounds);
-            let mut last_cycles = 0.0;
-            let mut last_report = leaky_frontend::IterationReport::default();
-            for _ in 0..warm {
-                let a = core.run_once(tid, recv);
-                let b = if m {
-                    core.run_once(tid, send_one)
-                } else {
-                    core.run_once(tid, send_zero)
-                };
-                let c = core.run_once(tid, recv);
-                last_cycles = a.cycles + b.cycles + c.cycles;
-                last_report = a.report + b.report + c.report;
-            }
-            if rounds > warm {
-                let round = leaky_cpu::LoopRun {
-                    cycles: last_cycles,
-                    iterations: 1,
-                    report: last_report,
-                };
-                core.replay(tid, &round, rounds - warm);
-            }
-        });
-        let e1 = self.core.read_rapl();
-        let t1 = self.core.seconds();
-        let joules = e1.saturating_sub(e0) as f64 * 1e-6;
-        joules / (t1 - t0).max(1e-9)
-    }
-
-    fn ensure_calibrated(&mut self) {
-        if self.decoder.is_some() {
-            return;
-        }
-        for i in 0..4 {
-            let _ = self.measure_bit(i % 2 == 1);
-        }
-        let mut samples = Vec::with_capacity(CALIBRATION_BITS);
-        for i in 0..CALIBRATION_BITS {
-            samples.push(self.measure_bit(i % 2 == 1));
-        }
-        let mut iter = samples.into_iter();
-        self.decoder = Some(calibrate_decoder(
-            move |_| iter.next().expect("calibration sample"), // lint: allow(panic-path) — closure is called exactly CALIBRATION_BITS times
-            CALIBRATION_BITS,
-        ));
-    }
-
-    /// Transmits a message out of the enclave over package power.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transmission spans no cycles (`ChannelRun::new`);
-    /// a calibrated channel never produces one.
-    pub fn transmit(&mut self, message: &[bool]) -> ChannelRun {
-        self.ensure_calibrated();
-        let decoder = self.decoder.expect("calibrated above"); // lint: allow(panic-path) — set by ensure_calibrated on the previous line
-        let start = self.core.clock(ThreadId::T0);
-        let received: Vec<bool> = message
-            .iter()
-            .map(|&bit| decoder.decode(self.measure_bit(bit)))
-            .collect();
-        let cycles = self.core.clock(ThreadId::T0) - start;
-        ChannelRun::new(
-            message.to_vec(),
-            received,
-            cycles,
-            self.core.model().freq_hz(),
+            seed,
+            |recv, send_one, send_zero| SgxPower {
+                enclave: Enclave::default(),
+                kind,
+                recv,
+                send_one,
+                send_zero,
+            },
         )
     }
 }
 
 /// MT SGX covert channel (§VIII-1): the sender encodes from inside the
 /// enclave on the sibling thread; the receiver times its own loop.
+pub type SgxMtChannel = Driver<SgxMt>;
+
+/// The MT SGX receiver: mean cycles per iteration of its own `p`-iteration
+/// loop, against `q` sender iterations inside the enclave for a 1.
 #[derive(Debug, Clone)]
-pub struct SgxMtChannel {
-    core: Core,
+pub struct SgxMt {
     enclave: Enclave,
-    params: ChannelParams,
+    kind: NonMtKind,
     recv: BlockChain,
     send_one: BlockChain,
-    decoder: Option<ThresholdDecoder>,
+}
+
+impl Measure for SgxMt {
+    const WARMUP_BITS: usize = 4;
+    const CALIBRATION_BITS: usize = 16;
+    const MAX_RESAMPLE: u32 = 0;
+    const BOTH_THREADS: bool = true;
+
+    fn name(&self) -> &'static str {
+        match self.kind {
+            NonMtKind::Eviction => "sgx-mt-eviction",
+            NonMtKind::Misalignment => "sgx-mt-misalignment",
+        }
+    }
+
+    fn measure(&mut self, bit: bool, ctx: MeasureCtx<'_>) -> f64 {
+        let p = ctx.params.p;
+        let cycles = cycles_over(ctx.core, |core| {
+            if bit {
+                // The sender enters the enclave on T1 (paying the
+                // transition) and encodes concurrently.
+                core.idle(ThreadId::T1, self.enclave.round_trip_cycles());
+                core.frontend_mut().flush_thread_state(ThreadId::T1);
+                core.run_concurrent(
+                    ThreadWork {
+                        chain: &self.recv,
+                        iterations: p,
+                    },
+                    ThreadWork {
+                        chain: &self.send_one,
+                        iterations: ctx.params.q,
+                    },
+                );
+            } else {
+                core.run_loop(ThreadId::T0, &self.recv, p);
+            }
+        });
+        cycles.max(1.0) / p as f64
+    }
 }
 
 impl SgxMtChannel {
@@ -366,110 +304,12 @@ impl SgxMtChannel {
         params: ChannelParams,
         seed: u64,
     ) -> Result<Self, SgxAttackError> {
-        if !model.sgx {
-            return Err(SgxAttackError::NoSgx { model: model.name });
-        }
-        if !model.smt_enabled {
-            return Err(SgxAttackError::NoSmt { model: model.name });
-        }
-        let geom = FrontendGeometry::skylake();
-        params.validate(geom.dsb_ways, kind == NonMtKind::Misalignment);
-        let (recv, send_one) = match kind {
-            NonMtKind::Eviction => {
-                let l = eviction_layout(&params, &geom);
-                (l.recv, l.send_one)
-            }
-            NonMtKind::Misalignment => {
-                let l = misalignment_layout(&params, &geom);
-                (l.recv, l.send_one)
-            }
-        };
-        Ok(SgxMtChannel {
-            core: Core::new(model, seed),
+        sgx_driver(model, true, kind, params, seed, |recv, send_one, _| SgxMt {
             enclave: Enclave::default(),
-            params,
+            kind,
             recv,
             send_one,
-            decoder: None,
         })
-    }
-
-    fn measure_bit(&mut self, m: bool) -> f64 {
-        let tid = ThreadId::T0;
-        let t0 = self.core.rdtscp(tid);
-        let p = self.params.p;
-        let q = self.params.q;
-        if m {
-            // The sender enters the enclave on T1 and encodes concurrently.
-            let recv = self.recv.clone();
-            let send = self.send_one.clone();
-            // Enclave transition cost on the sender thread.
-            self.core
-                .idle(ThreadId::T1, self.enclave.round_trip_cycles());
-            self.core.frontend_mut().flush_thread_state(ThreadId::T1);
-            let (r, _s) = self.core.run_concurrent(
-                ThreadWork {
-                    chain: &recv,
-                    iterations: p,
-                },
-                ThreadWork {
-                    chain: &send,
-                    iterations: q,
-                },
-            );
-            let _ = r;
-        } else {
-            self.core.run_loop(tid, &self.recv, p);
-        }
-        let t1 = self.core.rdtscp(tid);
-        (t1 - t0).max(1.0) / p as f64
-    }
-
-    fn ensure_calibrated(&mut self) {
-        if self.decoder.is_some() {
-            return;
-        }
-        for i in 0..4 {
-            let _ = self.measure_bit(i % 2 == 1); // cold-start warmup
-        }
-        let mut samples = Vec::with_capacity(CALIBRATION_BITS);
-        for i in 0..CALIBRATION_BITS {
-            samples.push(self.measure_bit(i % 2 == 1));
-        }
-        let mut iter = samples.into_iter();
-        self.decoder = Some(calibrate_decoder(
-            move |_| iter.next().expect("calibration sample"), // lint: allow(panic-path) — closure is called exactly CALIBRATION_BITS times
-            CALIBRATION_BITS,
-        ));
-    }
-
-    /// Transmits a message out of the enclave via the sibling thread.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the transmission spans no cycles (`ChannelRun::new`);
-    /// a calibrated channel never produces one.
-    pub fn transmit(&mut self, message: &[bool]) -> ChannelRun {
-        self.ensure_calibrated();
-        let decoder = self.decoder.expect("calibrated above"); // lint: allow(panic-path) — set by ensure_calibrated on the previous line
-        let start = self
-            .core
-            .clock(ThreadId::T0)
-            .max(self.core.clock(ThreadId::T1));
-        let received: Vec<bool> = message
-            .iter()
-            .map(|&bit| decoder.decode(self.measure_bit(bit)))
-            .collect();
-        let end = self
-            .core
-            .clock(ThreadId::T0)
-            .max(self.core.clock(ThreadId::T1));
-        ChannelRun::new(
-            message.to_vec(),
-            received,
-            end - start,
-            self.core.model().freq_hz(),
-        )
     }
 }
 

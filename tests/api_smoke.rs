@@ -4,12 +4,15 @@
 //! trait object → coded session) in one sweep. A profile that defeats a
 //! channel (failed calibration) is a valid outcome, not a failure; the
 //! quiet `skylake` timing channels must additionally deliver the byte
-//! intact.
+//! intact. Every entry must also trace the same way: a traced twin at
+//! the same seed transmits identically and reports one calibration and
+//! every decoded bit.
 
 use leaky_frontends_repro::attacks::channels::{ChannelSpec, REGISTRY};
 use leaky_frontends_repro::attacks::coding::Repetition;
 use leaky_frontends_repro::attacks::session::Session;
 use leaky_frontends_repro::cpu::ProcessorModel;
+use leaky_frontends_repro::trace::{TraceHook, TraceMode};
 use leaky_frontends_repro::uarch::UarchProfile;
 
 #[test]
@@ -26,10 +29,11 @@ fn every_registry_entry_builds_and_round_trips_one_coded_byte() {
             } else {
                 ProcessorModel::xeon_e2288g()
             };
-            let mut ch = ChannelSpec::new(info.name)
+            let spec = ChannelSpec::new(info.name)
                 .model(model)
                 .profile(profile)
-                .seed(7)
+                .seed(7);
+            let mut ch = spec
                 .build()
                 .unwrap_or_else(|e| panic!("{label}: build failed: {e}"));
             assert_eq!(ch.name(), info.name, "{label}");
@@ -59,6 +63,18 @@ fn every_registry_entry_builds_and_round_trips_one_coded_byte() {
                 assert_eq!(got, payload, "{label}: payload corrupted");
                 assert_eq!(run.data().error_rate(), 0.0, "{label}");
             }
+            // The traced twin: tracing observes, it never steers.
+            let mut traced = spec.build().expect("built above");
+            traced.set_trace(TraceHook::new(TraceMode::Summary));
+            traced.try_calibrate().expect("calibrated above");
+            let traced_run = Session::new(traced.as_mut(), Repetition::new(3)).send_bytes(&payload);
+            assert_eq!(traced_run, run, "{label}: tracing changed the run");
+            let summary = traced
+                .take_trace()
+                .summary()
+                .unwrap_or_else(|| panic!("{label}: no telemetry"));
+            assert_eq!(summary.calibrations, 1, "{label}");
+            assert_eq!(summary.bits, 72, "{label}");
         }
     }
 }
