@@ -1,9 +1,12 @@
 //! `perf_report`: the repo's perf-trajectory harness.
 //!
 //! Times the frontend simulator's hot primitives (one iteration per
-//! delivery path, raw DSB operations, long-run steady-state collapse)
-//! and representative per-bit covert-channel costs, then emits the
-//! results as JSON in the `BENCH_frontend.json` schema.
+//! delivery path, raw DSB operations, long-run steady-state collapse),
+//! representative per-bit covert-channel costs and one warm iteration
+//! under each model ablation (SMT DSB policy, LSD warm-up length,
+//! window-crossing penalty), then emits the results as JSON in the
+//! `BENCH_frontend.json` schema. It is the workspace's only
+//! micro-benchmark harness.
 //!
 //! Usage:
 //!
@@ -258,6 +261,85 @@ fn measure(budget: &Budget) -> Vec<Metric> {
             black_box(ch.debug_measure(bit));
         });
         push(&format!("trace_off_{metric}"), ns, budget.bit_ops);
+    }
+
+    // The MT eviction channel's per-bit cost (both SMT threads simulated
+    // per measure), and one 2-bit slow-switch transmission: the whole
+    // decode path, ambiguity-band resamples included.
+    let mut mt = ChannelSpec::new("mt-eviction")
+        .model(ProcessorModel::gold_6226())
+        .seed(1)
+        .build()
+        .expect("registered SMT channel");
+    let mut bit = false;
+    let ns = time_ns_per_op(budget.bit_ops / 4, budget.samples, budget.bit_ops, || {
+        bit = !bit;
+        black_box(mt.debug_measure(bit));
+    });
+    push("bit_mt_eviction", ns, budget.bit_ops);
+    let mut slow = ChannelSpec::new("slow-switch")
+        .model(ProcessorModel::xeon_e2288g())
+        .seed(1)
+        .build()
+        .expect("registered channel");
+    let ns = time_ns_per_op(budget.bit_ops / 4, budget.samples, budget.bit_ops, || {
+        black_box(slow.transmit(&[false, true]));
+    });
+    push("bit_slow_switch", ns, budget.bit_ops);
+
+    // Model ablations (DESIGN.md §2): one warm iteration per variant.
+    // `ablation_report` prints what each mechanism does to the channels;
+    // these time what it costs the simulator. The DSB-policy variants
+    // run a receiver and a sender iteration on the two SMT threads.
+    let recv = same_set_chain(0x0041_8000, DsbSet::new(0), 6, Alignment::Aligned);
+    let send = same_set_chain(0x0082_0000, DsbSet::new(0), 3, Alignment::Aligned);
+    for (label, policy) in [
+        ("competitive", SmtDsbPolicy::Competitive),
+        ("set_partitioned", SmtDsbPolicy::SetPartitioned),
+        ("shared", SmtDsbPolicy::Shared),
+    ] {
+        let mut fe = Frontend::new(FrontendConfig {
+            dsb_policy: policy,
+            ..FrontendConfig::default()
+        });
+        fe.set_active(ThreadId::T0, true);
+        fe.set_active(ThreadId::T1, true);
+        let ns = time_ns_per_op(
+            budget.iter_ops / 10,
+            budget.samples,
+            budget.iter_ops,
+            || {
+                black_box(fe.run_iteration(ThreadId::T0, &recv));
+                black_box(fe.run_iteration(ThreadId::T1, &send));
+            },
+        );
+        push(&format!("ablation_dsb_policy_{label}"), ns, budget.iter_ops);
+    }
+    let mis4 = same_set_chain(0x0041_8000, DsbSet::new(0), 4, Alignment::Misaligned);
+    let lsd_warmups = [1u32, 3, 8, 32].map(|warmup| {
+        let config = FrontendConfig {
+            lsd_warmup_iterations: warmup,
+            ..FrontendConfig::default()
+        };
+        (format!("ablation_lsd_warmup_{warmup}"), config, &chain8)
+    });
+    let crossing_penalties =
+        [("0", 0.0), ("1_5", 1.5), ("4_5", 4.5), ("9", 9.0)].map(|(label, penalty)| {
+            let mut config = FrontendConfig::default();
+            config.costs.window_crossing_penalty = penalty;
+            (format!("ablation_crossing_penalty_{label}"), config, &mis4)
+        });
+    for (name, config, chain) in lsd_warmups.into_iter().chain(crossing_penalties) {
+        let mut fe = warm_frontend(config, chain);
+        let ns = time_ns_per_op(
+            budget.iter_ops / 10,
+            budget.samples,
+            budget.iter_ops,
+            || {
+                black_box(fe.run_iteration(ThreadId::T0, chain));
+            },
+        );
+        push(&name, ns, budget.iter_ops);
     }
 
     // Bit-string scoring: 4096-bit sent/received pair (§VI error rates).

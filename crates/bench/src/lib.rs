@@ -3,9 +3,10 @@
 //!
 //! Each table/figure has a dedicated binary (`fig2_path_histogram`,
 //! `tab3_all_channels`, ...) that prints the same rows/series the paper
-//! reports; `cargo bench` additionally runs Criterion micro-benchmarks over
-//! the frontend primitives. See DESIGN.md §3 for the experiment index and
-//! EXPERIMENTS.md for paper-vs-measured results.
+//! reports; the `perf_report` binary times the frontend primitives,
+//! per-bit channel costs and model ablations against the committed
+//! `BENCH_frontend.json` baseline ([`perf`]). See DESIGN.md §3 for the
+//! experiment index and EXPERIMENTS.md for paper-vs-measured results.
 //!
 //! The heavy parameter sweeps (Table III, Fig. 8, Tables V and VII) are
 //! registered as `leaky_exp` specs and run on its deterministic worker

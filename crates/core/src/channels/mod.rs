@@ -60,7 +60,7 @@ pub trait CovertChannel: std::fmt::Debug {
 
     /// Debug hook: one raw per-bit measurement (cycles or watts,
     /// whatever the channel's receiver observes), exposed for
-    /// diagnostics and ablation benches.
+    /// diagnostics and `perf_report`'s per-bit metrics.
     fn debug_measure(&mut self, bit: bool) -> f64;
 
     /// Debug hook: the calibrated threshold decoder, calibrating first;

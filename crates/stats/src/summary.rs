@@ -4,11 +4,9 @@
 ///
 /// Numerically stable for the long measurement streams produced by the
 /// covert-channel experiments (hundreds of thousands of timing samples).
-///
-/// The dependency-free trace layer carries its own operation-for-
-/// operation mirror of this accumulator (`leaky_trace::Welford`); a
-/// parity test over there pins the two to identical arithmetic, so
-/// keep any numerical change to `push`/`merge` in sync.
+/// The trace layer's stall histograms (`leaky_trace::StallSummary`) are
+/// this type too, so sweep statistics and trace summaries share one
+/// arithmetic.
 ///
 /// # Examples
 ///
@@ -20,13 +18,22 @@
 /// assert_eq!(s.mean(), 5.0);
 /// assert_eq!(s.population_variance(), 4.0);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OnlineStats {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+// Not derived: the empty accumulator needs `min = +inf` / `max = -inf`
+// so the first real sample wins, and a derived all-zero default would
+// silently clamp minima at 0.
+impl Default for OnlineStats {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl OnlineStats {
@@ -50,6 +57,26 @@ impl OnlineStats {
         self.m2 += delta * delta2;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
+    }
+
+    /// Adds `n` copies of one sample in O(1), as a merge with the
+    /// degenerate accumulator `{count: n, mean: v, m2: 0}`.
+    ///
+    /// This is what lets the steady-state collapse in
+    /// `Frontend::run_iterations` stand `weight` identical iterations
+    /// behind a single trace event without replaying them.
+    pub fn push_repeated(&mut self, v: f64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let repeated = OnlineStats {
+            count: n,
+            mean: v,
+            m2: 0.0,
+            min: v,
+            max: v,
+        };
+        self.merge(&repeated);
     }
 
     /// Adds every sample from an iterator.
@@ -102,6 +129,27 @@ impl OnlineStats {
     /// Population standard deviation.
     pub fn std_dev(&self) -> f64 {
         self.population_variance().sqrt()
+    }
+
+    /// The accumulator's raw state `(count, mean, m2, min, max)`, for
+    /// bit-exact serialization (the store telemetry codec). `mean`/`m2`
+    /// are the internal Welford moments, not derived statistics; feeding
+    /// them back through [`OnlineStats::from_raw_parts`] reproduces the
+    /// accumulator exactly, including the empty state's `±inf` extrema.
+    pub fn raw_parts(&self) -> (u64, f64, f64, f64, f64) {
+        (self.count, self.mean, self.m2, self.min, self.max)
+    }
+
+    /// Rebuilds an accumulator from [`OnlineStats::raw_parts`] output,
+    /// bit-for-bit.
+    pub fn from_raw_parts(count: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
+        OnlineStats {
+            count,
+            mean,
+            m2,
+            min,
+            max,
+        }
     }
 
     /// Merges another accumulator into this one (parallel Welford merge).
@@ -220,6 +268,35 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.sample_variance(), 0.0);
+    }
+
+    #[test]
+    fn default_is_the_empty_accumulator() {
+        assert_eq!(OnlineStats::default(), OnlineStats::new());
+        let mut s = OnlineStats::default();
+        s.push(5.0);
+        assert_eq!(s.min(), 5.0);
+        assert_eq!(s.max(), 5.0);
+    }
+
+    #[test]
+    fn push_repeated_matches_degenerate_merge() {
+        let mut a = OnlineStats::new();
+        a.push(3.0);
+        let mut b = a;
+        a.push_repeated(7.5, 4);
+        let mut reps = OnlineStats::new();
+        for _ in 0..4 {
+            reps.push(7.5);
+        }
+        b.merge(&reps);
+        // Same mean/count; m2 may differ in the low bits between the two
+        // op orders, but the degenerate source has m2 == 0 so they agree.
+        assert_eq!(a.count(), b.count());
+        assert_eq!(a.mean(), b.mean());
+        assert_eq!(a.m2, b.m2);
+        a.push_repeated(1.0, 0);
+        assert_eq!(a.count(), 5);
     }
 
     #[test]

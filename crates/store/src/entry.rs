@@ -28,23 +28,18 @@
 //!   trailing bytes, checksum mismatch — decodes to an [`EntryError`],
 //!   which the store treats as corruption and quarantines.
 //!
-//! Legacy `leaky-store/v1` entries (no telemetry block) still decode —
-//! migration happens on read, not by rewriting stores — but since the
-//! code fingerprint folds in [`FORMAT_VERSION`], every v1 entry is
-//! stale by construction and gets recomputed and overwritten in v2 form
-//! on the first resumed run.
+//! The store is a cache, so there is no migration: an entry under any
+//! other version line (the pre-telemetry `leaky-store/v1` included) is
+//! an [`EntryError::WrongVersion`], quarantined and recomputed like any
+//! other damage. The code fingerprint folds in [`FORMAT_VERSION`], so
+//! such an entry could never have been served anyway.
 
 use leaky_trace::Telemetry;
 use leaky_uarch::Fnv1a;
 use std::fmt;
 
-/// The on-disk format version this build writes (and reads, alongside
-/// the legacy v1).
+/// The on-disk format version this build writes and reads.
 pub const FORMAT_VERSION: &str = "leaky-store/v2";
-
-/// The previous format version, still accepted by [`Entry::decode`]
-/// (its entries simply carry no telemetry).
-pub const LEGACY_FORMAT_VERSION: &str = "leaky-store/v1";
 
 /// One persisted metric: name plus exact f64 value.
 #[derive(Debug, Clone, PartialEq)]
@@ -226,7 +221,7 @@ impl Entry {
 
         let mut lines = body.lines();
         let version = lines.next().ok_or(EntryError::MissingField("version"))?;
-        if version != FORMAT_VERSION && version != LEGACY_FORMAT_VERSION {
+        if version != FORMAT_VERSION {
             return Err(EntryError::WrongVersion(version.to_string()));
         }
         let key = lines
@@ -261,11 +256,6 @@ impl Entry {
                         // checksum; its own codec validates the lines.
                         telemetry_lines.push(line);
                     } else if line.starts_with("telemetry ") {
-                        if version != FORMAT_VERSION {
-                            // v1 never carried telemetry; a block there
-                            // is corruption, not an extension.
-                            return Err(EntryError::Malformed("telemetry in a v1 entry"));
-                        }
                         telemetry_lines.push(line);
                     } else if let Some(rest) = line.strip_prefix("provenance ") {
                         if i != 0 || provenance.is_some() {
@@ -413,25 +403,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_entries_still_decode_without_telemetry() {
+    fn v1_entries_are_rejected() {
         // A v1 entry is a v2 entry minus the telemetry block, under the
-        // old version line. Build one by relabeling and re-checksumming.
+        // old version line. Build one by relabeling and re-checksumming:
+        // its checksum holds, but the store no longer reads v1.
         let text = sample().encode().expect("encodable");
-        let relabeled = text.replace(FORMAT_VERSION, LEGACY_FORMAT_VERSION);
+        let relabeled = text.replace(FORMAT_VERSION, "leaky-store/v1");
         let body_end = relabeled.rfind("checksum ").expect("checksum line");
         let body = &relabeled[..body_end];
         let v1 = format!("{body}checksum 0x{:016x}\n", fnv64(body.as_bytes()));
-        assert_eq!(Entry::decode(&v1).expect("v1 decodes"), sample());
-
-        // ...but a telemetry block inside a v1 body is corruption.
-        let traced = traced_sample().encode().expect("encodable");
-        let relabeled = traced.replace(FORMAT_VERSION, LEGACY_FORMAT_VERSION);
-        let body_end = relabeled.rfind("checksum ").expect("checksum line");
-        let body = &relabeled[..body_end];
-        let bad = format!("{body}checksum 0x{:016x}\n", fnv64(body.as_bytes()));
         assert_eq!(
-            Entry::decode(&bad),
-            Err(EntryError::Malformed("telemetry in a v1 entry"))
+            Entry::decode(&v1),
+            Err(EntryError::WrongVersion("leaky-store/v1".into()))
         );
     }
 

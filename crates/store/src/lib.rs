@@ -39,8 +39,5 @@
 pub mod entry;
 pub mod store;
 
-pub use entry::{
-    Entry, EntryError, StoredMetric, StoredOutcome, StoredProvenance, FORMAT_VERSION,
-    LEGACY_FORMAT_VERSION,
-};
+pub use entry::{Entry, EntryError, StoredMetric, StoredOutcome, StoredProvenance, FORMAT_VERSION};
 pub use store::{Lookup, ResultStore, StoreError, StoreStats};

@@ -1,6 +1,6 @@
 //! The on-disk store: layout, atomic writes, lookup, and quarantine.
 
-use crate::entry::{Entry, StoredOutcome, FORMAT_VERSION, LEGACY_FORMAT_VERSION};
+use crate::entry::{Entry, StoredOutcome, FORMAT_VERSION};
 use leaky_uarch::Fnv1a;
 use std::fmt;
 use std::fs;
@@ -118,14 +118,7 @@ impl ResultStore {
         let marker = root.join("format");
         match fs::read_to_string(&marker) {
             Ok(found) => {
-                if found.trim_end() == LEGACY_FORMAT_VERSION {
-                    // v1 stores migrate in place: entries decode (the
-                    // telemetry block is the only v2 addition) and are
-                    // stale by fingerprint anyway, so advancing the
-                    // marker is the whole migration.
-                    fs::write(&marker, format!("{FORMAT_VERSION}\n"))
-                        .map_err(|e| io_err(&marker, e))?;
-                } else if found.trim_end() != FORMAT_VERSION {
+                if found.trim_end() != FORMAT_VERSION {
                     return Err(StoreError::FormatMismatch {
                         found: found.trim_end().to_string(),
                     });
@@ -380,19 +373,14 @@ mod tests {
     }
 
     #[test]
-    fn v1_marker_migrates_to_v2_on_open() {
-        let scratch = Scratch::new("marker_migration");
+    fn v1_marker_is_a_format_mismatch() {
+        let scratch = Scratch::new("v1_marker");
         let _ = ResultStore::open(&scratch.0).expect("opens");
         fs::write(scratch.0.join("format"), "leaky-store/v1\n").expect("rewrite marker");
-        let store = ResultStore::open(&scratch.0).expect("v1 roots open");
-        assert_eq!(
-            fs::read_to_string(scratch.0.join("format")).expect("marker"),
-            format!("{FORMAT_VERSION}\n"),
-            "marker advanced to v2"
-        );
-        // The migrated store works end-to-end.
-        store.put("k", 1, &measured(1.0)).expect("put");
-        assert_eq!(store.get("k", 1).expect("get"), Lookup::Hit(measured(1.0)));
+        match ResultStore::open(&scratch.0) {
+            Err(StoreError::FormatMismatch { found }) => assert_eq!(found, "leaky-store/v1"),
+            other => panic!("expected FormatMismatch, got {other:?}"),
+        }
     }
 
     #[test]

@@ -31,8 +31,9 @@
 
 use crate::event::{Source, TraceEvent, UnlockReason};
 use crate::hook::TraceMode;
-use crate::summary::{StallSummary, Welford};
+use crate::summary::StallSummary;
 use crate::telemetry::Telemetry;
+use leaky_stats::OnlineStats;
 
 /// Why a telemetry block failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -56,7 +57,7 @@ fn hex(v: f64) -> String {
     format!("0x{:016x}", v.to_bits())
 }
 
-fn push_hist(out: &mut String, name: &str, w: &Welford) {
+fn push_hist(out: &mut String, name: &str, w: &OnlineStats) {
     let (count, mean, m2, min, max) = w.raw_parts();
     out.push_str(&format!(
         "tsum hist {name} {count} {} {} {} {}\n",
@@ -256,11 +257,11 @@ fn parse_reason(tok: &str) -> Result<UnlockReason, CodecError> {
         .ok_or_else(|| malformed(format!("unknown unlock reason {tok:?}")))
 }
 
-fn parse_hist(fields: &[&str]) -> Result<Welford, CodecError> {
+fn parse_hist(fields: &[&str]) -> Result<OnlineStats, CodecError> {
     if fields.len() != 5 {
         return Err(malformed("hist line needs 5 fields"));
     }
-    Ok(Welford::from_raw_parts(
+    Ok(OnlineStats::from_raw_parts(
         parse_u64(fields[0], "hist count")?,
         parse_f64(fields[1], "hist mean")?,
         parse_f64(fields[2], "hist m2")?,
@@ -657,12 +658,12 @@ mod tests {
 
     #[test]
     fn welford_raw_parts_round_trip() {
-        let mut w = Welford::new();
+        let mut w = OnlineStats::new();
         for x in [2.0, 4.5, -1.25, 1e9] {
             w.push(x);
         }
         let (c, mean, m2, min, max) = w.raw_parts();
-        assert_eq!(Welford::from_raw_parts(c, mean, m2, min, max), w);
+        assert_eq!(OnlineStats::from_raw_parts(c, mean, m2, min, max), w);
     }
 
     #[test]

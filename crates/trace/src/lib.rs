@@ -15,15 +15,16 @@
 //!   events (calibration thresholds, per-bit decode outcomes, session
 //!   framing).
 //! - **Summary** ([`StallSummary`]): per-source cycle/µop totals plus
-//!   [`Welford`]-folded stall histograms that merge bit-identically in
-//!   any deterministic fold order, like `leaky_stats` summaries.
+//!   `leaky_stats::OnlineStats` stall histograms that merge
+//!   bit-identically in any deterministic fold order.
 //! - **Sinks & telemetry**: pluggable [`TraceSink`]s ([`CsvSink`],
 //!   [`TextSink`], [`TimedTextSink`]) for per-cell trace files, and a
 //!   [`Telemetry`] record (schema [`TRACE_SCHEMA`]) that rides along
 //!   `leaky_exp::CellMeasurement` into sweep JSON.
 //!
-//! The crate is deliberately dependency-free (std only): every
-//! simulation crate links it, so it must not widen their build graphs.
+//! Every simulation crate links this crate, so it must not widen their
+//! build graphs: its only dependency is the dependency-free leaf
+//! `leaky_stats`.
 //!
 //! # Examples
 //!
@@ -54,5 +55,5 @@ pub use codec::CodecError;
 pub use event::{Source, TraceEvent, UnlockReason, CSV_HEADER};
 pub use hook::{EventBuffer, TraceHook, TraceMode};
 pub use sink::{drain, CsvSink, TextSink, TimedTextSink, TraceSink};
-pub use summary::{SourceTotals, StallSummary, Welford};
+pub use summary::{SourceTotals, StallSummary};
 pub use telemetry::{Telemetry, TRACE_SCHEMA};

@@ -2,157 +2,13 @@
 //!
 //! [`StallSummary`] is the in-memory aggregator sink: it folds the event
 //! stream down to per-[`Source`] cycle/µop totals, stall histograms and
-//! channel counters. The embedded [`Welford`] accumulator mirrors
-//! `leaky_stats::OnlineStats` operation-for-operation (a dev-dependency
-//! test pins the parity) so two summaries merge exactly like
-//! `leaky_stats` summaries do: left-fold in a deterministic order and
-//! the result is bit-identical at any worker count.
+//! channel counters. The histograms are `leaky_stats::OnlineStats`
+//! accumulators, so two summaries merge exactly like `leaky_stats`
+//! summaries do: left-fold in a deterministic order and the result is
+//! bit-identical at any worker count.
 
 use crate::event::{Source, TraceEvent, UnlockReason};
-
-/// Online mean / variance accumulator, a dependency-free mirror of
-/// `leaky_stats::OnlineStats`.
-///
-/// Every operation replays the same floating-point sequence as the
-/// original, so summaries folded here and statistics folded there stay
-/// bit-comparable. Keep the two in lockstep; the `welford_parity` test
-/// in this crate fails if they drift.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Welford {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-// Not derived: the empty accumulator needs `min = +inf` / `max = -inf`
-// so the first real sample wins, and a derived all-zero default would
-// silently clamp minima at 0.
-impl Default for Welford {
-    fn default() -> Self {
-        Welford::new()
-    }
-}
-
-impl Welford {
-    /// Creates an empty accumulator.
-    pub fn new() -> Self {
-        Welford {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Adds one sample.
-    pub fn push(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        let delta2 = x - self.mean;
-        self.m2 += delta * delta2;
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Adds `n` copies of one sample in O(1), as a merge with the
-    /// degenerate accumulator `{count: n, mean: v, m2: 0}`.
-    ///
-    /// This is what lets the steady-state collapse in
-    /// `Frontend::run_iterations` stand `weight` identical iterations
-    /// behind a single event without replaying them.
-    pub fn push_repeated(&mut self, v: f64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let repeated = Welford {
-            count: n,
-            mean: v,
-            m2: 0.0,
-            min: v,
-            max: v,
-        };
-        self.merge(&repeated);
-    }
-
-    /// Number of samples pushed so far.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Arithmetic mean of the samples, or `0.0` if empty.
-    pub fn mean(&self) -> f64 {
-        self.mean
-    }
-
-    /// Smallest sample seen, or `+inf` if empty.
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample seen, or `-inf` if empty.
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Population variance (divides by `n`), or `0.0` if empty.
-    pub fn population_variance(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.population_variance().sqrt()
-    }
-
-    /// The accumulator's raw state `(count, mean, m2, min, max)`, for
-    /// bit-exact serialization (the store telemetry codec). `mean`/`m2`
-    /// are the internal Welford moments, not derived statistics; feeding
-    /// them back through [`Welford::from_raw_parts`] reproduces the
-    /// accumulator exactly, including the empty state's `±inf` extrema.
-    pub fn raw_parts(&self) -> (u64, f64, f64, f64, f64) {
-        (self.count, self.mean, self.m2, self.min, self.max)
-    }
-
-    /// Rebuilds an accumulator from [`Welford::raw_parts`] output,
-    /// bit-for-bit.
-    pub fn from_raw_parts(count: u64, mean: f64, m2: f64, min: f64, max: f64) -> Self {
-        Welford {
-            count,
-            mean,
-            m2,
-            min,
-            max,
-        }
-    }
-
-    /// Merges another accumulator into this one (parallel Welford merge,
-    /// same operation order as `OnlineStats::merge`).
-    pub fn merge(&mut self, other: &Welford) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let total = self.count + other.count;
-        let delta = other.mean - self.mean;
-        self.mean += delta * other.count as f64 / total as f64;
-        self.m2 +=
-            other.m2 + delta * delta * (self.count as f64 * other.count as f64) / total as f64;
-        self.count = total;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
+use leaky_stats::OnlineStats;
 
 /// Per-[`Source`] running totals.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -180,11 +36,11 @@ pub struct StallSummary {
     /// Per-source totals, indexed by [`Source::index`].
     pub per_source: [SourceTotals; 3],
     /// Per-iteration cycle histogram (weighted).
-    pub iteration_cycles: Welford,
+    pub iteration_cycles: OnlineStats,
     /// LCP pre-decode stall histogram, one sample per stalled block.
-    pub lcp_stall: Welford,
+    pub lcp_stall: OnlineStats,
     /// Path-switch penalty histogram, one sample per switch.
-    pub switch_stall: Welford,
+    pub switch_stall: OnlineStats,
     /// LSD locks established.
     pub lsd_locks: u64,
     /// LSD unlocks, indexed by [`UnlockReason::index`].
@@ -433,61 +289,6 @@ mod tests {
             lsd_flushes: 0,
             l1i_misses: 0,
         }
-    }
-
-    #[test]
-    fn welford_parity_with_leaky_stats() {
-        let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0, 1.5e9, -3.25];
-        let mut ours = Welford::new();
-        let mut theirs = leaky_stats::OnlineStats::new();
-        for &x in &xs {
-            ours.push(x);
-            theirs.push(x);
-        }
-        assert_eq!(ours.count(), theirs.count());
-        assert_eq!(ours.mean(), theirs.mean());
-        assert_eq!(ours.population_variance(), theirs.population_variance());
-        assert_eq!(ours.min(), theirs.min());
-        assert_eq!(ours.max(), theirs.max());
-
-        // Merge replays the same op order too.
-        let (mut oa, mut ob) = (Welford::new(), Welford::new());
-        let (mut ta, mut tb) = (
-            leaky_stats::OnlineStats::new(),
-            leaky_stats::OnlineStats::new(),
-        );
-        for &x in &xs[..4] {
-            oa.push(x);
-            ta.push(x);
-        }
-        for &x in &xs[4..] {
-            ob.push(x);
-            tb.push(x);
-        }
-        oa.merge(&ob);
-        ta.merge(&tb);
-        assert_eq!(oa.mean(), ta.mean());
-        assert_eq!(oa.population_variance(), ta.population_variance());
-    }
-
-    #[test]
-    fn push_repeated_matches_degenerate_merge() {
-        let mut a = Welford::new();
-        a.push(3.0);
-        let mut b = a;
-        a.push_repeated(7.5, 4);
-        let mut reps = Welford::new();
-        for _ in 0..4 {
-            reps.push(7.5);
-        }
-        b.merge(&reps);
-        // Same mean/count; m2 may differ in the low bits between the two
-        // op orders, but the degenerate source has m2 == 0 so they agree.
-        assert_eq!(a.count(), b.count());
-        assert_eq!(a.mean(), b.mean());
-        assert_eq!(a.m2, b.m2);
-        a.push_repeated(1.0, 0);
-        assert_eq!(a.count(), 5);
     }
 
     #[test]

@@ -3,7 +3,8 @@
 
 use crate::event::{Source, TraceEvent, UnlockReason, CSV_HEADER};
 use crate::hook::TraceMode;
-use crate::summary::{StallSummary, Welford};
+use crate::summary::StallSummary;
+use leaky_stats::OnlineStats;
 
 /// Schema tag embedded in every telemetry object, versioned like the
 /// sweep document's `leaky-frontends/sweep/v1`.
@@ -38,7 +39,7 @@ fn json_num(v: f64) -> String {
     }
 }
 
-fn json_hist(w: &Welford) -> String {
+fn json_hist(w: &OnlineStats) -> String {
     format!(
         "{{\"count\": {}, \"mean\": {}, \"stddev\": {}, \"min\": {}, \"max\": {}}}",
         w.count(),
