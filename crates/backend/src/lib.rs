@@ -93,27 +93,45 @@ impl Backend {
     /// from adjacent iterations overlap freely.
     ///
     /// `nop`s consume rename bandwidth but no port.
-    pub fn throughput_cycles(&self, instrs: &[Instruction]) -> f64 {
+    ///
+    /// Cost: one pass over the instructions plus `255 · k` steps for the
+    /// `k` distinct port masks that carry demand (`k` ≤ 8 with today's
+    /// opcodes); the result is bit-identical to summing all 256 masks per
+    /// subset, which the tests keep as an oracle. It allocates nothing, so
+    /// callers may pass a flattened iterator over a chain's blocks.
+    pub fn throughput_cycles<'a>(&self, instrs: impl IntoIterator<Item = &'a Instruction>) -> f64 {
         debug_assert!(self.config.ports <= 8, "port masks are 8 bits");
         let mut uops = 0u64;
-        // demand_by_mask[m] = µops whose port mask is exactly m.
-        let mut demand_by_mask = [0u64; 256];
+        // (mask, µops whose port mask is exactly `mask`), for the first
+        // `distinct` masks that carry demand.
+        let mut demand_by_mask = [(0u8, 0u64); 255];
+        let mut distinct = 0;
         for instr in instrs {
-            uops += instr.uops() as u64;
-            let mask = instr.port_mask();
-            if mask.count() == 0 {
+            let n = instr.uops() as u64;
+            uops += n;
+            let mask = instr.port_mask().bits();
+            if mask == 0 {
                 continue; // renamed away (nop)
             }
-            demand_by_mask[mask.bits() as usize] += instr.uops() as u64;
-        }
-        let mut port_bound: f64 = 0.0;
-        for subset in 1usize..256 {
-            let mut demand = 0u64;
-            for (mask, &d) in demand_by_mask.iter().enumerate() {
-                if d > 0 && mask & !subset == 0 {
-                    demand += d;
+            match demand_by_mask[..distinct]
+                .iter_mut()
+                .find(|(m, _)| *m == mask)
+            {
+                Some((_, d)) => *d += n,
+                None => {
+                    demand_by_mask[distinct] = (mask, n);
+                    distinct += 1;
                 }
             }
+        }
+        let demand_by_mask = &demand_by_mask[..distinct];
+        let mut port_bound: f64 = 0.0;
+        for subset in 1u8..=255 {
+            let demand: u64 = demand_by_mask
+                .iter()
+                .filter(|&&(mask, _)| mask & !subset == 0)
+                .map(|&(_, d)| d)
+                .sum();
             if demand > 0 {
                 port_bound = port_bound.max(demand as f64 / subset.count_ones() as f64);
             }
@@ -124,13 +142,21 @@ impl Backend {
 
     /// Combines frontend delivery time with backend throughput: the loop
     /// runs at the pace of its bottleneck.
-    pub fn bottleneck_cycles(&self, frontend_cycles: f64, instrs: &[Instruction]) -> f64 {
+    pub fn bottleneck_cycles<'a>(
+        &self,
+        frontend_cycles: f64,
+        instrs: impl IntoIterator<Item = &'a Instruction>,
+    ) -> f64 {
         frontend_cycles.max(self.throughput_cycles(instrs))
     }
 
     /// Whether a sequence is frontend-bound given its frontend delivery
     /// cost — true for all the paper's attack blocks.
-    pub fn is_frontend_bound(&self, frontend_cycles: f64, instrs: &[Instruction]) -> bool {
+    pub fn is_frontend_bound<'a>(
+        &self,
+        frontend_cycles: f64,
+        instrs: impl IntoIterator<Item = &'a Instruction>,
+    ) -> bool {
         frontend_cycles >= self.throughput_cycles(instrs)
     }
 }
@@ -185,6 +211,120 @@ impl IpcMeter {
 mod tests {
     use super::*;
     use leaky_isa::{Addr, Block, Instruction, LcpPattern, Opcode};
+    use proptest::prelude::*;
+
+    const OPCODES: [Opcode; 11] = [
+        Opcode::MovImm,
+        Opcode::AddImm,
+        Opcode::Nop,
+        Opcode::Jmp,
+        Opcode::Jcc,
+        Opcode::Load,
+        Opcode::Store,
+        Opcode::Lea,
+        Opcode::Rdtscp,
+        Opcode::Lfence,
+        Opcode::Clflush,
+    ];
+
+    /// The reference bound: every one of the 255 port subsets against
+    /// every one of the 256 masks.
+    fn dense_throughput_cycles(be: &Backend, instrs: &[Instruction]) -> f64 {
+        let mut uops = 0u64;
+        let mut demand_by_mask = [0u64; 256];
+        for instr in instrs {
+            uops += instr.uops() as u64;
+            let mask = instr.port_mask();
+            if mask.count() == 0 {
+                continue;
+            }
+            demand_by_mask[mask.bits() as usize] += instr.uops() as u64;
+        }
+        let mut port_bound: f64 = 0.0;
+        for subset in 1usize..256 {
+            let mut demand = 0u64;
+            for (mask, &d) in demand_by_mask.iter().enumerate() {
+                if d > 0 && mask & !subset == 0 {
+                    demand += d;
+                }
+            }
+            if demand > 0 {
+                port_bound = port_bound.max(demand as f64 / subset.count_ones() as f64);
+            }
+        }
+        let rename_bound = uops as f64 / be.config().rename_width;
+        rename_bound.max(port_bound)
+    }
+
+    /// Interleaves `counts[i]` copies of `OPCODES[i]` round-robin, so
+    /// masks first appear in varying orders.
+    fn mix(counts: &[usize]) -> Vec<Instruction> {
+        let rounds = counts.iter().copied().max().unwrap_or(0);
+        (0..rounds)
+            .flat_map(|r| {
+                OPCODES
+                    .iter()
+                    .zip(counts)
+                    .filter(move |&(_, &n)| r < n)
+                    .map(|(&op, _)| Instruction::new(op))
+            })
+            .collect()
+    }
+
+    fn assert_matches_dense(instrs: &[Instruction]) {
+        let be = Backend::skylake();
+        let sparse = be.throughput_cycles(instrs);
+        let dense = dense_throughput_cycles(&be, instrs);
+        assert_eq!(sparse.to_bits(), dense.to_bits(), "{sparse} vs {dense}");
+    }
+
+    proptest! {
+        #[test]
+        fn sparse_bound_is_bit_identical_to_dense(
+            counts in proptest::collection::vec(0usize..64, OPCODES.len()..OPCODES.len() + 1),
+            rename_width in 1.0f64..16.0
+        ) {
+            // Widths above Skylake's 4 let the 4-port ALU subset bind
+            // instead of hiding behind the rename bound.
+            let be = Backend::new(BackendConfig {
+                rename_width,
+                ..BackendConfig::skylake()
+            });
+            let instrs = mix(&counts);
+            prop_assert_eq!(
+                be.throughput_cycles(&instrs).to_bits(),
+                dense_throughput_cycles(&be, &instrs).to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn sparse_bound_matches_dense_on_edge_cases() {
+        let ops = |list: &[(Opcode, usize)]| -> Vec<Instruction> {
+            list.iter()
+                .flat_map(|&(op, n)| std::iter::repeat_n(Instruction::new(op), n))
+                .collect()
+        };
+        // Empty: no rename and no port demand.
+        assert_matches_dense(&[]);
+        assert_eq!(Backend::skylake().throughput_cycles(&[]), 0.0);
+        // All `nop`: rename bandwidth only, no mask carries demand.
+        assert_matches_dense(&ops(&[(Opcode::Nop, 37)]));
+        // Single-port-only µops: `jmp` on port 6, `lfence` on port 5.
+        assert_matches_dense(&ops(&[(Opcode::Jmp, 9), (Opcode::Lfence, 5)]));
+        // All 8 ports, `store`'s port 7 included.
+        let all_ports = ops(&[
+            (Opcode::MovImm, 11),
+            (Opcode::Load, 6),
+            (Opcode::Store, 13),
+            (Opcode::Jcc, 3),
+        ]);
+        let used = all_ports
+            .iter()
+            .fold(0u8, |acc, i| acc | i.port_mask().bits());
+        assert_eq!(used, 0xff);
+        assert_matches_dense(&all_ports);
+    }
 
     #[test]
     fn mix_block_is_frontend_bound() {

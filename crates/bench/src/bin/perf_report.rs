@@ -234,6 +234,26 @@ fn measure(budget: &Budget) -> Vec<Metric> {
     );
     push("core_run_once_lsd", ns, budget.iter_ops);
 
+    // One Core run while cycling over 96 distinct single-block chains:
+    // more than the 64-entry backend-throughput memo and the 32-entry
+    // plan cache hold, so every run misses both (the access pattern of
+    // Table VII's L1I Prime+Probe attack).
+    let chains: Vec<BlockChain> = (0..96u64)
+        .map(|i| BlockChain::new(vec![Block::mix(leaky_isa::Addr::new(0x0300_0000 + i * 64))]))
+        .collect();
+    let mut core = leaky_cpu::Core::new(ProcessorModel::xeon_e2288g(), 7);
+    let mut next = 0;
+    let ns = time_ns_per_op(
+        budget.iter_ops / 10,
+        budget.samples,
+        budget.iter_ops,
+        || {
+            black_box(core.run_once(ThreadId::T0, &chains[next]));
+            next = (next + 1) % chains.len();
+        },
+    );
+    push("core_run_once_memo_miss", ns, budget.iter_ops);
+
     // Per-bit covert-channel costs (the quantity that bounds how many
     // Table II-VI scenarios a sweep can afford); channels come from the
     // registry and are measured through the CovertChannel debug hook.

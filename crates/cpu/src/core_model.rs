@@ -12,9 +12,14 @@ use rand::{Rng, SeedableRng};
 use crate::model::{MicrocodePatch, ProcessorModel};
 use crate::timer::{NoiseModel, Timer};
 
-/// Upper bound on memoised backend-throughput entries per core (a channel
-/// juggles a handful of chains; eviction only matters for long sweeps
-/// that rebuild layouts on one core).
+/// Upper bound on memoised backend-throughput entries per core.
+///
+/// The covert channels juggle at most a handful of chains and always hit.
+/// The Table VII L1I Prime+Probe attack does not: it cycles through 256
+/// prime chains, 32 probe functions and its driver loop in a fixed order,
+/// so this MRU list (like the frontend's 32-plan cache) misses on every
+/// one of its runs. A miss recomputes [`Backend::throughput_cycles`]
+/// without allocating, in O(255·k) for the chain's k distinct port masks.
 const BACKEND_CACHE_CAPACITY: usize = 64;
 
 /// The result of running a loop on one thread.
@@ -461,12 +466,9 @@ impl Core {
                     self.backend_cache[0].1
                 }
                 None => {
-                    let instrs: Vec<_> = chain
-                        .blocks()
-                        .iter()
-                        .flat_map(|b| b.instructions().iter().copied())
-                        .collect();
-                    let v = self.backend.throughput_cycles(&instrs);
+                    let v = self
+                        .backend
+                        .throughput_cycles(chain.blocks().iter().flat_map(|b| b.instructions()));
                     self.backend_cache.insert(0, (key, v));
                     self.backend_cache.truncate(BACKEND_CACHE_CAPACITY);
                     v

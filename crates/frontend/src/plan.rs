@@ -191,8 +191,12 @@ impl DeliveryPlan {
 /// Small MRU cache of delivery plans, keyed by *(chain identity,
 /// configuration profile key)*.
 ///
-/// Capacity covers every chain a channel juggles at once (receiver,
-/// sender 1/0 encodings, decoys) with ample slack. The profile-key half
+/// Capacity covers every chain a covert channel juggles at once
+/// (receiver, sender 1/0 encodings, decoys) with ample slack. It does not
+/// cover the Table VII L1I Prime+Probe attack, which cycles through 289
+/// chains (256 prime lines, 32 probe functions, the driver loop) in a
+/// fixed order and so misses on every run; each miss rebuilds the plan,
+/// and the core's backend memo misses with it. The profile-key half
 /// of the cache key is what makes [`crate::Frontend::reconfigure`] safe:
 /// plans built under the old geometry or cost model simply stop
 /// matching, so a reconfigured frontend rebuilds rather than reusing

@@ -229,15 +229,13 @@ impl AttackContext {
             ChannelKind::Frontend => {
                 // Prime every DSB set with the attacker's 8 ways.
                 for s in 0..CHUNK_VALUES {
-                    let chain = self.probe_chains[s].clone();
-                    self.core.run_once(ThreadId::T0, &chain);
+                    self.core.run_once(ThreadId::T0, &self.probe_chains[s]);
                 }
             }
             ChannelKind::L1iFlushReload => {
                 // Ensure present, then flush from L1I.
                 for s in 0..CHUNK_VALUES {
-                    let chain = self.probe_fns[s].clone();
-                    self.core.run_once(ThreadId::T0, &chain);
+                    self.core.run_once(ThreadId::T0, &self.probe_fns[s]);
                 }
                 for s in 0..CHUNK_VALUES {
                     let line = self.probe_fns[s].blocks()[0].cache_lines()[0];
@@ -247,16 +245,15 @@ impl AttackContext {
             ChannelKind::L1iPrimeProbe => {
                 for s in 0..CHUNK_VALUES {
                     for w in 0..8 {
-                        let chain = self.l1i_prime[s][w].clone();
-                        self.core.run_once(ThreadId::T0, &chain);
+                        self.core.run_once(ThreadId::T0, &self.l1i_prime[s][w]);
                     }
                 }
             }
             ChannelKind::MemFlushReload => {
-                for &line in &self.array_lines.clone() {
+                for &line in &self.array_lines {
                     self.l1d.access_line(line);
                 }
-                for &line in &self.array_lines.clone() {
+                for &line in &self.array_lines {
                     self.l1d.flush_line(line);
                 }
             }
@@ -264,7 +261,7 @@ impl AttackContext {
                 // Evict each array line from L1D via its eviction set
                 // (no clflush available to this attacker).
                 for s in 0..CHUNK_VALUES {
-                    for &e in &self.evict_lines[s].clone() {
+                    for &e in &self.evict_lines[s] {
                         self.l1d.access_line(e);
                     }
                 }
@@ -275,7 +272,7 @@ impl AttackContext {
                 // lines afterwards (7 of them, leaving the set full).
                 for s in 0..CHUNK_VALUES {
                     self.l1d.access_line(self.array_lines[s]);
-                    for &e in self.evict_lines[s].clone().iter().take(7) {
+                    for &e in self.evict_lines[s].iter().take(7) {
                         self.l1d.access_line(e);
                     }
                 }
@@ -292,12 +289,10 @@ impl AttackContext {
                 // Transient fetch+decode of a mix block mapping to DSB set
                 // `secret`: inserts a victim line, evicting one attacker
                 // way. No L1D traffic, no L1I displacement.
-                let chain = self.victim_blocks[s].clone();
-                self.core.run_once(ThreadId::T0, &chain);
+                self.core.run_once(ThreadId::T0, &self.victim_blocks[s]);
             }
             ChannelKind::L1iFlushReload | ChannelKind::L1iPrimeProbe => {
-                let chain = self.probe_fns[s].clone();
-                self.core.run_once(ThreadId::T0, &chain);
+                self.core.run_once(ThreadId::T0, &self.probe_fns[s]);
             }
             ChannelKind::MemFlushReload | ChannelKind::L1dFlushReload => {
                 self.l1d.access_line(self.array_lines[s]);
@@ -318,8 +313,7 @@ impl AttackContext {
                 let mut hot = 0u8;
                 let mut hot_cycles = 0.0;
                 for s in 0..CHUNK_VALUES {
-                    let chain = self.probe_chains[s].clone();
-                    let run = self.core.run_once(ThreadId::T0, &chain);
+                    let run = self.core.run_once(ThreadId::T0, &self.probe_chains[s]);
                     if run.report.mite_uops > 0 && run.cycles > hot_cycles {
                         hot_cycles = run.cycles;
                         hot = s as u8;
@@ -332,8 +326,7 @@ impl AttackContext {
                 // L1I miss.
                 let mut found = 0u8;
                 for s in 0..CHUNK_VALUES {
-                    let chain = self.probe_fns[s].clone();
-                    let run = self.core.run_once(ThreadId::T0, &chain);
+                    let run = self.core.run_once(ThreadId::T0, &self.probe_fns[s]);
                     if run.report.l1i_misses == 0 {
                         found = s as u8;
                     }
@@ -347,8 +340,7 @@ impl AttackContext {
                 for s in 0..CHUNK_VALUES {
                     let mut misses = 0u64;
                     for w in 0..8 {
-                        let chain = self.l1i_prime[s][w].clone();
-                        let run = self.core.run_once(ThreadId::T0, &chain);
+                        let run = self.core.run_once(ThreadId::T0, &self.l1i_prime[s][w]);
                         misses += run.report.l1i_misses;
                     }
                     if misses > 0 {
