@@ -26,7 +26,10 @@ use leaky_cpu::ProcessorModel;
 use leaky_frontend::{
     Dsb, Frontend, FrontendConfig, LineId, SmtDsbPolicy, ThreadId, TraceHook, TraceMode,
 };
-use leaky_frontends::channels::ChannelSpec;
+use leaky_frontends::channels::non_mt::NonMtKind;
+use leaky_frontends::channels::{ChannelSpec, CovertChannel};
+use leaky_frontends::params::ChannelParams;
+use leaky_frontends::sgx::SgxMtChannel;
 use leaky_isa::{same_set_chain, Alignment, Block, BlockChain, DsbSet, FrontendGeometry};
 use leaky_stats::error_rate;
 use std::hint::black_box;
@@ -297,6 +300,22 @@ fn measure(budget: &Budget) -> Vec<Metric> {
         black_box(mt.debug_measure(bit));
     });
     push("bit_mt_eviction", ns, budget.bit_ops);
+
+    // One SGX MT 1-bit (§VIII-1): a single `run_concurrent` of 10 000
+    // receiver and 1 000 in-enclave sender iterations, the per-bit cost
+    // that dominates Table VI. Every step rides the SMT transition memo.
+    let mut sgx_mt = SgxMtChannel::new(
+        ProcessorModel::xeon_e2174g(),
+        NonMtKind::Eviction,
+        ChannelParams::sgx_mt_defaults(),
+        1,
+    )
+    .expect("the E-2174G hosts SGX with SMT");
+    let sgx_ops = budget.bit_ops / 16;
+    let ns = time_ns_per_op(sgx_ops / 4, budget.samples, sgx_ops, || {
+        black_box(sgx_mt.debug_measure(true));
+    });
+    push("bit_sgx_mt_eviction", ns, sgx_ops);
     let mut slow = ChannelSpec::new("slow-switch")
         .model(ProcessorModel::xeon_e2288g())
         .seed(1)

@@ -190,6 +190,58 @@ fn scenario_errors_exit_2_with_stable_messages() {
 }
 
 #[test]
+fn invalid_d_values_are_rejected_at_load_time() {
+    // `d = 8` leaves the misalignment channels no room for M = 8 blocks
+    // (d < M <= N): the bundle must fail at the `d` axis line instead of
+    // panicking in a cell at run time.
+    let text = std::fs::read_to_string(scenarios_dir().join("tab3_riscv.toml"))
+        .expect("committed bundle")
+        .replace(
+            "machine = [\"Xeon E-2288G\"]",
+            "machine = [\"Xeon E-2288G\"]\nd = [1, 8]",
+        );
+    let d_line = text
+        .lines()
+        .position(|l| l.starts_with("d = "))
+        .expect("d axis inserted")
+        + 1;
+    let mut profiles = leaky_scenario::ProfileRegistry::builtins();
+    profiles.load_dir(scenarios_dir()).expect("profile library");
+    let err = leaky_scenario::parse_bundle(&text, &profiles).expect_err("d = 8 is invalid");
+    assert_eq!(
+        err.to_string(),
+        format!(
+            "line {d_line}: channel `non-mt-stealthy-misalignment` with d = 8 under uarch \
+             `skylake`: M = 8 must satisfy d < M <= N (d = 8, N = 8)"
+        )
+    );
+
+    let dir = std::env::temp_dir().join(format!("leaky_scenario_bad_d_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let bad = dir.join("tab3_riscv_bad_d.toml");
+    std::fs::write(&bad, &text).expect("write temp scenario");
+    let out = sweep(
+        &[
+            "--scenario",
+            bad.to_str().expect("utf-8 path"),
+            "--profile-dir",
+            "scenarios",
+            "--validate",
+        ],
+        "1",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(!out.status.success(), "--validate must reject the bundle");
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(
+        stderr.contains(&format!(
+            "line {d_line}: channel `non-mt-stealthy-misalignment`"
+        )),
+        "unexpected stderr: {stderr}"
+    );
+}
+
+#[test]
 fn scenario_sweeps_resume_from_the_store() {
     // A loaded bundle runs through the same store/resume machinery as
     // the compiled-in sweeps: second run serves every cell from cache.

@@ -108,7 +108,9 @@ pub(crate) fn layout(
     geom: &FrontendGeometry,
 ) -> (BlockChain, BlockChain, BlockChain) {
     let misaligned = kind == NonMtKind::Misalignment;
-    params.validate(geom.dsb_ways, misaligned);
+    if let Err(err) = params.validate(geom.dsb_ways, misaligned) {
+        panic!("invalid channel parameters: {err}");
+    }
     let mut recv_region = CodeRegion::with_geometry(RECEIVER_REGION, *geom);
     let mut send_region = CodeRegion::with_geometry(SENDER_REGION, *geom);
     let mut alt_region = CodeRegion::with_geometry(SENDER_ALT_REGION, *geom);

@@ -387,6 +387,33 @@ mod tests {
     }
 
     #[test]
+    fn memo_counters_are_pinned() {
+        // One seeded 16-bit transmission: both threads of every
+        // `run_concurrent` step through the SMT transition memo. The
+        // profile has no LSD, so no step streams.
+        let mut ch = MtChannel::with_profile(
+            ProcessorModel::gold_6226(),
+            MtKind::Eviction,
+            ChannelParams::mt_defaults(),
+            &UarchProfile::icelake(),
+            5,
+        )
+        .unwrap();
+        ch.transmit(&MessagePattern::Random.generate(16, 5));
+        let stats = ch.core.frontend().memo_stats();
+        assert_eq!(
+            stats,
+            leaky_frontend::MemoStats {
+                hits: 37_382,
+                misses: 18,
+                streaming: 0,
+                entries: 18,
+                slots: 256,
+            }
+        );
+    }
+
+    #[test]
     fn smt_disabled_machine_is_rejected() {
         let err = MtChannel::new(
             ProcessorModel::xeon_e2288g(),

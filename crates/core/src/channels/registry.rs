@@ -29,13 +29,14 @@
 
 use leaky_cpu::ProcessorModel;
 use leaky_frontend::{FrontendConfig, UarchProfile};
+use leaky_isa::FrontendGeometry;
 
 use crate::channels::mt::{MtChannel, MtKind, MtNoise, MtUnsupported};
 use crate::channels::non_mt::{NonMtChannel, NonMtKind};
 use crate::channels::power::PowerChannel;
 use crate::channels::slow_switch::SlowSwitchChannel;
 use crate::channels::CovertChannel;
-use crate::params::{ChannelParams, EncodeMode};
+use crate::params::{ChannelParams, EncodeMode, ParamsError};
 
 /// One registry row: a channel variant under its stable name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,6 +168,25 @@ pub fn default_params(name: &str) -> Option<ChannelParams> {
     })
 }
 
+/// Checks `params` against the §V constraints the named channel enforces
+/// under `geometry`: the way budget `d ≤ N` for every channel that lays
+/// out same-set chains, plus `d < M ≤ N` for the misalignment channels.
+/// Slow-switch builds an LCP chain instead and takes any parameters.
+///
+/// # Errors
+///
+/// The first violated constraint (see [`ChannelParams::validate`]).
+pub fn validate_params(
+    name: &str,
+    params: &ChannelParams,
+    geometry: &FrontendGeometry,
+) -> Result<(), ParamsError> {
+    if name == "slow-switch" {
+        return Ok(());
+    }
+    params.validate(geometry.dsb_ways, name.ends_with("misalignment"))
+}
+
 /// Why a [`ChannelSpec`] could not be built.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BuildError {
@@ -181,6 +201,9 @@ pub enum BuildError {
     /// such hook (only the timing channels used by the §XII/ablation
     /// evaluations do).
     FrontendOverrideUnsupported(&'static str),
+    /// The parameters violate the §V constraints under the profile's
+    /// geometry (see [`ChannelParams::validate`]).
+    InvalidParams(ParamsError),
 }
 
 impl std::fmt::Display for BuildError {
@@ -194,6 +217,7 @@ impl std::fmt::Display for BuildError {
             BuildError::FrontendOverrideUnsupported(name) => {
                 write!(f, "{name} has no frontend-config override hook")
             }
+            BuildError::InvalidParams(e) => write!(f, "invalid channel parameters: {e}"),
         }
     }
 }
@@ -293,13 +317,14 @@ impl ChannelSpec {
     /// [`BuildError::SmtUnavailable`] for MT channels on SMT-less
     /// machines; [`BuildError::NoiseUnsupported`] /
     /// [`BuildError::FrontendOverrideUnsupported`] when an override has
-    /// no hook on the selected channel.
+    /// no hook on the selected channel; [`BuildError::InvalidParams`]
+    /// when the parameters violate the §V constraints under the
+    /// profile's geometry (the concrete constructors panic instead).
     ///
     /// # Panics
     ///
-    /// Panics if explicit parameters violate the §V constraints under
-    /// the profile's geometry (see [`ChannelParams::validate`]), exactly
-    /// as the concrete constructors do.
+    /// Panics on a degenerate cache geometry (`SetAssocCache::new`), as
+    /// the concrete constructors do.
     pub fn build(&self) -> Result<Box<dyn CovertChannel>, BuildError> {
         let info = channel_info(&self.kind)
             .ok_or_else(|| BuildError::UnknownChannel(self.kind.clone()))?;
@@ -314,6 +339,13 @@ impl ChannelSpec {
         if self.frontend.is_some() && !info.supports_frontend_override {
             return Err(BuildError::FrontendOverrideUnsupported(info.name));
         }
+        if info.requires_smt && !self.model.smt_enabled {
+            return Err(BuildError::SmtUnavailable(MtUnsupported {
+                model: self.model.name,
+            }));
+        }
+        validate_params(info.name, &params, &self.profile.geometry)
+            .map_err(BuildError::InvalidParams)?;
         let non_mt = |kind, mode| {
             let mut ch = NonMtChannel::with_profile(
                 self.model,
@@ -410,6 +442,36 @@ mod tests {
                 info.name
             );
         }
+    }
+
+    #[test]
+    fn invalid_params_are_a_value_not_a_panic() {
+        // d = 8 leaves no room for M = 8 misalignment blocks (d < M <= N).
+        let err = ChannelSpec::new("mt-misalignment")
+            .params(ChannelParams::mt_misalignment_defaults().with_d(8))
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            BuildError::InvalidParams(ParamsError::M {
+                d: 8,
+                m_total: 8,
+                ways: 8,
+            })
+        );
+        assert!(err.to_string().contains("d < M <= N"));
+        // The same d is fine for an eviction channel (d <= N) ...
+        assert!(ChannelSpec::new("mt-eviction")
+            .params(ChannelParams::mt_defaults().with_d(8))
+            .build()
+            .is_ok());
+        // ... and SMT availability is still reported first.
+        let err = ChannelSpec::new("mt-misalignment")
+            .model(ProcessorModel::xeon_e2288g())
+            .params(ChannelParams::mt_misalignment_defaults().with_d(8))
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, BuildError::SmtUnavailable(_)));
     }
 
     #[test]

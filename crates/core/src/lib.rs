@@ -83,6 +83,6 @@ pub mod sgx;
 pub use channels::{
     channel_info, channel_names, BuildError, ChannelInfo, ChannelSpec, CovertChannel, REGISTRY,
 };
-pub use params::{ChannelParams, EncodeMode, MessagePattern};
+pub use params::{ChannelParams, EncodeMode, MessagePattern, ParamsError};
 pub use run::{ChannelRun, Evaluation, Provenance};
 pub use session::{Session, SessionRun};

@@ -134,28 +134,76 @@ impl ChannelParams {
         self.m_total - self.d
     }
 
-    /// Validates the paper's constraints (`0 < d ≤ N`, `p, q > 0`; for
-    /// misalignment channels additionally `d < M ≤ N`).
+    /// Checks the paper's constraints (`0 < d ≤ N`, `p, q > 0`, `r > 0`;
+    /// for misalignment channels additionally `d < M ≤ N`) against a DSB
+    /// of `ways` ways.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if a constraint is violated; channels call this on
-    /// construction.
-    pub fn validate(&self, ways: usize, uses_m: bool) {
-        assert!(self.d >= 1 && self.d <= ways, "d must be in 1..=N");
-        if uses_m {
-            assert!(
-                self.m_total > self.d && self.m_total <= ways,
-                "M must satisfy d < M <= N"
-            );
+    /// The first violated constraint, as a [`ParamsError`].
+    pub fn validate(&self, ways: usize, uses_m: bool) -> Result<(), ParamsError> {
+        if !(1..=ways).contains(&self.d) {
+            return Err(ParamsError::D { d: self.d, ways });
         }
-        assert!(
-            self.p > 0 && self.q > 0,
-            "iteration counts must be positive"
-        );
-        assert!(self.r > 0, "r must be positive");
+        if uses_m && !(self.m_total > self.d && self.m_total <= ways) {
+            return Err(ParamsError::M {
+                d: self.d,
+                m_total: self.m_total,
+                ways,
+            });
+        }
+        if self.p == 0 || self.q == 0 {
+            return Err(ParamsError::Iterations);
+        }
+        if self.r == 0 {
+            return Err(ParamsError::R);
+        }
+        Ok(())
     }
 }
+
+/// A violated §V parameter constraint (see [`ChannelParams::validate`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ParamsError {
+    /// `d` outside `1..=N`.
+    D {
+        /// The receiver way count.
+        d: usize,
+        /// The DSB way count `N`.
+        ways: usize,
+    },
+    /// A misalignment channel's `M` outside `d < M ≤ N`.
+    M {
+        /// The receiver way count.
+        d: usize,
+        /// The misalignment total `M`.
+        m_total: usize,
+        /// The DSB way count `N`.
+        ways: usize,
+    },
+    /// `p` or `q` is zero.
+    Iterations,
+    /// `r` is zero.
+    R,
+}
+
+impl fmt::Display for ParamsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ParamsError::D { d, ways } => write!(f, "d = {d} must be in 1..={ways} (N)"),
+            ParamsError::M { d, m_total, ways } => {
+                write!(
+                    f,
+                    "M = {m_total} must satisfy d < M <= N (d = {d}, N = {ways})"
+                )
+            }
+            ParamsError::Iterations => f.write_str("iteration counts p and q must be positive"),
+            ParamsError::R => f.write_str("r must be positive"),
+        }
+    }
+}
+
+impl std::error::Error for ParamsError {}
 
 impl fmt::Display for ChannelParams {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -292,22 +340,29 @@ mod tests {
 
     #[test]
     fn validation_accepts_paper_configs_and_rejects_nonsense() {
-        ChannelParams::eviction_defaults().validate(8, false);
-        ChannelParams::misalignment_defaults().validate(8, true);
+        assert!(ChannelParams::eviction_defaults()
+            .validate(8, false)
+            .is_ok());
+        assert!(ChannelParams::misalignment_defaults()
+            .validate(8, true)
+            .is_ok());
         // Fig. 8 sweeps every d; eviction channels do not use M.
         for d in 1..=8 {
-            ChannelParams::mt_defaults().with_d(d).validate(8, false);
+            assert!(ChannelParams::mt_defaults()
+                .with_d(d)
+                .validate(8, false)
+                .is_ok());
         }
         let bad = ChannelParams {
             d: 0,
             ..ChannelParams::eviction_defaults()
         };
-        assert!(std::panic::catch_unwind(|| bad.validate(8, false)).is_err());
+        assert!(bad.validate(8, false).is_err());
         let bad_m = ChannelParams {
             d: 8,
             ..ChannelParams::misalignment_defaults()
         };
-        assert!(std::panic::catch_unwind(|| bad_m.validate(8, true)).is_err());
+        assert!(bad_m.validate(8, true).is_err());
     }
 
     #[test]

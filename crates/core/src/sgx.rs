@@ -392,6 +392,32 @@ mod tests {
     }
 
     #[test]
+    fn mt_sgx_memo_counters_are_pinned() {
+        // One seeded 16-bit transmission: every receiver/sender step of
+        // each 1-bit's `run_concurrent` goes through the SMT transition
+        // memo. The E-2174G has no LSD, so no step streams.
+        let mut ch = SgxMtChannel::new(
+            ProcessorModel::xeon_e2174g(),
+            NonMtKind::Eviction,
+            ChannelParams::sgx_mt_defaults(),
+            5,
+        )
+        .unwrap();
+        ch.transmit(&MessagePattern::Random.generate(16, 5));
+        let stats = ch.core.frontend().memo_stats();
+        assert_eq!(
+            stats,
+            leaky_frontend::MemoStats {
+                hits: 175_983,
+                misses: 17,
+                streaming: 0,
+                entries: 17,
+                slots: 256,
+            }
+        );
+    }
+
+    #[test]
     fn sgx_power_channel_leaks_despite_rapl_lockdown() {
         // §VIII-3: the privileged-OS power attack. Slow (power-channel
         // iteration counts) but functional.

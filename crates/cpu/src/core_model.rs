@@ -311,7 +311,10 @@ impl Core {
     /// Runs both threads concurrently, interleaving loop iterations by
     /// simulated wall time with scheduling jitter. Threads are activated on
     /// entry; each is deactivated when its work completes (which triggers
-    /// the DSB partition transitions of §IV-B).
+    /// the DSB partition transitions of §IV-B). Each step goes through the
+    /// frontend's exact SMT transition memo
+    /// ([`Frontend::run_iteration_memoized`]); the jitter draw and the
+    /// backend/clock/energy accounting still run for every iteration.
     ///
     /// # Panics
     ///
@@ -359,7 +362,8 @@ impl Core {
             } else {
                 ThreadId::T1
             };
-            let run = self.run_once(tid, chains[pick]);
+            let report = self.frontend.run_iteration_memoized(tid, chains[pick]);
+            let run = self.finish_run(tid, chains[pick], 1, report);
             runs[pick].cycles += run.cycles;
             runs[pick].iterations += 1;
             runs[pick].report += run.report;
@@ -641,6 +645,35 @@ mod tests {
             warm.cycles
         );
         assert!(r_recv.report.mite_uops > 0);
+    }
+
+    #[test]
+    fn only_run_concurrent_allocates_the_transition_memo() {
+        let mut core = Core::new(ProcessorModel::gold_6226(), 1);
+        let recv = chain(RECV, 0, 6);
+        let send = chain(SEND, 0, 3);
+        core.run_loop(ThreadId::T0, &recv, 100);
+        core.run_once(ThreadId::T0, &send);
+        core.run_for_cycles(ThreadId::T0, &recv, 10_000.0);
+        assert_eq!(
+            core.frontend().memo_stats(),
+            leaky_frontend::MemoStats::default(),
+            "single-thread runs must not allocate a memo table"
+        );
+        core.run_concurrent(
+            ThreadWork {
+                chain: &recv,
+                iterations: 50,
+            },
+            ThreadWork {
+                chain: &send,
+                iterations: 50,
+            },
+        );
+        let stats = core.frontend().memo_stats();
+        assert_eq!(stats.slots, 256);
+        assert_eq!(stats.hits + stats.misses + stats.streaming, 100);
+        assert!(stats.hits > 0 && stats.entries as u64 <= stats.misses);
     }
 
     #[test]

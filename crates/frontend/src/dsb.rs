@@ -397,6 +397,27 @@ impl Dsb {
             .sum()
     }
 
+    /// Appends physical set `set`'s occupancy, then its packed lines MRU
+    /// first — the ring's logical content, independent of where its
+    /// head happens to sit (the SMT transition memo's DSB snapshot).
+    pub(crate) fn push_set(&self, set: usize, out: &mut Vec<u64>) {
+        let ways = self.geom.dsb_ways;
+        let base = set * ways;
+        let head = self.heads[set] as usize;
+        let len = self.lens[set] as usize;
+        out.push(len as u64);
+        out.extend((0..len).map(|i| self.lines[base + Self::phys(head, i, ways)]));
+    }
+
+    /// Overwrites physical set `set` with packed lines given MRU first
+    /// (the inverse of [`Dsb::push_set`]'s line list).
+    pub(crate) fn load_set(&mut self, set: usize, packed: &[u64]) {
+        let base = set * self.geom.dsb_ways;
+        self.lines[base..base + packed.len()].copy_from_slice(packed);
+        self.heads[set] = 0;
+        self.lens[set] = packed.len() as u8;
+    }
+
     /// Resident lines (MRU first) in the physical set that `line` maps to.
     pub fn set_lines_for(&self, line: LineId) -> impl Iterator<Item = LineId> + '_ {
         let ways = self.geom.dsb_ways;

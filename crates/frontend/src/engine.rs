@@ -20,6 +20,10 @@ use crate::counters::{detect_report_period, IterationReport, UopSource};
 use crate::dsb::{Dsb, LineId, SmtDsbPolicy};
 use crate::plan::{pack_lock_member, DeliveryPlan, PlanBlock, PlanCache};
 
+mod memo;
+
+pub use memo::MemoStats;
+
 /// One of the two hardware threads sharing the physical core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ThreadId {
@@ -179,6 +183,21 @@ struct LoopLock {
 }
 
 impl LoopLock {
+    /// A fresh lock on `plan`'s loop with no sibling crossings yet.
+    fn from_plan(plan: &DeliveryPlan) -> LoopLock {
+        let mut lines = [0u64; MAX_LOCK_LINES];
+        lines[..plan.lock_lines.len()].copy_from_slice(&plan.lock_lines);
+        LoopLock {
+            key: plan.key,
+            uops: plan.total_uops,
+            set_mask: plan.set_mask,
+            lines,
+            n_lines: plan.lock_lines.len() as u8,
+            crossings: [0; MAX_LOCK_CROSSINGS],
+            n_crossings: 0,
+        }
+    }
+
     fn contains_line(&self, packed: u64) -> bool {
         self.lines[..self.n_lines as usize]
             .binary_search(&packed)
@@ -221,7 +240,9 @@ pub struct Frontend {
     /// §XI fingerprinting victim model); 0.0 = none.
     external_mite_pressure: [f64; 2],
     /// Per thread: (chain key, consecutive clean iterations) for LSD
-    /// warm-up tracking.
+    /// warm-up tracking. The count saturates at the warm-up length: it
+    /// is only ever compared with `<` against it, and a bounded count
+    /// keeps the SMT transition memo's keys finite.
     lock_streak: [(u64, u32); 2],
     cumulative: [IterationReport; 2],
     /// Memoized delivery plans for the chains this frontend executes,
@@ -234,6 +255,9 @@ pub struct Frontend {
     /// [`FrontendConfig`]: tracing must never reach the profile key, the
     /// plan cache, or any other behavior-bearing state.
     trace: TraceHook,
+    /// SMT transition memo behind [`Frontend::run_iteration_memoized`];
+    /// its table is allocated on the first memoized step.
+    memo: memo::SmtMemo,
 }
 
 /// [`UopSource`] → trace [`Source`] (the trace crate sits below this one
@@ -266,6 +290,7 @@ impl Frontend {
             plans: PlanCache::default(),
             config_key: config.profile_key(),
             trace: TraceHook::Off,
+            memo: memo::SmtMemo::default(),
             config,
         }
     }
@@ -298,7 +323,9 @@ impl Frontend {
     /// slate call [`Frontend::reset_counters`]); so does the memoized
     /// plan cache — its (chain, profile-key) entries make stale plans
     /// unreachable rather than requiring a flush, and switching *back*
-    /// to a previous configuration rehits its plans.
+    /// to a previous configuration rehits its plans. The SMT transition
+    /// memo is cleared: its entries assume the configuration they were
+    /// recorded under.
     ///
     /// # Panics
     ///
@@ -312,6 +339,7 @@ impl Frontend {
         self.lock_streak = [(0, 0), (0, 0)];
         self.config_key = config.profile_key();
         self.config = config;
+        self.memo.clear();
     }
 
     /// Installs a trace hook. [`TraceHook::Off`] (the construction
@@ -460,11 +488,19 @@ impl Frontend {
         let plan = self
             .plans
             .get_or_build(chain, &self.config.geometry, self.config_key);
-        self.run_iteration_plan(tid, &plan)
+        self.run_iteration_plan(tid, &plan, None)
     }
 
     /// The hot path: one iteration over a prebuilt delivery plan.
-    fn run_iteration_plan(&mut self, tid: ThreadId, plan: &DeliveryPlan) -> IterationReport {
+    /// `l1i_misses` carries the iteration's L1I miss bits when the
+    /// fetches were already performed (the memoized step); `None` fetches
+    /// here.
+    fn run_iteration_plan(
+        &mut self,
+        tid: ThreadId,
+        plan: &DeliveryPlan,
+        l1i_misses: Option<&[u64]>,
+    ) -> IterationReport {
         let t = tid.index();
         let mut report = IterationReport::new();
 
@@ -480,7 +516,10 @@ impl Frontend {
 
         let key = plan.key;
         if self.lock_streak[t].0 == key {
-            self.lock_streak[t].1 = self.lock_streak[t].1.saturating_add(1);
+            self.lock_streak[t].1 = self.lock_streak[t]
+                .1
+                .saturating_add(1)
+                .min(self.config.lsd_warmup_iterations);
         } else {
             self.lock_streak[t] = (key, 1);
         }
@@ -514,10 +553,11 @@ impl Frontend {
         }
 
         for &blk in &plan.blocks {
-            self.fetch_l1i(
-                &plan.cache_lines[blk.cache_start as usize..blk.cache_end as usize],
-                &mut report,
-            );
+            let fetched = blk.cache_start as usize..blk.cache_end as usize;
+            match l1i_misses {
+                None => self.fetch_l1i(&plan.cache_lines[fetched], &mut report),
+                Some(bits) => self.charge_l1i(fetched, bits, &mut report),
+            }
             if blk.has_lcp {
                 self.deliver_lcp_block(tid, plan, blk, &mut report);
             } else {
@@ -584,7 +624,7 @@ impl Frontend {
         let mut history: Vec<IterationReport> = Vec::with_capacity(2 * MAX_STEADY_PERIOD);
         let mut done = 0u64;
         while done < n {
-            let r = self.run_iteration_plan(tid, &plan);
+            let r = self.run_iteration_plan(tid, &plan, None);
             done += 1;
             if history.len() == 2 * MAX_STEADY_PERIOD {
                 history.remove(0);
@@ -625,6 +665,23 @@ impl Frontend {
         for &line in cache_lines {
             report.l1i_accesses += 1;
             if !self.l1i.access_line(line).hit() {
+                report.l1i_misses += 1;
+                report.cycles += self.config.costs.l1i_miss;
+            }
+        }
+    }
+
+    /// [`Frontend::fetch_l1i`]'s accounting for fetches already performed:
+    /// bit `i` of `misses` says whether cache line `i` of the plan missed.
+    fn charge_l1i(
+        &self,
+        fetched: std::ops::Range<usize>,
+        misses: &[u64],
+        report: &mut IterationReport,
+    ) {
+        for i in fetched {
+            report.l1i_accesses += 1;
+            if misses[i / 64] >> (i % 64) & 1 != 0 {
                 report.l1i_misses += 1;
                 report.cycles += self.config.costs.l1i_miss;
             }
@@ -872,17 +929,7 @@ impl Frontend {
                 return;
             }
         }
-        let mut lines = [0u64; MAX_LOCK_LINES];
-        lines[..plan.lock_lines.len()].copy_from_slice(&plan.lock_lines);
-        self.locks[t] = Some(LoopLock {
-            key,
-            uops: plan.total_uops,
-            set_mask: plan.set_mask,
-            lines,
-            n_lines: plan.lock_lines.len() as u8,
-            crossings: [0; MAX_LOCK_CROSSINGS],
-            n_crossings: 0,
-        });
+        self.locks[t] = Some(LoopLock::from_plan(plan));
         self.trace.emit(|| TraceEvent::LsdLock {
             thread: t as u8,
             uops: plan.total_uops,
@@ -1507,6 +1554,119 @@ mod tests {
         assert_eq!(lsd, total.lsd_uops);
         assert_eq!(mite, total.mite_uops);
         assert!(summary.lsd_locks >= 1);
+    }
+
+    #[test]
+    fn lock_streak_saturates_at_the_warmup_length() {
+        let mut fe = Frontend::new(FrontendConfig {
+            lsd_enabled: false,
+            ..FrontendConfig::default()
+        });
+        let chain = aligned(RECV_BASE, 0, 4);
+        for _ in 0..10 {
+            fe.run_iteration(ThreadId::T0, &chain);
+        }
+        assert_eq!(fe.lock_streak[0], (chain.key(), 3));
+    }
+
+    #[test]
+    fn memoized_steps_match_plain_steps_and_count_work() {
+        // Receiver (6 lines) against a sender (3 lines) in the same set —
+        // the §V-A MT eviction thrash — then against a sender in another
+        // set, where the receiver locks into the LSD and streams.
+        let recv = aligned(RECV_BASE, 0, 6);
+        let send = aligned(SEND_BASE, 0, 3);
+        let quiet = aligned(SEND_BASE, 9, 3);
+        let mut plain = frontend();
+        let mut memo = frontend();
+        for fe in [&mut plain, &mut memo] {
+            fe.set_active(ThreadId::T0, true);
+            fe.set_active(ThreadId::T1, true);
+        }
+        assert_eq!(memo.memo_stats(), MemoStats::default());
+        for i in 0..300 {
+            let (tid, chain) = match (i % 2, i < 150) {
+                (0, _) => (ThreadId::T0, &recv),
+                (_, true) => (ThreadId::T1, &send),
+                _ => (ThreadId::T1, &quiet),
+            };
+            let expected = plain.run_iteration(tid, chain);
+            assert_eq!(
+                memo.run_iteration_memoized(tid, chain),
+                expected,
+                "step {i}"
+            );
+        }
+        for tid in [ThreadId::T0, ThreadId::T1] {
+            assert_eq!(memo.counters(tid), plain.counters(tid));
+        }
+        assert!(memo.lsd_locked(ThreadId::T0, &recv));
+        assert_eq!(
+            memo.memo_stats(),
+            MemoStats {
+                hits: 143,
+                misses: 13,
+                streaming: 144,
+                entries: 13,
+                slots: 256,
+            }
+        );
+        memo.reconfigure(FrontendConfig::default());
+        assert_eq!(memo.memo_stats().entries, 0, "reconfigure clears the table");
+    }
+
+    #[test]
+    fn memoized_steps_carry_sibling_crossings() {
+        // §IV-G window tracking across memoized steps: T0 streams a
+        // two-line loop; T1 alternates two single-block misaligned loops
+        // in the same set (two distinct crossings, 2 + 2·2 ≤ 8: the lock
+        // survives) long enough for its steps to replay from the memo,
+        // then runs two more (2 + 2·4 > 8: the lock collapses). A replay
+        // that dropped the crossings would keep T0 streaming.
+        let recv = aligned(RECV_BASE, 0, 2);
+        let senders: Vec<BlockChain> = (0..4)
+            .map(|i| {
+                same_set_chain(
+                    SEND_BASE + i * 0x10_0000,
+                    DsbSet::new(0),
+                    1,
+                    Alignment::Misaligned,
+                )
+            })
+            .collect();
+        let mut plain = frontend();
+        let mut memo = frontend();
+        for fe in [&mut plain, &mut memo] {
+            fe.set_active(ThreadId::T0, true);
+            fe.set_active(ThreadId::T1, true);
+            for _ in 0..4 {
+                fe.run_iteration(ThreadId::T0, &recv);
+            }
+            assert!(fe.lsd_locked(ThreadId::T0, &recv));
+        }
+        let schedule = (0..20)
+            .map(|i| &senders[i % 2])
+            .chain([&senders[2], &senders[3]]);
+        for (i, chain) in schedule.enumerate() {
+            let expected = plain.run_iteration(ThreadId::T1, chain);
+            assert_eq!(
+                memo.run_iteration_memoized(ThreadId::T1, chain),
+                expected,
+                "step {i}"
+            );
+            assert_eq!(
+                memo.lsd_locked(ThreadId::T0, &recv),
+                plain.lsd_locked(ThreadId::T0, &recv),
+                "step {i}"
+            );
+        }
+        assert!(memo.memo_stats().hits > 0);
+        assert!(
+            !plain.lsd_locked(ThreadId::T0, &recv),
+            "four crossings collapse the lock"
+        );
+        let expected = plain.run_iteration(ThreadId::T0, &recv);
+        assert_eq!(memo.run_iteration_memoized(ThreadId::T0, &recv), expected);
     }
 
     #[test]

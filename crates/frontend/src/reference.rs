@@ -267,6 +267,12 @@ impl NaiveFrontend {
         self.external_mite_pressure[tid.index()] = pressure;
     }
 
+    /// Mutable access to the L1 instruction cache (same role as
+    /// [`crate::Frontend::l1i_mut`]).
+    pub fn l1i_mut(&mut self) -> &mut SetAssocCache {
+        &mut self.l1i
+    }
+
     /// Whether `tid`'s LSD currently streams the given chain.
     pub fn lsd_locked(&self, tid: ThreadId, chain: &BlockChain) -> bool {
         self.locks[tid.index()]

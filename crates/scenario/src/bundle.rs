@@ -18,7 +18,7 @@ use leaky_cpu::ProcessorModel;
 use leaky_exp::experiments::{channel_cell_traced, machine};
 use leaky_exp::{CellMeasurement, Experiment, JobCell, ParamGrid};
 use leaky_frontends::channels::mt::MtNoise;
-use leaky_frontends::channels::registry::default_params;
+use leaky_frontends::channels::registry::{default_params, validate_params};
 use leaky_frontends::channels::{channel_info, ChannelSpec};
 use leaky_frontends::params::MessagePattern;
 use leaky_trace::TraceMode;
@@ -204,6 +204,42 @@ fn resolve_pattern(label: &str) -> Option<MessagePattern> {
         .find(|p| p.to_string() == label)
 }
 
+/// Rejects a grid whose cells would build a channel on invalid §V
+/// parameters: every channel × `d` (the axis values, or the channel's
+/// default) × uarch profile combination must pass
+/// [`validate_params`] under that profile's geometry. The error points
+/// at the `d` axis line, or at the `uarch` axis when there is none.
+fn check_params(
+    channels: &[String],
+    profiles: &[UarchProfile],
+    d_axis: Option<&(usize, Vec<i64>)>,
+    uarch_line: usize,
+) -> Result<(), ScenarioError> {
+    for channel in channels {
+        let Some(defaults) = default_params(channel) else {
+            continue;
+        };
+        let ds = match d_axis {
+            Some((_, values)) => values.iter().map(|&d| d as usize).collect(),
+            None => vec![defaults.d],
+        };
+        for profile in profiles {
+            for &d in &ds {
+                if let Err(err) = validate_params(channel, &defaults.with_d(d), &profile.geometry) {
+                    return Err(ScenarioError::at(
+                        d_axis.map_or(uarch_line, |(line, _)| *line),
+                        format!(
+                            "channel `{channel}` with d = {d} under uarch `{}`: {err}",
+                            profile.key
+                        ),
+                    ));
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Parses and validates a scenario bundle against `profiles`.
 ///
 /// Every axis value is resolved eagerly — unknown uarch keys, channel
@@ -241,6 +277,8 @@ pub fn parse_bundle(
     let mut axes = Vec::new();
     let mut bundle_profiles = Vec::new();
     let mut channels: Vec<String> = Vec::new();
+    let mut uarch_line = grid.line;
+    let mut d_axis: Option<(usize, Vec<i64>)> = None;
     let mut has_pattern_axis = false;
     for e in &grid.entries {
         match e.key.as_str() {
@@ -260,6 +298,7 @@ pub fn parse_bundle(
                         }
                     }
                 }
+                uarch_line = e.line;
                 axes.push((e.key.clone(), AxisValues::Strs(keys)));
             }
             "channel" => {
@@ -314,6 +353,7 @@ pub fn parse_bundle(
                         "axis `d` values must be in 1..=8".to_string(),
                     ));
                 }
+                d_axis = Some((e.line, values.clone()));
                 axes.push((e.key.clone(), AxisValues::Ints(values)));
             }
             other => {
@@ -335,6 +375,7 @@ pub fn parse_bundle(
             ));
         }
     }
+    check_params(&channels, &bundle_profiles, d_axis.as_ref(), uarch_line)?;
 
     let message = doc.table("message").expect("required above"); // lint: allow(panic-path) — check_tables guarantees presence
     reject_unknown_keys(message, &["seed", "pattern"])?;

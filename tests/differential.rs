@@ -1,14 +1,18 @@
 //! Differential property tests: the zero-allocation [`Frontend`] must be
 //! bit-identical to the retained naive reference engine
 //! ([`NaiveFrontend`]) across random chains, SMT schedules and sharing
-//! policies. Both engines execute the same random interleavings of
-//! iterations, activity transitions and flushes, and every single
-//! [`IterationReport`] (an exact `f64`-carrying struct) is compared with
-//! `==` — any divergence in delivery order, cost arithmetic or lock
-//! bookkeeping fails immediately.
+//! policies. Three engines execute the same random interleavings of
+//! iterations, activity transitions, thread and L1I flushes and MITE
+//! pressure changes: the plain optimized path, the same engine stepped
+//! through its SMT transition memo
+//! ([`Frontend::run_iteration_memoized`]) and the naive oracle. Every
+//! single [`IterationReport`] (an exact `f64`-carrying struct) is
+//! compared with `==`, and the two optimized engines must end in the
+//! same observable state — any divergence in delivery order, cost
+//! arithmetic, lock bookkeeping or replayed state fails.
 
 use leaky_frontends_repro::frontend::{
-    Frontend, FrontendConfig, NaiveFrontend, SmtDsbPolicy, ThreadId,
+    Frontend, FrontendConfig, LineId, NaiveFrontend, SmtDsbPolicy, ThreadId,
 };
 use leaky_frontends_repro::isa::{
     same_set_chain, Addr, Alignment, Block, BlockChain, DsbSet, FrontendGeometry, LcpPattern,
@@ -84,139 +88,239 @@ fn geometry_from(g: (u8, u8, u8)) -> FrontendGeometry {
     }
 }
 
+/// The engines under test: the plain optimized path, the optimized
+/// engine stepped through its transition memo, and the naive oracle.
+struct Engines {
+    fast: Frontend,
+    memo: Frontend,
+    naive: NaiveFrontend,
+}
+
+impl Engines {
+    fn new(config: FrontendConfig) -> Self {
+        Engines {
+            fast: Frontend::new(config),
+            memo: Frontend::new(config),
+            naive: NaiveFrontend::new(config),
+        }
+    }
+
+    fn set_active(&mut self, tid: ThreadId, active: bool) {
+        self.fast.set_active(tid, active);
+        self.memo.set_active(tid, active);
+        self.naive.set_active(tid, active);
+    }
+
+    fn flush_thread_state(&mut self, tid: ThreadId) {
+        self.fast.flush_thread_state(tid);
+        self.memo.flush_thread_state(tid);
+        self.naive.flush_thread_state(tid);
+    }
+
+    fn reconfigure(&mut self, config: FrontendConfig) {
+        self.fast.reconfigure(config);
+        self.memo.reconfigure(config);
+        self.naive.reconfigure(config);
+    }
+
+    /// Flushes one L1I line of `chain` (picked by `pick`) behind the
+    /// engines' backs, the way the Table VII L1I attacks do.
+    fn flush_l1i_line(&mut self, chain: &BlockChain, pick: u8) {
+        let lines: Vec<u64> = chain
+            .blocks()
+            .iter()
+            .flat_map(|b| b.cache_lines().iter().copied())
+            .collect();
+        let line = lines[pick as usize % lines.len()];
+        self.fast.l1i_mut().flush_line(line);
+        self.memo.l1i_mut().flush_line(line);
+        self.naive.l1i_mut().flush_line(line);
+    }
+
+    fn set_external_mite_pressure(&mut self, tid: ThreadId, pick: u8) {
+        let pressure = f64::from(pick % 4) * 0.5;
+        self.fast.set_external_mite_pressure(tid, pressure);
+        self.memo.set_external_mite_pressure(tid, pressure);
+        self.naive.set_external_mite_pressure(tid, pressure);
+    }
+
+    /// One iteration on all three engines: identical reports and locks.
+    fn iterate(&mut self, tid: ThreadId, chain: &BlockChain) -> Result<(), TestCaseError> {
+        let fast_report = self.fast.run_iteration(tid, chain);
+        let memo_report = self.memo.run_iteration_memoized(tid, chain);
+        let naive_report = self.naive.run_iteration(tid, chain);
+        prop_assert_eq!(fast_report, naive_report, "iteration reports diverged");
+        prop_assert_eq!(memo_report, naive_report, "memoized report diverged");
+        let locked = self.naive.lsd_locked(tid, chain);
+        prop_assert_eq!(
+            self.fast.lsd_locked(tid, chain),
+            locked,
+            "lock state diverged"
+        );
+        prop_assert_eq!(
+            self.memo.lsd_locked(tid, chain),
+            locked,
+            "memoized lock diverged"
+        );
+        Ok(())
+    }
+
+    fn check_occupancy(&self) -> Result<(), TestCaseError> {
+        for t in 0..2u8 {
+            let naive = self.naive.dsb_occupancy(t);
+            prop_assert_eq!(
+                self.fast.dsb().occupancy(t),
+                naive,
+                "DSB occupancy diverged"
+            );
+            prop_assert_eq!(
+                self.memo.dsb().occupancy(t),
+                naive,
+                "memoized occupancy diverged"
+            );
+        }
+        Ok(())
+    }
+
+    /// End of a schedule: counters agree on all three engines, and the
+    /// memoized engine's observable state is the plain engine's —
+    /// every DSB set in MRU order, every L1I set, LSD locks and L1I
+    /// statistics.
+    fn check_final(&self, chains: &[BlockChain]) -> Result<(), TestCaseError> {
+        for tid in [ThreadId::T0, ThreadId::T1] {
+            let naive = self.naive.counters(tid);
+            prop_assert_eq!(
+                self.fast.counters(tid),
+                naive,
+                "cumulative counters diverged"
+            );
+            prop_assert_eq!(self.memo.counters(tid), naive, "memoized counters diverged");
+            for chain in chains {
+                prop_assert_eq!(
+                    self.memo.lsd_locked(tid, chain),
+                    self.fast.lsd_locked(tid, chain)
+                );
+            }
+        }
+        let geometry = self.fast.config().geometry;
+        for thread in 0..2u8 {
+            for window in 0..geometry.dsb_sets as u64 {
+                let probe = LineId {
+                    thread,
+                    window,
+                    chunk: 0,
+                };
+                let fast: Vec<LineId> = self.fast.dsb().set_lines_for(probe).collect();
+                let memo: Vec<LineId> = self.memo.dsb().set_lines_for(probe).collect();
+                prop_assert_eq!(memo, fast, "memoized DSB set diverged");
+            }
+        }
+        for set in 0..geometry.l1i_sets {
+            prop_assert_eq!(
+                self.memo.l1i().set_lines(set),
+                self.fast.l1i().set_lines(set),
+                "memoized L1I set diverged"
+            );
+        }
+        prop_assert_eq!(
+            self.memo.l1i().stats(),
+            self.fast.l1i().stats(),
+            "L1I stats diverged"
+        );
+        Ok(())
+    }
+}
+
+fn thread(tsel: u8) -> ThreadId {
+    if tsel % 2 == 0 {
+        ThreadId::T0
+    } else {
+        ThreadId::T1
+    }
+}
+
 proptest! {
     /// Core differential property: arbitrary interleavings of iterations,
-    /// thread activity changes and thread flushes produce identical
-    /// reports, lock states and DSB occupancies on both engines.
+    /// thread activity changes, thread and L1I flushes and MITE pressure
+    /// changes produce identical reports, lock states and DSB
+    /// occupancies on all three engines.
     #[test]
     fn optimized_frontend_matches_naive_reference(
         chain_specs in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..4),
-        schedule in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..60),
+        schedule in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..120),
         policy in any::<u8>(),
         lsd_enabled in any::<bool>(),
         flush_on_partition in any::<bool>(),
     ) {
         let chains: Vec<BlockChain> = chain_specs.into_iter().map(chain_from).collect();
-        let config = config_from(policy, lsd_enabled, flush_on_partition);
-        let mut fast = Frontend::new(config);
-        let mut naive = NaiveFrontend::new(config);
+        let mut engines = Engines::new(config_from(policy, lsd_enabled, flush_on_partition));
         for (op, tsel, csel) in schedule {
-            let tid = if tsel % 2 == 0 { ThreadId::T0 } else { ThreadId::T1 };
-            match op % 8 {
-                // Activity transitions are rarer than iterations (2/8),
-                // flushes rarest (1/8), iterations the bulk (5/8).
-                0 => {
-                    let active = csel % 2 == 0;
-                    fast.set_active(tid, active);
-                    naive.set_active(tid, active);
-                }
-                1 => {
-                    fast.set_active(tid, true);
-                    naive.set_active(tid, true);
-                }
-                2 => {
-                    fast.flush_thread_state(tid);
-                    naive.flush_thread_state(tid);
-                }
-                _ => {
-                    let chain = &chains[csel as usize % chains.len()];
-                    let fast_report = fast.run_iteration(tid, chain);
-                    let naive_report = naive.run_iteration(tid, chain);
-                    prop_assert_eq!(fast_report, naive_report, "iteration reports diverged");
-                    prop_assert_eq!(
-                        fast.lsd_locked(tid, chain),
-                        naive.lsd_locked(tid, chain),
-                        "lock state diverged"
-                    );
-                }
+            let tid = thread(tsel);
+            let chain = &chains[csel as usize % chains.len()];
+            match op % 10 {
+                // Iterations are the bulk (5/10); activity transitions
+                // (2/10), thread flushes, L1I flushes and pressure
+                // changes share the rest.
+                0 => engines.set_active(tid, csel % 2 == 0),
+                1 => engines.set_active(tid, true),
+                2 => engines.flush_thread_state(tid),
+                3 => engines.flush_l1i_line(chain, op / 10),
+                4 => engines.set_external_mite_pressure(tid, op / 10),
+                _ => engines.iterate(tid, chain)?,
             }
-            for t in 0..2u8 {
-                prop_assert_eq!(
-                    fast.dsb().occupancy(t),
-                    naive.dsb_occupancy(t),
-                    "DSB occupancy diverged"
-                );
-            }
+            engines.check_occupancy()?;
         }
-        for tid in [ThreadId::T0, ThreadId::T1] {
-            prop_assert_eq!(fast.counters(tid), naive.counters(tid), "cumulative counters diverged");
-        }
+        engines.check_final(&chains)?;
     }
 
     /// Geometry-randomized differential property: under perturbed
     /// frontend geometries (non-default `dsb_line_uops`, `dsb_sets`,
     /// `dsb_ways`, `lsd_uops`, `lsd_windows`, L1I shape) — including
     /// mid-schedule `reconfigure` switches between geometries — the
-    /// optimized engine must remain bit-identical to the naive
-    /// reference. This is the regression net for the PR-2 fast path's
-    /// precomputed 6-µop line splits and for the (chain, profile-key)
-    /// plan-cache keying: reusing a stale split or plan diverges the
+    /// optimized engine, plain and memoized, must remain bit-identical
+    /// to the naive reference. This is the regression net for the fast
+    /// path's precomputed 6-µop line splits, for the (chain,
+    /// profile-key) plan-cache keying and for the memo's reconfigure
+    /// clear: reusing a stale split, plan or transition diverges the
     /// line/chunk walk and fails on the first report.
     #[test]
     fn optimized_frontend_matches_naive_under_random_geometry(
         chain_specs in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..4),
         geom_specs in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 2..4),
-        schedule in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..60),
+        schedule in proptest::collection::vec((any::<u8>(), any::<u8>(), any::<u8>()), 1..120),
         policy in any::<u8>(),
         lsd_enabled in any::<bool>(),
         flush_on_partition in any::<bool>(),
     ) {
         let chains: Vec<BlockChain> = chain_specs.into_iter().map(chain_from).collect();
         let geometries: Vec<FrontendGeometry> = geom_specs.into_iter().map(geometry_from).collect();
-        let config = FrontendConfig {
+        let mut engines = Engines::new(FrontendConfig {
             geometry: geometries[0],
             ..config_from(policy, lsd_enabled, flush_on_partition)
-        };
-        let mut fast = Frontend::new(config);
-        let mut naive = NaiveFrontend::new(config);
+        });
         for (op, tsel, csel) in schedule {
-            let tid = if tsel % 2 == 0 { ThreadId::T0 } else { ThreadId::T1 };
-            match op % 10 {
-                // Iterations dominate (7/10); activity transitions,
-                // flushes and reconfigures share the rest.
-                0 => {
-                    let active = csel % 2 == 0;
-                    fast.set_active(tid, active);
-                    naive.set_active(tid, active);
-                }
-                1 => {
-                    fast.flush_thread_state(tid);
-                    naive.flush_thread_state(tid);
-                }
-                2 => {
-                    // Reconfigure onto another random geometry (and
-                    // policy/warm-up): the optimized engine keeps its plan
-                    // cache across this — stale plans must be unreachable.
-                    let next = FrontendConfig {
-                        geometry: geometries[csel as usize % geometries.len()],
-                        ..config_from(csel, tsel % 2 == 0, op % 2 == 0)
-                    };
-                    fast.reconfigure(next);
-                    naive.reconfigure(next);
-                }
-                _ => {
-                    let chain = &chains[csel as usize % chains.len()];
-                    let fast_report = fast.run_iteration(tid, chain);
-                    let naive_report = naive.run_iteration(tid, chain);
-                    prop_assert_eq!(fast_report, naive_report, "iteration reports diverged");
-                    prop_assert_eq!(
-                        fast.lsd_locked(tid, chain),
-                        naive.lsd_locked(tid, chain),
-                        "lock state diverged"
-                    );
-                }
+            let tid = thread(tsel);
+            let chain = &chains[csel as usize % chains.len()];
+            match op % 12 {
+                // Iterations dominate (7/12); activity transitions,
+                // flushes, reconfigures and pressure changes share the
+                // rest.
+                0 => engines.set_active(tid, csel % 2 == 0),
+                1 => engines.flush_thread_state(tid),
+                // Reconfigure onto another random geometry (and
+                // policy/warm-up): the optimized engine keeps its plan
+                // cache across this — stale plans must be unreachable.
+                2 => engines.reconfigure(FrontendConfig {
+                    geometry: geometries[csel as usize % geometries.len()],
+                    ..config_from(csel, tsel % 2 == 0, op % 2 == 0)
+                }),
+                3 => engines.flush_l1i_line(chain, op / 12),
+                4 => engines.set_external_mite_pressure(tid, op / 12),
+                _ => engines.iterate(tid, chain)?,
             }
-            for t in 0..2u8 {
-                prop_assert_eq!(
-                    fast.dsb().occupancy(t),
-                    naive.dsb_occupancy(t),
-                    "DSB occupancy diverged"
-                );
-            }
+            engines.check_occupancy()?;
         }
-        for tid in [ThreadId::T0, ThreadId::T1] {
-            prop_assert_eq!(fast.counters(tid), naive.counters(tid), "cumulative counters diverged");
-        }
+        engines.check_final(&chains)?;
     }
 
     /// `run_iterations`' steady-state collapse also holds under perturbed
