@@ -21,7 +21,8 @@
 
 use std::process::ExitCode;
 
-use leaky_bench::perf::{parse_json, render_report, report_metrics, time_ns_per_op, Metric};
+use leaky_bench::perf::{render_report, report_metrics, time_ns_per_op, Metric};
+use leaky_codec::json;
 use leaky_cpu::ProcessorModel;
 use leaky_frontend::{
     Dsb, Frontend, FrontendConfig, LineId, SmtDsbPolicy, ThreadId, TraceHook, TraceMode,
@@ -422,7 +423,7 @@ fn measure(budget: &Budget) -> Vec<Metric> {
 fn check(metrics: &[Metric], baseline_path: &str, quick: bool) -> Result<(), String> {
     let text = std::fs::read_to_string(baseline_path)
         .map_err(|e| format!("cannot read {baseline_path}: {e}"))?;
-    let doc = parse_json(&text).map_err(|e| format!("{baseline_path} is malformed: {e}"))?;
+    let doc = json::parse(&text).map_err(|e| format!("{baseline_path} is malformed: {e}"))?;
     let baseline = report_metrics(&doc).map_err(|e| format!("{baseline_path}: {e}"))?;
     let mut failures = Vec::new();
     // A baseline metric the harness no longer measures means the gate
@@ -536,7 +537,7 @@ fn main() -> ExitCode {
         };
     }
 
-    let report = render_report(&metrics, None);
+    let report = render_report(&metrics);
     if let Some(path) = &out {
         if let Err(e) = std::fs::write(path, &report) {
             eprintln!("cannot write {path}: {e}");

@@ -1,14 +1,13 @@
 //! Perf-trajectory harness: wall-clock timing of the simulator's hot
-//! primitives and a minimal JSON layer for `BENCH_frontend.json`.
+//! primitives and the `BENCH_frontend.json` report layout.
 //!
 //! The `perf_report` binary uses this module to time the frontend's
-//! per-iteration paths and per-bit channel costs, emit the results as
-//! JSON, and (in `--check` mode) compare a fresh measurement against the
-//! committed baseline so CI catches large simulator regressions. The
-//! container has no crates.io access, so the JSON layer is hand-rolled:
-//! a serializer for the flat report shape and a small recursive-descent
-//! parser sufficient to read it back.
+//! per-iteration paths and per-bit channel costs, emit the results as a
+//! `perf-report/v1` document, and (in `--check` mode) read a committed
+//! baseline back with [`leaky_codec::json::parse`] and compare, so CI
+//! catches large simulator regressions.
 
+use leaky_codec::json::{quoted, Json};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -48,9 +47,8 @@ pub fn time_ns_per_op<F: FnMut()>(warmup: u64, samples: usize, ops: u64, mut op:
     per_op[per_op.len() / 2]
 }
 
-/// Serializes metrics (plus an optional pre-rendered `"reference"`
-/// object) into the `BENCH_frontend.json` document shape.
-pub fn render_report(metrics: &[Metric], reference_json: Option<&str>) -> String {
+/// Serializes metrics into the `BENCH_frontend.json` document shape.
+pub fn render_report(metrics: &[Metric]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"leaky-frontends/perf-report/v1\",\n");
     out.push_str("  \"unit\": \"ns_per_op\",\n  \"metrics\": {\n");
@@ -58,188 +56,14 @@ pub fn render_report(metrics: &[Metric], reference_json: Option<&str>) -> String
         let comma = if i + 1 < metrics.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "    \"{}\": {{ \"ns_per_op\": {:.2}, \"ops_per_sample\": {} }}{comma}",
-            m.name, m.ns_per_op, m.ops_per_sample
+            "    {}: {{ \"ns_per_op\": {:.2}, \"ops_per_sample\": {} }}{comma}",
+            quoted(&m.name),
+            m.ns_per_op,
+            m.ops_per_sample
         );
     }
-    out.push_str("  }");
-    if let Some(r) = reference_json {
-        out.push_str(",\n  \"reference\": ");
-        out.push_str(r.trim_end());
-    }
-    out.push_str("\n}\n");
+    out.push_str("  }\n}\n");
     out
-}
-
-/// A parsed JSON value (subset: no escape sequences beyond `\"` and
-/// `\\`, no scientific-notation edge cases beyond `f64::from_str`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// Any JSON number, as `f64`.
-    Num(f64),
-    /// A string literal.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object; insertion order preserved.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// Looks up a key in an object.
-    pub fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, if this is a number.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-/// Parses a JSON document.
-///
-/// # Errors
-///
-/// Returns a human-readable description of the first syntax error.
-pub fn parse_json(text: &str) -> Result<Json, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing content at byte {pos}"));
-    }
-    Ok(value)
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && bytes[*pos].is_ascii_whitespace() {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut pairs = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(pairs));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                let value = parse_value(bytes, pos)?;
-                pairs.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(pairs));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b't') if bytes[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(Json::Bool(true))
-        }
-        Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(Json::Bool(false))
-        }
-        Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(Json::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&bytes[start..*pos]).map_err(|e| e.to_string())?;
-            text.parse::<f64>()
-                .map(Json::Num)
-                .map_err(|_| format!("invalid number {text:?} at byte {start}"))
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    if bytes.get(*pos) != Some(&b'"') {
-        return Err(format!("expected string at byte {pos}"));
-    }
-    *pos += 1;
-    let mut out = String::new();
-    while let Some(&b) = bytes.get(*pos) {
-        *pos += 1;
-        match b {
-            b'"' => return Ok(out),
-            b'\\' => match bytes.get(*pos) {
-                Some(&c @ (b'"' | b'\\' | b'/')) => {
-                    out.push(c as char);
-                    *pos += 1;
-                }
-                Some(b'n') => {
-                    out.push('\n');
-                    *pos += 1;
-                }
-                Some(b't') => {
-                    out.push('\t');
-                    *pos += 1;
-                }
-                other => return Err(format!("unsupported escape {other:?}")),
-            },
-            _ => out.push(b as char),
-        }
-    }
-    Err("unterminated string".into())
 }
 
 /// Extracts the `metrics` map of a parsed report as `(name, ns_per_op)`
@@ -271,6 +95,7 @@ pub fn report_metrics(doc: &Json) -> Result<Vec<(String, f64)>, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leaky_codec::json::parse;
 
     #[test]
     fn render_then_parse_roundtrips() {
@@ -286,52 +111,18 @@ mod tests {
                 ops_per_sample: 100_000,
             },
         ];
-        let text = render_report(&metrics, Some("{ \"note\": \"x\", \"n\": 3 }"));
-        let doc = parse_json(&text).unwrap();
+        let text = render_report(&metrics);
+        let doc = parse(&text).unwrap();
         let parsed = report_metrics(&doc).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].0, "lsd_iteration");
         assert!((parsed[0].1 - 123.45).abs() < 1e-9);
-        assert_eq!(
-            doc.get("reference").unwrap().get("n"),
-            Some(&Json::Num(3.0))
-        );
-        assert_eq!(
-            doc.get("schema"),
-            Some(&Json::Str("leaky-frontends/perf-report/v1".into()))
-        );
-    }
-
-    #[test]
-    fn parser_rejects_malformed_documents() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("{\"a\": }").is_err());
-        assert!(parse_json("{\"a\": 1} trailing").is_err());
-        assert!(parse_json("[1, 2").is_err());
-        assert!(parse_json("\"open").is_err());
-    }
-
-    #[test]
-    fn parser_handles_nesting_and_scalars() {
-        let doc =
-            parse_json("{\"a\": [1, -2.5, true, null], \"b\": {\"c\": \"s\\\"t\"},\n \"d\": 1e3}")
-                .unwrap();
-        assert_eq!(doc.get("d"), Some(&Json::Num(1000.0)));
-        let Json::Arr(items) = doc.get("a").unwrap() else {
-            panic!("a must be an array");
-        };
-        assert_eq!(items[1], Json::Num(-2.5));
-        assert_eq!(items[2], Json::Bool(true));
-        assert_eq!(items[3], Json::Null);
-        assert_eq!(
-            doc.get("b").unwrap().get("c"),
-            Some(&Json::Str("s\"t".into()))
-        );
+        assert_eq!(parsed[1], ("dsb_lookup_hit".to_string(), 7.0));
     }
 
     #[test]
     fn missing_metrics_is_an_error() {
-        let doc = parse_json("{\"schema\": \"x\"}").unwrap();
+        let doc = parse("{\"schema\": \"x\"}").unwrap();
         assert!(report_metrics(&doc).is_err());
     }
 

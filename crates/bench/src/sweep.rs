@@ -7,13 +7,16 @@
 //!   golden tests in `tests/sweep_golden.rs` pin the bytes).
 //! * [`render_table`] — the unified `leaky_sweep` table format.
 //! * [`render_json`] — the `leaky-frontends/sweep/v1` JSON document
-//!   (readable back with [`crate::perf::parse_json`]).
+//!   (readable back with [`leaky_codec::json::parse`]; every string
+//!   and number goes through the `leaky_codec` writers).
 //!
 //! Every rendering is a pure function of the sweep's deterministic state
 //! (cells + ordered summaries); wall-time and worker count are never
 //! printed, which is what makes `--jobs 1` and `--jobs 4` byte-identical.
 
 use crate::table::{fmt, TableWriter};
+use leaky_codec::json::{number, quoted};
+use leaky_codec::token;
 use leaky_exp::runner::SweepRun;
 use leaky_exp::{
     run_experiment, run_experiment_with, standard_registry, CellOutcome, Experiment, RunConfig,
@@ -391,50 +394,31 @@ pub fn render_table(run: &SweepRun) -> String {
     out
 }
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// Formats an f64 as a JSON number: shortest round-trip form, with a
-/// trailing `.0` forced onto integral values so the token stays a float.
-/// Non-finite values (an unmeasurable metric, an empty summary's ±inf
-/// min/max) become `null` — `NaN`/`inf` are not JSON, and emitting them
-/// would break the documented [`crate::perf::parse_json`] round-trip.
-fn json_num(v: f64) -> String {
-    if !v.is_finite() {
-        "null".to_string()
-    } else if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
-}
-
 /// Renders one sweep as a JSON object (schema `leaky-frontends/sweep/v1`
 /// wraps a list of these; see [`render_json_document`]).
 pub fn render_json(run: &SweepRun) -> String {
     let mut out = String::new();
     let profile = if run.quick { "quick" } else { "full" };
     let _ = writeln!(out, "    {{");
-    let _ = writeln!(out, "      \"experiment\": \"{}\",", json_escape(run.name));
-    let _ = writeln!(out, "      \"title\": \"{}\",", json_escape(run.title));
+    let _ = writeln!(out, "      \"experiment\": {},", quoted(run.name));
+    let _ = writeln!(out, "      \"title\": {},", quoted(run.title));
     let _ = writeln!(out, "      \"profile\": \"{profile}\",");
     let _ = writeln!(out, "      \"cells\": [");
     for (i, result) in run.cells.iter().enumerate() {
         let comma = if i + 1 < run.cells.len() { "," } else { "" };
         let _ = write!(
             out,
-            "        {{ \"key\": \"{}\", \"seed\": \"0x{:016x}\", ",
-            json_escape(&result.cell.key),
-            result.cell.seed
+            "        {{ \"key\": {}, \"seed\": \"{}\", ",
+            quoted(&result.cell.key),
+            token::hex(result.cell.seed)
         );
         if let Some(p) = result.provenance() {
             let _ = write!(
                 out,
-                "\"provenance\": {{ \"channel\": \"{}\", \"profile\": \"{}\", \"params\": \"{}\" }}, ",
-                json_escape(&p.channel),
-                json_escape(&p.profile),
-                json_escape(&p.params)
+                "\"provenance\": {{ \"channel\": {}, \"profile\": {}, \"params\": {} }}, ",
+                quoted(&p.channel),
+                quoted(&p.profile),
+                quoted(&p.params)
             );
         }
         // Telemetry (schema leaky-frontends/trace/v1) appears only on
@@ -450,21 +434,17 @@ pub fn render_json(run: &SweepRun) -> String {
             CellOutcome::Failed { message, attempts } => {
                 let _ = write!(
                     out,
-                    "\"supported\": false, \"failed\": true, \"error\": \"{}\", \"attempts\": {attempts}",
-                    json_escape(message)
+                    "\"supported\": false, \"failed\": true, \"error\": {}, \"attempts\": {attempts}",
+                    quoted(message)
                 );
             }
             CellOutcome::Measured(meas) => {
-                let _ = write!(out, "\"supported\": true, \"metrics\": {{ ");
+                let _ = write!(out, "\"supported\": true, \"metrics\": {{");
                 for (j, m) in meas.metrics.iter().enumerate() {
-                    let mcomma = if j + 1 < meas.metrics.len() {
-                        ", "
-                    } else {
-                        " "
-                    };
-                    let _ = write!(out, "\"{}\": {}{mcomma}", m.name, json_num(m.value));
+                    let sep = if j == 0 { " " } else { ", " };
+                    let _ = write!(out, "{sep}{}: {}", quoted(&m.name), number(m.value));
                 }
-                let _ = write!(out, "}}");
+                let _ = write!(out, " }}");
             }
         }
         let _ = writeln!(out, " }}{comma}");
@@ -475,13 +455,13 @@ pub fn render_json(run: &SweepRun) -> String {
         let comma = if i + 1 < run.summaries.len() { "," } else { "" };
         let _ = writeln!(
             out,
-            "        \"{}\": {{ \"count\": {}, \"mean\": {}, \"std_dev\": {}, \"min\": {}, \"max\": {} }}{comma}",
-            json_escape(name),
+            "        {}: {{ \"count\": {}, \"mean\": {}, \"std_dev\": {}, \"min\": {}, \"max\": {} }}{comma}",
+            quoted(name),
             stats.count(),
-            json_num(stats.mean()),
-            json_num(stats.std_dev()),
-            json_num(stats.min()),
-            json_num(stats.max()),
+            number(stats.mean()),
+            number(stats.std_dev()),
+            number(stats.min()),
+            number(stats.max()),
         );
     }
     let _ = writeln!(out, "      }}");
@@ -624,7 +604,7 @@ pub fn write_trace_files(runs: &[SweepRun], dir: &Path) -> std::io::Result<usize
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::parse_json;
+    use leaky_codec::json::{parse, Json};
 
     #[test]
     fn unified_renderings_are_jobs_invariant() {
@@ -637,26 +617,22 @@ mod tests {
     #[test]
     fn json_document_parses_and_carries_cells() {
         let runs = vec![run_by_name("rng_stream_grid", true, 2)];
-        let doc = parse_json(&render_json_document(&runs)).expect("valid JSON");
+        let doc = parse(&render_json_document(&runs)).expect("valid JSON");
         assert_eq!(
-            doc.get("schema").and_then(|s| match s {
-                crate::perf::Json::Str(s) => Some(s.as_str()),
-                _ => None,
-            }),
+            doc.get("schema").and_then(Json::as_str),
             Some("leaky-frontends/sweep/v1")
         );
-        let crate::perf::Json::Arr(sweeps) = doc.get("sweeps").expect("sweeps") else {
-            panic!("sweeps must be an array");
-        };
-        let crate::perf::Json::Arr(cells) = sweeps[0].get("cells").expect("cells") else {
-            panic!("cells must be an array");
-        };
+        let sweeps = doc.get("sweeps").and_then(Json::as_array).expect("sweeps");
+        let cells = sweeps[0]
+            .get("cells")
+            .and_then(Json::as_array)
+            .expect("cells");
         assert_eq!(cells.len(), 8);
         let mean = sweeps[0]
             .get("summary")
             .and_then(|s| s.get("mean"))
             .and_then(|m| m.get("mean"))
-            .and_then(crate::perf::Json::as_num)
+            .and_then(Json::as_num)
             .expect("summary.mean.mean");
         // 8 cells of 512 uniform draws: the grand mean is near 0.5.
         assert!((mean - 0.5).abs() < 0.1, "grand mean {mean} implausible");
@@ -704,13 +680,6 @@ mod tests {
             ),
             "tab3_all_channels_profile=quick_channel=mt-eviction_machine=Gold_6226.csv"
         );
-    }
-
-    #[test]
-    fn json_num_keeps_floats_floaty() {
-        assert_eq!(json_num(2295.0), "2295.0");
-        assert_eq!(json_num(0.5), "0.5");
-        assert_eq!(json_num(850.583), "850.583");
     }
 
     #[test]

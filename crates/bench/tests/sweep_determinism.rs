@@ -53,7 +53,7 @@ fn json_output_is_byte_identical_across_jobs() {
     assert!(ok1 && ok4, "leaky_sweep must exit 0");
     assert_eq!(stdout1, stdout4, "--jobs must not change JSON output");
     // And the bytes must actually be a valid sweep document.
-    let doc = leaky_bench::perf::parse_json(&stdout1).expect("valid JSON");
+    let doc = leaky_codec::json::parse(&stdout1).expect("valid JSON");
     assert!(doc.get("sweeps").is_some(), "document has a sweeps array");
 }
 

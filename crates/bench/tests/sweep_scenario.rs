@@ -242,6 +242,52 @@ fn invalid_d_values_are_rejected_at_load_time() {
 }
 
 #[test]
+fn control_characters_in_a_title_still_yield_valid_json() {
+    // The TOML subset passes a raw tab through a string value; the
+    // sweep/v1 writer must escape it (and the quote) or the document is
+    // not JSON.
+    let title = "Tab\there \"quoted\" → ok";
+    let text = std::fs::read_to_string(scenarios_dir().join("tab3_riscv.toml"))
+        .expect("committed bundle")
+        .replace(
+            "title = \"Table III rates across ISAs and core classes (Xeon E-2288G, SMT off), \
+             alternating message\"",
+            "title = \"Tab\there \\\"quoted\\\" → ok\"",
+        );
+    assert!(text.contains('\t'), "title replacement must apply");
+    let dir = std::env::temp_dir().join(format!("leaky_scenario_tab_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("tab3_riscv.toml");
+    std::fs::write(&path, &text).expect("write temp scenario");
+    let out = sweep(
+        &[
+            "--scenario",
+            path.to_str().expect("utf-8 path"),
+            "--profile-dir",
+            "scenarios",
+            "--quick",
+            "--format",
+            "json",
+        ],
+        "1",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert!(out.status.success(), "scenario sweep must exit 0");
+    let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
+    let doc = leaky_codec::json::parse(&stdout).expect("sweep/v1 output is valid JSON");
+    let sweeps = doc
+        .get("sweeps")
+        .and_then(leaky_codec::json::Json::as_array)
+        .expect("sweeps array");
+    assert_eq!(
+        sweeps[0]
+            .get("title")
+            .and_then(leaky_codec::json::Json::as_str),
+        Some(title)
+    );
+}
+
+#[test]
 fn scenario_sweeps_resume_from_the_store() {
     // A loaded bundle runs through the same store/resume machinery as
     // the compiled-in sweeps: second run serves every cell from cache.

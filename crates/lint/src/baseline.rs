@@ -7,13 +7,16 @@
 //! themselves line-free, so a pin survives reformatting but dies the
 //! moment the finding's substance changes.
 //!
-//! The format is hand-rolled line-oriented JSON, like every other
-//! artifact in this workspace (no dependencies, byte-stable output, one
-//! finding per line so diffs review well).
+//! The document is JSON written and read through `leaky_codec` like
+//! every other artifact in this workspace: byte-stable output with one
+//! finding per line so diffs review well, read back by the strict
+//! reader.
 
 use std::collections::BTreeSet;
 
-use crate::diag::{json_escape, Diagnostic};
+use leaky_codec::json::{self, quoted, Json};
+
+use crate::diag::Diagnostic;
 
 /// Schema tag of the baseline document.
 pub const BASELINE_SCHEMA: &str = "leaky-frontends/lint-baseline/v1";
@@ -66,38 +69,32 @@ impl Baseline {
     ///
     /// # Errors
     ///
-    /// A description of the first malformed construct: wrong or missing
-    /// schema tag, or an entry line missing one of the three keys.
+    /// A description of the first malformed construct: invalid JSON, a
+    /// wrong or missing schema tag, or a finding missing one of the three
+    /// string keys.
     pub fn parse(text: &str) -> Result<Baseline, String> {
-        let schema_ok = text
-            .lines()
-            .any(|l| read_string_value(l, "schema").as_deref() == Some(BASELINE_SCHEMA));
-        if !schema_ok {
+        let doc = json::parse(text).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
+        if doc.get("schema").and_then(Json::as_str) != Some(BASELINE_SCHEMA) {
             return Err(format!(
                 "baseline has no \"schema\": \"{BASELINE_SCHEMA}\" tag (wrong or outdated file?)"
             ));
         }
+        let findings = doc
+            .get("findings")
+            .and_then(Json::as_array)
+            .ok_or("baseline has no \"findings\" array")?;
         let mut entries = BTreeSet::new();
-        for (idx, line) in text.lines().enumerate() {
-            if !line.contains("\"file\"") {
-                continue;
-            }
-            let entry = (
-                read_string_value(line, "file"),
-                read_string_value(line, "rule"),
-                read_string_value(line, "message"),
-            );
-            match entry {
-                (Some(file), Some(rule), Some(message)) => {
-                    entries.insert((file, rule, message));
-                }
-                _ => {
-                    return Err(format!(
-                        "baseline line {}: expected \"file\", \"rule\" and \"message\" keys",
-                        idx + 1
-                    ));
-                }
-            }
+        for (idx, finding) in findings.iter().enumerate() {
+            let key = |k| finding.get(k).and_then(Json::as_str).map(str::to_string);
+            let (Some(file), Some(rule), Some(message)) =
+                (key("file"), key("rule"), key("message"))
+            else {
+                return Err(format!(
+                    "baseline finding {}: expected string \"file\", \"rule\" and \"message\" keys",
+                    idx + 1
+                ));
+            };
+            entries.insert((file, rule, message));
         }
         Ok(Baseline { entries })
     }
@@ -109,17 +106,15 @@ impl Baseline {
             .iter()
             .map(|d| (d.file.as_str(), d.rule, d.message.as_str()))
             .collect();
-        let mut out = String::new();
-        out.push_str(&format!("{{\n  \"schema\": \"{BASELINE_SCHEMA}\",\n"));
-        out.push_str("  \"findings\": [\n");
+        let mut out = format!("{{\n  \"schema\": \"{BASELINE_SCHEMA}\",\n  \"findings\": [\n");
         let rows: Vec<String> = entries
             .iter()
             .map(|(file, rule, message)| {
                 format!(
-                    "    {{\"file\": \"{}\", \"rule\": \"{}\", \"message\": \"{}\"}}",
-                    json_escape(file),
-                    json_escape(rule),
-                    json_escape(message)
+                    "    {{\"file\": {}, \"rule\": {}, \"message\": {}}}",
+                    quoted(file),
+                    quoted(rule),
+                    quoted(message)
                 )
             })
             .collect();
@@ -130,39 +125,6 @@ impl Baseline {
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-/// Reads the JSON string value of `"key"` on `line`, unescaping the
-/// standard escapes. Returns `None` when the key or a well-formed quoted
-/// value is absent.
-fn read_string_value(line: &str, key: &str) -> Option<String> {
-    let needle = format!("\"{key}\"");
-    let at = line.find(&needle)? + needle.len();
-    let rest = line[at..].trim_start();
-    let rest = rest.strip_prefix(':')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'n' => out.push('\n'),
-                't' => out.push('\t'),
-                'r' => out.push('\r'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    let code = u32::from_str_radix(&hex, 16).ok()?;
-                    out.push(char::from_u32(code)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-    None
 }
 
 #[cfg(test)]
@@ -198,6 +160,23 @@ mod tests {
     }
 
     #[test]
+    fn committed_arrow_pins_survive_render_and_parse() {
+        // A pin as committed in lint-baseline.json: its `→` call path must
+        // decode as UTF-8, not byte by byte, or the pin stops matching.
+        let pin = diag(
+            "crates/exp/src/fault.rs",
+            "panic-path",
+            "pub fn `FaultPlan::with` lacks a `# Panics` doc but can reach a panic: \
+             FaultPlan::with → OrderedCollector::insert (documented `# Panics`); document \
+             the contract on the entry point or break the path",
+        );
+        let parsed =
+            Baseline::parse(&Baseline::render(std::slice::from_ref(&pin))).expect("round trip");
+        assert!(parsed.contains(&pin));
+        assert!(parsed.stale(&[pin]).is_empty());
+    }
+
+    #[test]
     fn schema_tag_is_mandatory() {
         assert!(Baseline::parse("{}").is_err());
         let wrong =
@@ -205,5 +184,9 @@ mod tests {
         assert!(Baseline::parse(wrong).is_err());
         let empty = Baseline::render(&[]);
         assert!(Baseline::parse(&empty).expect("empty ok").is_empty());
+        let keyless = empty.replace("[\n  ]", "[{\"file\": \"a.rs\", \"rule\": \"x\"}]");
+        assert!(Baseline::parse(&keyless)
+            .unwrap_err()
+            .starts_with("baseline finding 1:"));
     }
 }

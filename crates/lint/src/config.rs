@@ -56,7 +56,7 @@ impl Default for LintConfig {
     fn default() -> Self {
         LintConfig {
             determinism_crates: vec![
-                "exp", "bench", "stats", "core", "store", "trace", "lint", "scenario",
+                "exp", "bench", "stats", "core", "store", "trace", "lint", "scenario", "codec",
             ],
             key_pairs: vec![
                 KeyPair {

@@ -1,6 +1,7 @@
 //! Diagnostics: what a rule reports and how it renders — human text and
 //! the stable machine-readable JSON document.
 
+use leaky_codec::json::quoted;
 use std::fmt;
 
 /// Schema tag of the `--format json` diagnostics document.
@@ -42,24 +43,6 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// Escapes `s` as a JSON string body (no surrounding quotes): the hand-
-/// rolled mirror of the workspace's dependency-free JSON writers.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the full diagnostics document for `--format json`: sorted
 /// input in, byte-identical output out. `baselined(d)` marks findings
 /// pinned by the baseline ratchet (they don't fail the run).
@@ -72,17 +55,16 @@ pub fn render_json(diags: &[Diagnostic], baselined: impl Fn(&Diagnostic) -> bool
             new_count += 1;
         }
         rows.push(format!(
-            "    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\", \
+            "    {{\"file\": {}, \"line\": {}, \"rule\": {}, \"message\": {}, \
              \"baselined\": {}}}",
-            json_escape(&d.file),
+            quoted(&d.file),
             d.line,
-            json_escape(d.rule),
-            json_escape(&d.message),
+            quoted(d.rule),
+            quoted(&d.message),
             pinned
         ));
     }
-    let mut out = String::new();
-    out.push_str(&format!("{{\n  \"schema\": \"{LINT_SCHEMA}\",\n"));
+    let mut out = format!("{{\n  \"schema\": \"{LINT_SCHEMA}\",\n");
     out.push_str(&format!(
         "  \"total\": {}, \"new\": {}, \"baselined\": {},\n",
         diags.len(),
@@ -101,6 +83,7 @@ pub fn render_json(diags: &[Diagnostic], baselined: impl Fn(&Diagnostic) -> bool
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leaky_codec::json::Json;
 
     #[test]
     fn json_document_is_stable_and_escaped() {
@@ -111,7 +94,16 @@ mod tests {
         let json = render_json(&diags, |d| d.rule == "stale-allow");
         assert!(json.starts_with("{\n  \"schema\": \"leaky-frontends/lint/v1\",\n"));
         assert!(json.contains("\"total\": 2, \"new\": 1, \"baselined\": 1"));
-        assert!(json.contains("path \\\"quoted\\\" → deep"));
+        // The document is real JSON: the message survives the strict reader.
+        let doc = leaky_codec::json::parse(&json).expect("lint/v1 parses");
+        let first = &doc
+            .get("diagnostics")
+            .and_then(Json::as_array)
+            .expect("array")[0];
+        assert_eq!(
+            first.get("message").and_then(Json::as_str),
+            Some("path \"quoted\" → deep")
+        );
         assert!(json.contains("\"baselined\": true"));
         assert_eq!(json, render_json(&diags, |d| d.rule == "stale-allow"));
         let empty = render_json(&[], |_| false);

@@ -17,9 +17,10 @@
 //!
 //! * the `provenance` line is present only when the measurement carried
 //!   channel provenance; `metric` lines repeat, in measurement order;
-//! * metric values are the **exact** IEEE-754 bit pattern (the decimal
-//!   third field is informational only), so a cached cell renders
-//!   byte-identically to a recomputed one;
+//! * fingerprint, metric values and checksum are [`leaky_codec::token`]
+//!   hex tokens; a metric value is its **exact** IEEE-754 bit pattern
+//!   (the decimal third field is informational only), so a cached cell
+//!   renders byte-identically to a recomputed one;
 //! * the optional `telemetry` block (v2) persists the cell's trace via
 //!   [`leaky_trace::codec`], floats again as exact bit patterns, so a
 //!   resumed `--trace` sweep serves cached cells *with* telemetry;
@@ -34,6 +35,7 @@
 //! other damage. The code fingerprint folds in [`FORMAT_VERSION`], so
 //! such an entry could never have been served anyway.
 
+use leaky_codec::token::{hex, hex_f64, parse_hex, parse_hex_f64};
 use leaky_trace::Telemetry;
 use leaky_uarch::Fnv1a;
 use std::fmt;
@@ -160,7 +162,7 @@ impl Entry {
         body.push_str("key ");
         body.push_str(&self.key);
         body.push('\n');
-        body.push_str(&format!("fingerprint 0x{:016x}\n", self.fingerprint));
+        body.push_str(&format!("fingerprint {}\n", hex(self.fingerprint)));
         match &self.outcome {
             StoredOutcome::Unsupported => body.push_str("outcome unsupported\n"),
             StoredOutcome::Measured {
@@ -181,9 +183,9 @@ impl Entry {
                 for m in metrics {
                     check_field(&m.name, "metric name", true)?;
                     body.push_str(&format!(
-                        "metric {}\t0x{:016x}\t{}\n",
+                        "metric {}\t{}\t{}\n",
                         m.name,
-                        m.value.to_bits(),
+                        hex_f64(m.value),
                         m.value
                     ));
                 }
@@ -193,7 +195,7 @@ impl Entry {
             }
         }
         let checksum = fnv64(body.as_bytes());
-        body.push_str(&format!("checksum 0x{checksum:016x}\n"));
+        body.push_str(&format!("checksum {}\n", hex(checksum)));
         Ok(body)
     }
 
@@ -211,8 +213,8 @@ impl Entry {
             None => return Err(EntryError::MissingField("checksum")),
         };
         let claimed = checksum_line
-            .strip_prefix("checksum 0x")
-            .and_then(|v| u64::from_str_radix(v, 16).ok())
+            .strip_prefix("checksum ")
+            .and_then(parse_hex)
             .ok_or(EntryError::MissingField("checksum"))?;
         let body = &text[..body_end];
         if fnv64(body.as_bytes()) != claimed {
@@ -231,8 +233,8 @@ impl Entry {
             .to_string();
         let fingerprint = lines
             .next()
-            .and_then(|l| l.strip_prefix("fingerprint 0x"))
-            .and_then(|v| u64::from_str_radix(v, 16).ok())
+            .and_then(|l| l.strip_prefix("fingerprint "))
+            .and_then(parse_hex)
             .ok_or(EntryError::MissingField("fingerprint"))?;
         let outcome_kind = lines
             .next()
@@ -279,20 +281,16 @@ impl Entry {
                     } else if let Some(rest) = line.strip_prefix("metric ") {
                         let mut parts = rest.splitn(3, '\t');
                         let name = parts.next().unwrap_or_default().to_string();
-                        let bits = parts
+                        let value = parts
                             .next()
-                            .and_then(|v| v.strip_prefix("0x"))
-                            .and_then(|v| u64::from_str_radix(v, 16).ok())
+                            .and_then(parse_hex_f64)
                             .ok_or(EntryError::Malformed("metric value"))?;
                         // The third (decimal) field is informational; its
                         // integrity is still covered by the checksum.
                         if parts.next().is_none() {
                             return Err(EntryError::Malformed("metric line"));
                         }
-                        metrics.push(StoredMetric {
-                            name,
-                            value: f64::from_bits(bits),
-                        });
+                        metrics.push(StoredMetric { name, value });
                     } else {
                         return Err(EntryError::Malformed("entry line"));
                     }

@@ -3,8 +3,8 @@
 //! The store persists every cell's measurement as a line-oriented,
 //! checksummed text entry; this module extends that grammar with a
 //! telemetry block so `--resume` can serve cached cells *with* their
-//! traces. Floats are encoded as `0x`-prefixed IEEE-754 bit patterns
-//! (the CSV renderings in [`crate::event`] / [`crate::summary`] are
+//! traces. Floats are encoded as their IEEE-754 bit patterns in the
+//! [`leaky_codec::token`] hex form (the CSV renderings in [`crate::event`] / [`crate::summary`] are
 //! decimal and lossy, so they cannot round-trip), which makes
 //! `decode(encode(t)) == t` exact for every value including NaN, ±inf
 //! and -0.0.
@@ -33,6 +33,7 @@ use crate::event::{Source, TraceEvent, UnlockReason};
 use crate::hook::TraceMode;
 use crate::summary::StallSummary;
 use crate::telemetry::Telemetry;
+use leaky_codec::token::{hex_f64, parse_hex_f64};
 use leaky_stats::OnlineStats;
 
 /// Why a telemetry block failed to decode.
@@ -53,18 +54,14 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-fn hex(v: f64) -> String {
-    format!("0x{:016x}", v.to_bits())
-}
-
 fn push_hist(out: &mut String, name: &str, w: &OnlineStats) {
     let (count, mean, m2, min, max) = w.raw_parts();
     out.push_str(&format!(
         "tsum hist {name} {count} {} {} {} {}\n",
-        hex(mean),
-        hex(m2),
-        hex(min),
-        hex(max)
+        hex_f64(mean),
+        hex_f64(m2),
+        hex_f64(min),
+        hex_f64(max)
     ));
 }
 
@@ -82,7 +79,7 @@ pub fn encode(t: &Telemetry) -> String {
             "tsum source {} {} {} {}\n",
             src.label(),
             tot.iterations,
-            hex(tot.cycles),
+            hex_f64(tot.cycles),
             tot.uops
         ));
     }
@@ -109,10 +106,10 @@ pub fn encode(t: &Telemetry) -> String {
     if let Some([zero, one, thr, sep]) = s.last_calibration {
         out.push_str(&format!(
             "tsum calibration {} {} {} {}\n",
-            hex(zero),
-            hex(one),
-            hex(thr),
-            hex(sep)
+            hex_f64(zero),
+            hex_f64(one),
+            hex_f64(thr),
+            hex_f64(sep)
         ));
     }
     for e in &t.events {
@@ -142,9 +139,9 @@ fn encode_event(e: &TraceEvent) -> String {
             "tev iteration {thread} {} {weight} {} {lsd_uops} {dsb_uops} {mite_uops} {} {} \
              {dsb_to_mite_switches} {dsb_evictions} {lsd_flushes} {l1i_misses}",
             source.label(),
-            hex(*cycles),
-            hex(*lcp_stall_cycles),
-            hex(*switch_penalty_cycles)
+            hex_f64(*cycles),
+            hex_f64(*lcp_stall_cycles),
+            hex_f64(*switch_penalty_cycles)
         ),
         TraceEvent::SourceSwitch {
             thread,
@@ -155,7 +152,7 @@ fn encode_event(e: &TraceEvent) -> String {
             "tev source_switch {thread} {} {} {}",
             from.label(),
             to.label(),
-            hex(*penalty_cycles)
+            hex_f64(*penalty_cycles)
         ),
         TraceEvent::LsdLock {
             thread,
@@ -166,12 +163,12 @@ fn encode_event(e: &TraceEvent) -> String {
             format!("tev lsd_unlock {thread} {}", reason.label())
         }
         TraceEvent::LsdFlushPenalty { thread, cycles } => {
-            format!("tev lsd_flush_penalty {thread} {}", hex(*cycles))
+            format!("tev lsd_flush_penalty {thread} {}", hex_f64(*cycles))
         }
         TraceEvent::LcpStall {
             thread,
             stall_cycles,
-        } => format!("tev lcp_stall {thread} {}", hex(*stall_cycles)),
+        } => format!("tev lcp_stall {thread} {}", hex_f64(*stall_cycles)),
         TraceEvent::Calibration {
             zero_mean,
             one_mean,
@@ -179,14 +176,18 @@ fn encode_event(e: &TraceEvent) -> String {
             separation,
         } => format!(
             "tev calibration {} {} {} {}",
-            hex(*zero_mean),
-            hex(*one_mean),
-            hex(*threshold),
-            hex(*separation)
+            hex_f64(*zero_mean),
+            hex_f64(*one_mean),
+            hex_f64(*threshold),
+            hex_f64(*separation)
         ),
         TraceEvent::CalibrationFailed => "tev calibration_failed".to_string(),
         TraceEvent::ChannelMeasure { sent, value } => {
-            format!("tev channel_measure {} {}", u8::from(*sent), hex(*value))
+            format!(
+                "tev channel_measure {} {}",
+                u8::from(*sent),
+                hex_f64(*value)
+            )
         }
         TraceEvent::BitDecoded {
             index,
@@ -198,7 +199,7 @@ fn encode_event(e: &TraceEvent) -> String {
             "tev bit_decoded {index} {} {} {} {resamples}",
             u8::from(*sent),
             u8::from(*received),
-            hex(*value)
+            hex_f64(*value)
         ),
         TraceEvent::SessionStart { bits } => format!("tev session_start {bits}"),
         TraceEvent::SessionEnd { bits, errors } => {
@@ -211,63 +212,64 @@ fn malformed(reason: impl Into<String>) -> CodecError {
     CodecError::Malformed(reason.into())
 }
 
-fn parse_u64(tok: &str, what: &str) -> Result<u64, CodecError> {
-    tok.parse::<u64>()
-        .map_err(|_| malformed(format!("bad {what} {tok:?}")))
-}
+/// The space-separated fields of one line, read left to right. Each
+/// read names the field it expects, so a decode error says which one
+/// was missing or bad.
+struct Fields<'a>(std::str::Split<'a, char>);
 
-fn parse_u32(tok: &str, what: &str) -> Result<u32, CodecError> {
-    tok.parse::<u32>()
-        .map_err(|_| malformed(format!("bad {what} {tok:?}")))
-}
-
-fn parse_u8(tok: &str, what: &str) -> Result<u8, CodecError> {
-    tok.parse::<u8>()
-        .map_err(|_| malformed(format!("bad {what} {tok:?}")))
-}
-
-fn parse_f64(tok: &str, what: &str) -> Result<f64, CodecError> {
-    let digits = tok
-        .strip_prefix("0x")
-        .ok_or_else(|| malformed(format!("bad {what} {tok:?}: missing 0x")))?;
-    let bits =
-        u64::from_str_radix(digits, 16).map_err(|_| malformed(format!("bad {what} {tok:?}")))?;
-    Ok(f64::from_bits(bits))
-}
-
-fn parse_bool(tok: &str, what: &str) -> Result<bool, CodecError> {
-    match tok {
-        "0" => Ok(false),
-        "1" => Ok(true),
-        _ => Err(malformed(format!("bad {what} {tok:?}"))),
+impl<'a> Fields<'a> {
+    fn new(line: &'a str) -> Self {
+        Fields(line.split(' '))
     }
-}
 
-fn parse_source(tok: &str) -> Result<Source, CodecError> {
-    Source::ALL
-        .into_iter()
-        .find(|s| s.label() == tok)
-        .ok_or_else(|| malformed(format!("unknown source {tok:?}")))
-}
-
-fn parse_reason(tok: &str) -> Result<UnlockReason, CodecError> {
-    UnlockReason::ALL
-        .into_iter()
-        .find(|r| r.label() == tok)
-        .ok_or_else(|| malformed(format!("unknown unlock reason {tok:?}")))
-}
-
-fn parse_hist(fields: &[&str]) -> Result<OnlineStats, CodecError> {
-    if fields.len() != 5 {
-        return Err(malformed("hist line needs 5 fields"));
+    fn tok(&mut self, what: &str) -> Result<&'a str, CodecError> {
+        self.0
+            .next()
+            .ok_or_else(|| malformed(format!("missing {what}")))
     }
-    Ok(OnlineStats::from_raw_parts(
-        parse_u64(fields[0], "hist count")?,
-        parse_f64(fields[1], "hist mean")?,
-        parse_f64(fields[2], "hist m2")?,
-        parse_f64(fields[3], "hist min")?,
-        parse_f64(fields[4], "hist max")?,
-    ))
+
+    fn int<T: std::str::FromStr>(&mut self, what: &str) -> Result<T, CodecError> {
+        let tok = self.tok(what)?;
+        tok.parse()
+            .map_err(|_| malformed(format!("bad {what} {tok:?}")))
+    }
+
+    fn float(&mut self, what: &str) -> Result<f64, CodecError> {
+        let tok = self.tok(what)?;
+        parse_hex_f64(tok).ok_or_else(|| malformed(format!("bad {what} {tok:?}")))
+    }
+
+    fn flag(&mut self, what: &str) -> Result<bool, CodecError> {
+        match self.tok(what)? {
+            "0" => Ok(false),
+            "1" => Ok(true),
+            tok => Err(malformed(format!("bad {what} {tok:?}"))),
+        }
+    }
+
+    fn source(&mut self) -> Result<Source, CodecError> {
+        let tok = self.tok("source")?;
+        Source::ALL
+            .into_iter()
+            .find(|s| s.label() == tok)
+            .ok_or_else(|| malformed(format!("unknown source {tok:?}")))
+    }
+
+    fn reason(&mut self) -> Result<UnlockReason, CodecError> {
+        let tok = self.tok("unlock reason")?;
+        UnlockReason::ALL
+            .into_iter()
+            .find(|r| r.label() == tok)
+            .ok_or_else(|| malformed(format!("unknown unlock reason {tok:?}")))
+    }
+
+    /// `value`, provided every field was consumed.
+    fn end<T>(mut self, value: T) -> Result<T, CodecError> {
+        match self.0.next() {
+            None => Ok(value),
+            Some(tok) => Err(malformed(format!("unexpected field {tok:?}"))),
+        }
+    }
 }
 
 /// Decodes a telemetry block from its lines (no trailing-newline
@@ -279,246 +281,184 @@ fn parse_hist(fields: &[&str]) -> Result<OnlineStats, CodecError> {
 ///
 /// [`CodecError::Malformed`] on any deviation from the grammar.
 pub fn decode(lines: &[&str]) -> Result<Telemetry, CodecError> {
-    let mut it = lines.iter();
+    let mut it = lines.iter().peekable();
     let header = it.next().ok_or_else(|| malformed("empty block"))?;
-    let mode_label = header
-        .strip_prefix("telemetry ")
-        .ok_or_else(|| malformed(format!("bad header {header:?}")))?;
-    let mode = match mode_label {
-        "summary" => TraceMode::Summary,
-        "events" => TraceMode::Events,
-        other => return Err(malformed(format!("unknown trace mode {other:?}"))),
+    let mode = match header.strip_prefix("telemetry ") {
+        Some("summary") => TraceMode::Summary,
+        Some("events") => TraceMode::Events,
+        _ => return Err(malformed(format!("bad header {header:?}"))),
     };
 
-    let mut summary = StallSummary::new();
-    let mut next_summary_line = |want: &str| -> Result<Vec<&str>, CodecError> {
+    // The fixed summary lines, in encode order: `tsum <tag> <fields...>`.
+    let mut tsum = |tag: &str| -> Result<Fields, CodecError> {
         let line = it
             .next()
-            .ok_or_else(|| malformed(format!("missing {want} line")))?;
-        let rest = line
-            .strip_prefix("tsum ")
-            .ok_or_else(|| malformed(format!("expected tsum {want}, got {line:?}")))?;
-        let toks: Vec<&str> = rest.split(' ').collect();
-        if toks.first() != Some(&want) {
-            return Err(malformed(format!("expected tsum {want}, got {line:?}")));
+            .ok_or_else(|| malformed(format!("missing tsum {tag} line")))?;
+        let mut f = Fields::new(line);
+        if f.tok("tsum")? != "tsum" || f.tok(tag)? != tag {
+            return Err(malformed(format!("expected tsum {tag}, got {line:?}")));
         }
-        Ok(toks[1..].to_vec())
+        Ok(f)
     };
-
-    let toks = next_summary_line("iterations")?;
-    if toks.len() != 1 {
-        return Err(malformed("iterations line needs 1 field"));
-    }
-    summary.iterations = parse_u64(toks[0], "iterations")?;
-
+    let mut s = StallSummary::new();
+    let mut f = tsum("iterations")?;
+    s.iterations = f.int("iterations")?;
+    f.end(())?;
     for src in Source::ALL {
-        let toks = next_summary_line("source")?;
-        if toks.len() != 4 {
-            return Err(malformed("source line needs 4 fields"));
-        }
-        if toks[0] != src.label() {
+        let mut f = tsum("source")?;
+        if f.source()? != src {
             return Err(malformed(format!(
-                "source lines out of order: expected {}, got {}",
-                src.label(),
-                toks[0]
+                "source lines out of order: expected {}",
+                src.label()
             )));
         }
-        let tot = &mut summary.per_source[src.index()];
-        tot.iterations = parse_u64(toks[1], "source iterations")?;
-        tot.cycles = parse_f64(toks[2], "source cycles")?;
-        tot.uops = parse_u64(toks[3], "source uops")?;
+        let tot = &mut s.per_source[src.index()];
+        tot.iterations = f.int("source iterations")?;
+        tot.cycles = f.float("source cycles")?;
+        tot.uops = f.int("source uops")?;
+        f.end(())?;
     }
-
-    for name in ["iteration_cycles", "lcp_stall", "switch_stall"] {
-        let toks = next_summary_line("hist")?;
-        if toks.first() != Some(&name) {
+    for (name, hist) in [
+        ("iteration_cycles", &mut s.iteration_cycles),
+        ("lcp_stall", &mut s.lcp_stall),
+        ("switch_stall", &mut s.switch_stall),
+    ] {
+        let mut f = tsum("hist")?;
+        if f.tok("hist name")? != name {
             return Err(malformed(format!(
                 "hist lines out of order: expected {name}"
             )));
         }
-        let hist = parse_hist(&toks[1..])?;
-        match name {
-            "iteration_cycles" => summary.iteration_cycles = hist,
-            "lcp_stall" => summary.lcp_stall = hist,
-            _ => summary.switch_stall = hist,
-        }
+        *hist = OnlineStats::from_raw_parts(
+            f.int("hist count")?,
+            f.float("hist mean")?,
+            f.float("hist m2")?,
+            f.float("hist min")?,
+            f.float("hist max")?,
+        );
+        f.end(())?;
     }
+    let mut f = tsum("unlocks")?;
+    for slot in &mut s.lsd_unlocks {
+        *slot = f.int("unlock count")?;
+    }
+    f.end(())?;
+    let mut f = tsum("counters")?;
+    for slot in [
+        &mut s.lsd_locks,
+        &mut s.lsd_flushes,
+        &mut s.dsb_evictions,
+        &mut s.l1i_misses,
+        &mut s.channel_measures,
+        &mut s.calibrations,
+        &mut s.failed_calibrations,
+        &mut s.bits,
+        &mut s.bit_errors,
+        &mut s.resamples,
+    ] {
+        *slot = f.int("counter")?;
+    }
+    f.end(())?;
 
-    let toks = next_summary_line("unlocks")?;
-    if toks.len() != 4 {
-        return Err(malformed("unlocks line needs 4 fields"));
+    if let Some(cal) = it.peek().and_then(|l| l.strip_prefix("tsum calibration ")) {
+        let mut f = Fields::new(cal);
+        s.last_calibration = Some([
+            f.float("calibration zero_mean")?,
+            f.float("calibration one_mean")?,
+            f.float("calibration threshold")?,
+            f.float("calibration separation")?,
+        ]);
+        f.end(())?;
+        it.next();
     }
-    for (slot, tok) in summary.lsd_unlocks.iter_mut().zip(&toks) {
-        *slot = parse_u64(tok, "unlock count")?;
-    }
-
-    let toks = next_summary_line("counters")?;
-    if toks.len() != 10 {
-        return Err(malformed("counters line needs 10 fields"));
-    }
-    summary.lsd_locks = parse_u64(toks[0], "lsd_locks")?;
-    summary.lsd_flushes = parse_u64(toks[1], "lsd_flushes")?;
-    summary.dsb_evictions = parse_u64(toks[2], "dsb_evictions")?;
-    summary.l1i_misses = parse_u64(toks[3], "l1i_misses")?;
-    summary.channel_measures = parse_u64(toks[4], "channel_measures")?;
-    summary.calibrations = parse_u64(toks[5], "calibrations")?;
-    summary.failed_calibrations = parse_u64(toks[6], "failed_calibrations")?;
-    summary.bits = parse_u64(toks[7], "bits")?;
-    summary.bit_errors = parse_u64(toks[8], "bit_errors")?;
-    summary.resamples = parse_u64(toks[9], "resamples")?;
-
-    let mut events = Vec::new();
-    let rest: Vec<&str> = it.copied().collect();
-    let mut rest_it = rest.iter().peekable();
-    if let Some(line) = rest_it.peek() {
-        if let Some(cal) = line.strip_prefix("tsum calibration ") {
-            let toks: Vec<&str> = cal.split(' ').collect();
-            if toks.len() != 4 {
-                return Err(malformed("calibration line needs 4 fields"));
+    let events = it
+        .map(|line| {
+            let rest = line
+                .strip_prefix("tev ")
+                .or_else(|| (*line == "tev").then_some(""))
+                .ok_or_else(|| malformed(format!("expected tev line, got {line:?}")))?;
+            if mode != TraceMode::Events {
+                return Err(malformed("event lines in a summary-mode block"));
             }
-            summary.last_calibration = Some([
-                parse_f64(toks[0], "calibration zero_mean")?,
-                parse_f64(toks[1], "calibration one_mean")?,
-                parse_f64(toks[2], "calibration threshold")?,
-                parse_f64(toks[3], "calibration separation")?,
-            ]);
-            rest_it.next();
-        }
-    }
-    for line in rest_it {
-        let rest = line
-            .strip_prefix("tev ")
-            .or_else(|| (*line == "tev").then_some(""))
-            .ok_or_else(|| malformed(format!("expected tev line, got {line:?}")))?;
-        if mode != TraceMode::Events {
-            return Err(malformed("event lines in a summary-mode block"));
-        }
-        events.push(decode_event(rest)?);
-    }
+            decode_event(rest)
+        })
+        .collect::<Result<_, _>>()?;
     Ok(Telemetry {
         mode,
-        summary,
+        summary: s,
         events,
     })
 }
 
 fn decode_event(rest: &str) -> Result<TraceEvent, CodecError> {
-    let toks: Vec<&str> = rest.split(' ').collect();
-    let (kind, f) = toks
-        .split_first()
-        .ok_or_else(|| malformed("empty event line"))?;
-    let arity = |n: usize| -> Result<(), CodecError> {
-        if f.len() == n {
-            Ok(())
-        } else {
-            Err(malformed(format!(
-                "event {kind} needs {n} fields, got {}",
-                f.len()
-            )))
-        }
-    };
-    Ok(match *kind {
-        "iteration" => {
-            arity(13)?;
-            TraceEvent::Iteration {
-                thread: parse_u8(f[0], "thread")?,
-                source: parse_source(f[1])?,
-                weight: parse_u64(f[2], "weight")?,
-                cycles: parse_f64(f[3], "cycles")?,
-                lsd_uops: parse_u64(f[4], "lsd_uops")?,
-                dsb_uops: parse_u64(f[5], "dsb_uops")?,
-                mite_uops: parse_u64(f[6], "mite_uops")?,
-                lcp_stall_cycles: parse_f64(f[7], "lcp_stall_cycles")?,
-                switch_penalty_cycles: parse_f64(f[8], "switch_penalty_cycles")?,
-                dsb_to_mite_switches: parse_u64(f[9], "dsb_to_mite_switches")?,
-                dsb_evictions: parse_u64(f[10], "dsb_evictions")?,
-                lsd_flushes: parse_u64(f[11], "lsd_flushes")?,
-                l1i_misses: parse_u64(f[12], "l1i_misses")?,
-            }
-        }
-        "source_switch" => {
-            arity(4)?;
-            TraceEvent::SourceSwitch {
-                thread: parse_u8(f[0], "thread")?,
-                from: parse_source(f[1])?,
-                to: parse_source(f[2])?,
-                penalty_cycles: parse_f64(f[3], "penalty_cycles")?,
-            }
-        }
-        "lsd_lock" => {
-            arity(3)?;
-            TraceEvent::LsdLock {
-                thread: parse_u8(f[0], "thread")?,
-                uops: parse_u32(f[1], "uops")?,
-                lines: parse_u8(f[2], "lines")?,
-            }
-        }
-        "lsd_unlock" => {
-            arity(2)?;
-            TraceEvent::LsdUnlock {
-                thread: parse_u8(f[0], "thread")?,
-                reason: parse_reason(f[1])?,
-            }
-        }
-        "lsd_flush_penalty" => {
-            arity(2)?;
-            TraceEvent::LsdFlushPenalty {
-                thread: parse_u8(f[0], "thread")?,
-                cycles: parse_f64(f[1], "cycles")?,
-            }
-        }
-        "lcp_stall" => {
-            arity(2)?;
-            TraceEvent::LcpStall {
-                thread: parse_u8(f[0], "thread")?,
-                stall_cycles: parse_f64(f[1], "stall_cycles")?,
-            }
-        }
-        "calibration" => {
-            arity(4)?;
-            TraceEvent::Calibration {
-                zero_mean: parse_f64(f[0], "zero_mean")?,
-                one_mean: parse_f64(f[1], "one_mean")?,
-                threshold: parse_f64(f[2], "threshold")?,
-                separation: parse_f64(f[3], "separation")?,
-            }
-        }
-        "calibration_failed" => {
-            arity(0)?;
-            TraceEvent::CalibrationFailed
-        }
-        "channel_measure" => {
-            arity(2)?;
-            TraceEvent::ChannelMeasure {
-                sent: parse_bool(f[0], "sent")?,
-                value: parse_f64(f[1], "value")?,
-            }
-        }
-        "bit_decoded" => {
-            arity(5)?;
-            TraceEvent::BitDecoded {
-                index: parse_u64(f[0], "index")?,
-                sent: parse_bool(f[1], "sent")?,
-                received: parse_bool(f[2], "received")?,
-                value: parse_f64(f[3], "value")?,
-                resamples: parse_u32(f[4], "resamples")?,
-            }
-        }
-        "session_start" => {
-            arity(1)?;
-            TraceEvent::SessionStart {
-                bits: parse_u64(f[0], "bits")?,
-            }
-        }
-        "session_end" => {
-            arity(2)?;
-            TraceEvent::SessionEnd {
-                bits: parse_u64(f[0], "bits")?,
-                errors: parse_u64(f[1], "errors")?,
-            }
-        }
+    let mut f = Fields::new(rest);
+    let event = match f.tok("event kind")? {
+        "iteration" => TraceEvent::Iteration {
+            thread: f.int("thread")?,
+            source: f.source()?,
+            weight: f.int("weight")?,
+            cycles: f.float("cycles")?,
+            lsd_uops: f.int("lsd_uops")?,
+            dsb_uops: f.int("dsb_uops")?,
+            mite_uops: f.int("mite_uops")?,
+            lcp_stall_cycles: f.float("lcp_stall_cycles")?,
+            switch_penalty_cycles: f.float("switch_penalty_cycles")?,
+            dsb_to_mite_switches: f.int("dsb_to_mite_switches")?,
+            dsb_evictions: f.int("dsb_evictions")?,
+            lsd_flushes: f.int("lsd_flushes")?,
+            l1i_misses: f.int("l1i_misses")?,
+        },
+        "source_switch" => TraceEvent::SourceSwitch {
+            thread: f.int("thread")?,
+            from: f.source()?,
+            to: f.source()?,
+            penalty_cycles: f.float("penalty_cycles")?,
+        },
+        "lsd_lock" => TraceEvent::LsdLock {
+            thread: f.int("thread")?,
+            uops: f.int("uops")?,
+            lines: f.int("lines")?,
+        },
+        "lsd_unlock" => TraceEvent::LsdUnlock {
+            thread: f.int("thread")?,
+            reason: f.reason()?,
+        },
+        "lsd_flush_penalty" => TraceEvent::LsdFlushPenalty {
+            thread: f.int("thread")?,
+            cycles: f.float("cycles")?,
+        },
+        "lcp_stall" => TraceEvent::LcpStall {
+            thread: f.int("thread")?,
+            stall_cycles: f.float("stall_cycles")?,
+        },
+        "calibration" => TraceEvent::Calibration {
+            zero_mean: f.float("zero_mean")?,
+            one_mean: f.float("one_mean")?,
+            threshold: f.float("threshold")?,
+            separation: f.float("separation")?,
+        },
+        "calibration_failed" => TraceEvent::CalibrationFailed,
+        "channel_measure" => TraceEvent::ChannelMeasure {
+            sent: f.flag("sent")?,
+            value: f.float("value")?,
+        },
+        "bit_decoded" => TraceEvent::BitDecoded {
+            index: f.int("index")?,
+            sent: f.flag("sent")?,
+            received: f.flag("received")?,
+            value: f.float("value")?,
+            resamples: f.int("resamples")?,
+        },
+        "session_start" => TraceEvent::SessionStart {
+            bits: f.int("bits")?,
+        },
+        "session_end" => TraceEvent::SessionEnd {
+            bits: f.int("bits")?,
+            errors: f.int("errors")?,
+        },
         other => return Err(malformed(format!("unknown event kind {other:?}"))),
-    })
+    };
+    f.end(event)
 }
 
 #[cfg(test)]

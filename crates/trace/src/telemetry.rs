@@ -4,7 +4,8 @@
 use crate::event::{Source, TraceEvent, UnlockReason, CSV_HEADER};
 use crate::hook::TraceMode;
 use crate::summary::StallSummary;
-use leaky_stats::OnlineStats;
+use leaky_codec::json::number;
+use std::fmt::Write as _;
 
 /// Schema tag embedded in every telemetry object, versioned like the
 /// sweep document's `leaky-frontends/sweep/v1`.
@@ -26,30 +27,6 @@ pub struct Telemetry {
     pub events: Vec<TraceEvent>,
 }
 
-// Mirror of the sweep renderer's number formatting: non-finite values
-// have no JSON literal, and integral floats keep a trailing `.1` digit
-// so they read back as floats.
-fn json_num(v: f64) -> String {
-    if !v.is_finite() {
-        "null".to_string()
-    } else if v == v.trunc() && v.abs() < 1e15 {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
-}
-
-fn json_hist(w: &OnlineStats) -> String {
-    format!(
-        "{{\"count\": {}, \"mean\": {}, \"stddev\": {}, \"min\": {}, \"max\": {}}}",
-        w.count(),
-        json_num(w.mean()),
-        json_num(w.std_dev()),
-        json_num(w.min()),
-        json_num(w.max()),
-    )
-}
-
 impl Telemetry {
     /// Renders the telemetry as one inline JSON object (no trailing
     /// newline), a pure function of the trace contents — byte-identical
@@ -57,75 +34,80 @@ impl Telemetry {
     pub fn to_json_inline(&self) -> String {
         let s = &self.summary;
         let mut out = String::with_capacity(1024);
-        out.push_str(&format!(
-            "{{\"schema\": \"{TRACE_SCHEMA}\", \"mode\": \"{}\", ",
-            self.mode.label()
-        ));
-        out.push_str(&format!("\"events\": {}, ", self.events.len()));
-        out.push_str(&format!("\"iterations\": {}, ", s.iterations));
-        out.push_str("\"sources\": {");
+        let _ = write!(
+            out,
+            "{{\"schema\": \"{TRACE_SCHEMA}\", \"mode\": \"{}\", \"events\": {}, \
+             \"iterations\": {}, \"sources\": {{",
+            self.mode.label(),
+            self.events.len(),
+            s.iterations
+        );
         for (i, src) in Source::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
             let t = &s.per_source[src.index()];
-            out.push_str(&format!(
-                "\"{}\": {{\"iterations\": {}, \"cycles\": {}, \"uops\": {}, \
+            let _ = write!(
+                out,
+                "{}\"{}\": {{\"iterations\": {}, \"cycles\": {}, \"uops\": {}, \
                  \"mean_cycles\": {}}}",
+                if i > 0 { ", " } else { "" },
                 src.label(),
                 t.iterations,
-                json_num(t.cycles),
+                number(t.cycles),
                 t.uops,
-                json_num(s.mean_cycles(*src)),
-            ));
+                number(s.mean_cycles(*src)),
+            );
         }
-        out.push_str("}, ");
-        out.push_str(&format!(
-            "\"dsb_mite_gap\": {}, ",
-            json_num(s.dsb_mite_gap())
-        ));
-        out.push_str(&format!(
-            "\"iteration_cycles\": {}, \"lcp_stall\": {}, \"switch_stall\": {}, ",
-            json_hist(&s.iteration_cycles),
-            json_hist(&s.lcp_stall),
-            json_hist(&s.switch_stall),
-        ));
-        out.push_str(&format!("\"lsd_locks\": {}, ", s.lsd_locks));
-        out.push_str("\"lsd_unlocks\": {");
+        let _ = write!(out, "}}, \"dsb_mite_gap\": {}, ", number(s.dsb_mite_gap()));
+        for (name, w) in [
+            ("iteration_cycles", &s.iteration_cycles),
+            ("lcp_stall", &s.lcp_stall),
+            ("switch_stall", &s.switch_stall),
+        ] {
+            let _ = write!(
+                out,
+                "\"{name}\": {{\"count\": {}, \"mean\": {}, \"stddev\": {}, \"min\": {}, \
+                 \"max\": {}}}, ",
+                w.count(),
+                number(w.mean()),
+                number(w.std_dev()),
+                number(w.min()),
+                number(w.max()),
+            );
+        }
+        let _ = write!(out, "\"lsd_locks\": {}, \"lsd_unlocks\": {{", s.lsd_locks);
         for (i, r) in UnlockReason::ALL.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("\"{}\": {}", r.label(), s.lsd_unlocks[r.index()]));
+            let sep = if i > 0 { ", " } else { "" };
+            let _ = write!(out, "{sep}\"{}\": {}", r.label(), s.lsd_unlocks[r.index()]);
         }
-        out.push_str("}, ");
-        out.push_str(&format!(
-            "\"lsd_flushes\": {}, \"dsb_evictions\": {}, \"l1i_misses\": {}, ",
-            s.lsd_flushes, s.dsb_evictions, s.l1i_misses
-        ));
-        out.push_str("\"channel\": {");
-        out.push_str(&format!(
-            "\"measures\": {}, \"calibrations\": {}, \"failed_calibrations\": {}, ",
-            s.channel_measures, s.calibrations, s.failed_calibrations
-        ));
+        let _ = write!(
+            out,
+            "}}, \"lsd_flushes\": {}, \"dsb_evictions\": {}, \"l1i_misses\": {}, \
+             \"channel\": {{\"measures\": {}, \"calibrations\": {}, \"failed_calibrations\": {}, ",
+            s.lsd_flushes,
+            s.dsb_evictions,
+            s.l1i_misses,
+            s.channel_measures,
+            s.calibrations,
+            s.failed_calibrations
+        );
         if let Some([zero, one, thr, sep]) = s.last_calibration {
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 "\"calibration\": {{\"zero_mean\": {}, \"one_mean\": {}, \
                  \"threshold\": {}, \"separation\": {}}}, ",
-                json_num(zero),
-                json_num(one),
-                json_num(thr),
-                json_num(sep),
-            ));
+                number(zero),
+                number(one),
+                number(thr),
+                number(sep),
+            );
         }
-        out.push_str(&format!(
-            "\"bits\": {}, \"bit_errors\": {}, \"error_rate\": {}, \"resamples\": {}",
+        let _ = write!(
+            out,
+            "\"bits\": {}, \"bit_errors\": {}, \"error_rate\": {}, \"resamples\": {}}}}}",
             s.bits,
             s.bit_errors,
-            json_num(s.error_rate()),
+            number(s.error_rate()),
             s.resamples
-        ));
-        out.push_str("}}");
+        );
         out
     }
 
