@@ -275,6 +275,16 @@ impl SetAssocCache {
         &self.lines[base..base + self.lens[set] as usize]
     }
 
+    /// Counts `n` accesses that all hit, without touching contents or LRU
+    /// order. This is exact for repeating an access sequence that has
+    /// just run and hit throughout: every line is still resident, and a
+    /// true-LRU pass of the same all-hit sequence leaves each set's
+    /// lines in the same order it found them.
+    pub fn count_repeated_hits(&mut self, n: u64) {
+        self.stats.accesses += n;
+        self.stats.hits += n;
+    }
+
     /// Running statistics.
     pub fn stats(&self) -> CacheStats {
         self.stats
@@ -413,6 +423,29 @@ mod tests {
             assert!(c.contains_line(i * 64));
         }
         assert_eq!(c.stats().evictions, 1);
+    }
+
+    #[test]
+    fn repeated_hits_match_rerunning_an_all_hit_pass() {
+        // Lines 0, 2, 4 share set 0 of a 2-set, 4-way cache; line 6 is
+        // resident but untouched by the pass.
+        let mut c = SetAssocCache::new(CacheConfig {
+            sets: 2,
+            ways: 4,
+            line_bytes: 64,
+        });
+        for line in [6, 0, 2, 4, 1] {
+            c.access_line(line);
+        }
+        let pass = [2, 0, 2, 4];
+        assert!(pass.iter().all(|&l| c.access_line(l).hit()));
+        let mut rerun = c.clone();
+        assert!(pass.iter().all(|&l| rerun.access_line(l).hit()));
+        c.count_repeated_hits(pass.len() as u64);
+        assert_eq!(c.stats(), rerun.stats());
+        for set in 0..2 {
+            assert_eq!(c.set_lines(set), rerun.set_lines(set));
+        }
     }
 
     #[test]

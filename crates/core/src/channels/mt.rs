@@ -390,7 +390,8 @@ mod tests {
     fn memo_counters_are_pinned() {
         // One seeded 16-bit transmission: both threads of every
         // `run_concurrent` step through the SMT transition memo. The
-        // profile has no LSD, so no step streams.
+        // profile has no LSD, so no step streams. Steps that follow a
+        // same-thread stationary step are repeats, which count as hits.
         let mut ch = MtChannel::with_profile(
             ProcessorModel::gold_6226(),
             MtKind::Eviction,
@@ -405,6 +406,7 @@ mod tests {
             stats,
             leaky_frontend::MemoStats {
                 hits: 37_382,
+                repeats: 26_259,
                 misses: 18,
                 streaming: 0,
                 entries: 18,

@@ -61,13 +61,22 @@ pub struct ThreadWork<'a> {
 /// reproducible from a single seed.
 #[derive(Debug, Clone)]
 pub struct Core {
-    model: ProcessorModel,
     patch: MicrocodePatch,
     frontend: Frontend,
+    timer: Timer,
+    accounts: Accounts,
+}
+
+/// Everything a step is charged to apart from the frontend: clocks,
+/// backend, energy and the scheduling RNG. It is a field of its own so
+/// that [`Core::run_concurrent`]'s step callback can borrow it while
+/// [`Frontend::run_memoized_while`] holds the frontend.
+#[derive(Debug, Clone)]
+struct Accounts {
+    model: ProcessorModel,
     backend: Backend,
     power: PowerModel,
     rapl: Rapl,
-    timer: Timer,
     clock: [f64; 2],
     /// Sibling frontend demand (0..~1) used by the fingerprinting victim
     /// model to modulate SMT sharing.
@@ -87,6 +96,13 @@ pub struct Core {
     /// the new one.
     backend_cache: Vec<((u64, u64), f64)>,
     rng: StdRng,
+}
+
+/// What one run costs its thread: wall cycles and energy.
+#[derive(Debug, Clone, Copy, Default)]
+struct Charge {
+    cycles: f64,
+    joules: f64,
 }
 
 impl Core {
@@ -153,24 +169,26 @@ impl Core {
     ) -> Self {
         Core {
             frontend: Frontend::new(config),
-            backend: Backend::skylake(),
-            power: PowerModel::gold6226(),
-            rapl: Rapl::new(seed ^ 0x9e37_79b9),
             timer: Timer::new(NoiseModel::with_sigma(model.timing_noise_sigma), seed),
-            clock: [0.0, 0.0],
-            sibling_demand: [0.0, 0.0],
-            trace_sibling: [false, false],
-            recent_upc: [0.0, 0.0],
-            backend_cache: Vec::new(),
-            rng: StdRng::seed_from_u64(seed ^ 0x5851_f42d),
-            model,
+            accounts: Accounts {
+                backend: Backend::skylake(),
+                power: PowerModel::gold6226(),
+                rapl: Rapl::new(seed ^ 0x9e37_79b9),
+                clock: [0.0, 0.0],
+                sibling_demand: [0.0, 0.0],
+                trace_sibling: [false, false],
+                recent_upc: [0.0, 0.0],
+                backend_cache: Vec::new(),
+                rng: StdRng::seed_from_u64(seed ^ 0x5851_f42d),
+                model,
+            },
             patch,
         }
     }
 
     /// The processor model.
     pub fn model(&self) -> &ProcessorModel {
-        &self.model
+        &self.accounts.model
     }
 
     /// The active microcode patch.
@@ -222,18 +240,17 @@ impl Core {
 
     /// The backend model.
     pub fn backend(&self) -> &Backend {
-        &self.backend
+        &self.accounts.backend
     }
 
     /// Current cycle clock of a thread.
     pub fn clock(&self, tid: ThreadId) -> f64 {
-        self.clock[tid.index()]
+        self.accounts.clock[tid.index()]
     }
 
     /// Wall-clock seconds elapsed (max over thread clocks).
     pub fn seconds(&self) -> f64 {
-        self.model
-            .cycles_to_seconds(self.clock[0].max(self.clock[1]))
+        self.accounts.seconds()
     }
 
     /// Marks a thread active/idle (delegates to the frontend's partition
@@ -246,16 +263,16 @@ impl Core {
     /// modeled (trace-based) victim rather than simulated code.
     pub fn set_sibling_demand(&mut self, tid: ThreadId, demand: f64) {
         assert!((0.0..=4.0).contains(&demand), "demand out of range");
-        self.sibling_demand[tid.index()] = demand;
-        self.trace_sibling[tid.index()] = true;
+        self.accounts.sibling_demand[tid.index()] = demand;
+        self.accounts.trace_sibling[tid.index()] = true;
         self.frontend.set_external_mite_pressure(tid, demand);
     }
 
     /// A noisy `rdtscp` reading for a thread; costs timer overhead cycles.
     pub fn rdtscp(&mut self, tid: ThreadId) -> f64 {
         let overhead = self.frontend.config().costs.timer_overhead;
-        self.clock[tid.index()] += overhead;
-        self.timer.read(self.clock[tid.index()])
+        self.accounts.clock[tid.index()] += overhead;
+        self.timer.read(self.accounts.clock[tid.index()])
     }
 
     /// A low-precision (10 Hz) timer reading for the §XI side channel.
@@ -265,8 +282,9 @@ impl Core {
     /// Panics if the configured timer resolution is not positive
     /// (`Timer::read_low_res`).
     pub fn low_res_time(&mut self, tid: ThreadId) -> f64 {
-        let resolution = self.model.freq_hz() / 10.0;
-        self.timer.read_low_res(self.clock[tid.index()], resolution)
+        let resolution = self.accounts.model.freq_hz() / 10.0;
+        self.timer
+            .read_low_res(self.accounts.clock[tid.index()], resolution)
     }
 
     /// Advances a thread's clock without doing frontend work (spin/sleep).
@@ -277,11 +295,10 @@ impl Core {
     /// (`Rapl::deposit`); simulated costs are non-negative.
     pub fn idle(&mut self, tid: ThreadId, cycles: f64) {
         assert!(cycles >= 0.0, "cannot idle negative cycles");
-        self.clock[tid.index()] += cycles;
-        let dt = self.model.cycles_to_seconds(cycles);
-        let joules = self.power.watts(DeliveryClass::Idle) * dt;
-        let now = self.seconds();
-        self.rapl.deposit(joules, now);
+        let accounts = &mut self.accounts;
+        let dt = accounts.model.cycles_to_seconds(cycles);
+        let joules = accounts.power.watts(DeliveryClass::Idle) * dt;
+        accounts.apply(tid.index(), Charge { cycles, joules });
     }
 
     /// Runs `iterations` of a loop on one thread, advancing its clock and
@@ -293,7 +310,8 @@ impl Core {
     /// (`Rapl::deposit`); simulated costs are non-negative.
     pub fn run_loop(&mut self, tid: ThreadId, chain: &BlockChain, iterations: u64) -> LoopRun {
         let report = self.frontend.run_iterations(tid, chain, iterations);
-        self.finish_run(tid, chain, iterations, report)
+        self.accounts
+            .finish_run(&self.frontend, tid, chain, iterations, report)
     }
 
     /// Runs a single loop iteration (fine-grained driver for channel
@@ -305,16 +323,25 @@ impl Core {
     /// (`Rapl::deposit`); simulated costs are non-negative.
     pub fn run_once(&mut self, tid: ThreadId, chain: &BlockChain) -> LoopRun {
         let report = self.frontend.run_iteration(tid, chain);
-        self.finish_run(tid, chain, 1, report)
+        self.accounts
+            .finish_run(&self.frontend, tid, chain, 1, report)
     }
 
     /// Runs both threads concurrently, interleaving loop iterations by
     /// simulated wall time with scheduling jitter. Threads are activated on
     /// entry; each is deactivated when its work completes (which triggers
-    /// the DSB partition transitions of §IV-B). Each step goes through the
-    /// frontend's exact SMT transition memo
-    /// ([`Frontend::run_iteration_memoized`]); the jitter draw and the
-    /// backend/clock/energy accounting still run for every iteration.
+    /// the DSB partition transitions of §IV-B).
+    ///
+    /// Every step draws its jitter, even once only one thread has work
+    /// left: the draw keeps the RNG stream, and with it every later run
+    /// on this core, independent of how the steps were served. Steps go
+    /// through [`Frontend::run_memoized_while`], which keeps the picked
+    /// thread running for as long as the next pick is that thread again.
+    /// After a step that lands on a stationary transition, the following
+    /// steps are repeats: the report, the backend throughput, the cycles
+    /// and the energy per step are the landing step's, so they are
+    /// computed once; each repeat still advances the clock, deposits its
+    /// energy and adds to its [`LoopRun`] one step at a time.
     ///
     /// # Panics
     ///
@@ -326,48 +353,33 @@ impl Core {
         work1: ThreadWork<'_>,
     ) -> (LoopRun, LoopRun) {
         // Sync both clocks to a common start.
-        let start = self.clock[0].max(self.clock[1]);
-        self.clock = [start, start];
+        let start = self.accounts.clock[0].max(self.accounts.clock[1]);
+        self.accounts.clock = [start, start];
         self.set_active(ThreadId::T0, true);
         self.set_active(ThreadId::T1, true);
 
         let mut remaining = [work0.iterations, work1.iterations];
-        let mut runs = [
-            LoopRun {
-                cycles: 0.0,
-                iterations: 0,
-                report: IterationReport::default(),
-            },
-            LoopRun {
-                cycles: 0.0,
-                iterations: 0,
-                report: IterationReport::default(),
-            },
-        ];
+        let mut runs = [LoopRun::empty(), LoopRun::empty()];
         let chains = [work0.chain, work1.chain];
-
-        while remaining[0] > 0 || remaining[1] > 0 {
-            // Pick the thread that is behind in wall time (with jitter), among
-            // those that still have work.
-            let jitter: f64 = self.rng.gen_range(-2.0..2.0);
-            let pick = if remaining[0] == 0 {
-                1
-            } else if remaining[1] == 0 || self.clock[0] + jitter <= self.clock[1] {
-                0
-            } else {
-                1
-            };
-            let tid = if pick == 0 {
-                ThreadId::T0
-            } else {
-                ThreadId::T1
-            };
-            let report = self.frontend.run_iteration_memoized(tid, chains[pick]);
-            let run = self.finish_run(tid, chains[pick], 1, report);
-            runs[pick].cycles += run.cycles;
-            runs[pick].iterations += 1;
-            runs[pick].report += run.report;
-            remaining[pick] -= 1;
+        let mut next = self.accounts.pick(&remaining);
+        while let Some(pick) = next {
+            let tid = [ThreadId::T0, ThreadId::T1][pick];
+            let chain = chains[pick];
+            let accounts = &mut self.accounts;
+            let mut charge = Charge::default();
+            self.frontend
+                .run_memoized_while(tid, chain, |frontend, report, repeat| {
+                    if !repeat {
+                        charge = accounts.charge(frontend, tid, chain, 1, report);
+                    }
+                    accounts.apply(pick, charge);
+                    runs[pick].cycles += charge.cycles;
+                    runs[pick].iterations += 1;
+                    runs[pick].report += *report;
+                    remaining[pick] -= 1;
+                    next = accounts.pick(&remaining);
+                    next == Some(pick)
+                });
             if remaining[pick] == 0 {
                 self.set_active(tid, false);
             }
@@ -389,11 +401,7 @@ impl Core {
         chain: &BlockChain,
         cycle_budget: f64,
     ) -> LoopRun {
-        let mut total = LoopRun {
-            cycles: 0.0,
-            iterations: 0,
-            report: IterationReport::default(),
-        };
+        let mut total = LoopRun::empty();
         // Batch iterations, re-estimating the per-iteration cost as the loop
         // warms up (cold iterations are much slower than steady state).
         while total.cycles < cycle_budget {
@@ -427,40 +435,110 @@ impl Core {
         if times == 0 {
             return;
         }
+        let accounts = &mut self.accounts;
         let cycles = round.cycles * times as f64;
-        self.clock[tid.index()] += cycles;
-        let dt = self.model.cycles_to_seconds(cycles);
-        let watts = mean_watts(&self.power, &self.frontend.config().costs, &round.report);
-        let now = self.seconds();
-        self.rapl.deposit(watts * dt, now);
+        let dt = accounts.model.cycles_to_seconds(cycles);
+        let watts = mean_watts(
+            &accounts.power,
+            &self.frontend.config().costs,
+            &round.report,
+        );
+        accounts.apply(
+            tid.index(),
+            Charge {
+                cycles,
+                joules: watts * dt,
+            },
+        );
     }
 
     /// Reads the package RAPL counter (µJ), as the power attacks do.
     pub fn read_rapl(&mut self) -> u64 {
         let now = self.seconds();
-        self.rapl.read(now)
+        self.accounts.rapl.read(now)
     }
 
     /// A noisy instantaneous package-power sample for a run, classified by
     /// its dominant delivery path — the observable of Fig. 9 / Fig. 10.
     pub fn sample_power_watts(&mut self, report: &IterationReport) -> f64 {
         let class = dominant_class(report);
-        self.power.sample_watts(class, &mut self.rng)
+        let accounts = &mut self.accounts;
+        accounts.power.sample_watts(class, &mut accounts.rng)
     }
 
     /// Average power (watts) implied by a report's path mix, without noise.
     pub fn mean_power_watts(&self, report: &IterationReport) -> f64 {
-        mean_watts(&self.power, &self.frontend.config().costs, report)
+        mean_watts(&self.accounts.power, &self.frontend.config().costs, report)
+    }
+}
+
+impl LoopRun {
+    /// A run of no iterations.
+    fn empty() -> Self {
+        LoopRun {
+            cycles: 0.0,
+            iterations: 0,
+            report: IterationReport::default(),
+        }
+    }
+}
+
+impl Accounts {
+    /// Wall-clock seconds elapsed (max over thread clocks).
+    fn seconds(&self) -> f64 {
+        self.model
+            .cycles_to_seconds(self.clock[0].max(self.clock[1]))
     }
 
+    /// Draws the scheduling jitter and picks the thread that is behind
+    /// in wall time among those with work left; `None` (and no draw)
+    /// once neither has any.
+    fn pick(&mut self, remaining: &[u64; 2]) -> Option<usize> {
+        if remaining == &[0, 0] {
+            return None;
+        }
+        let jitter: f64 = self.rng.gen_range(-2.0..2.0);
+        Some(if remaining[0] == 0 {
+            1
+        } else if remaining[1] == 0 || self.clock[0] + jitter <= self.clock[1] {
+            0
+        } else {
+            1
+        })
+    }
+
+    /// Charges a run of `iterations` with frontend `report` to `tid`'s
+    /// clock and the RAPL counter. Total time is the frontend/backend
+    /// bottleneck.
     fn finish_run(
         &mut self,
+        frontend: &Frontend,
         tid: ThreadId,
         chain: &BlockChain,
         iterations: u64,
         report: IterationReport,
     ) -> LoopRun {
-        let key = (chain.key(), self.frontend.profile_key());
+        let charge = self.charge(frontend, tid, chain, iterations, &report);
+        self.apply(tid.index(), charge);
+        LoopRun {
+            cycles: charge.cycles,
+            iterations,
+            report,
+        }
+    }
+
+    /// What a run costs: the frontend/backend bottleneck in cycles, and
+    /// the energy of its delivery mix over that time. Updates the
+    /// backend memo and the thread's recent µops per cycle.
+    fn charge(
+        &mut self,
+        frontend: &Frontend,
+        tid: ThreadId,
+        chain: &BlockChain,
+        iterations: u64,
+        report: &IterationReport,
+    ) -> Charge {
+        let key = (chain.key(), frontend.profile_key());
         let per_iter = match self.backend_cache.first() {
             Some(&(k, v)) if k == key => v,
             _ => match self.backend_cache.iter().position(|&(k, _)| k == key) {
@@ -481,7 +559,7 @@ impl Core {
         };
         let mut backend_cycles = per_iter * iterations as f64;
         let t = tid.index();
-        if self.frontend.both_active() {
+        if frontend.both_active() {
             // Rename/retire bandwidth is shared between threads in
             // proportion to demand. A trace-driven victim (fingerprinting
             // model) contends for its full share plus its demand level; a
@@ -501,19 +579,21 @@ impl Core {
         if cycles > 0.0 {
             self.recent_upc[t] = report.total_uops() as f64 / cycles;
         }
-        self.clock[t] += cycles;
 
         // Energy: apportion cycles to delivery classes via the cost model.
         let dt = self.model.cycles_to_seconds(cycles);
-        let watts = mean_watts(&self.power, &self.frontend.config().costs, &report);
-        let now = self.seconds();
-        self.rapl.deposit(watts * dt, now);
-
-        LoopRun {
+        let watts = mean_watts(&self.power, &frontend.config().costs, report);
+        Charge {
             cycles,
-            iterations,
-            report,
+            joules: watts * dt,
         }
+    }
+
+    /// Advances thread `t`'s clock by the charge and deposits its energy.
+    fn apply(&mut self, t: usize, charge: Charge) {
+        self.clock[t] += charge.cycles;
+        let now = self.seconds();
+        self.rapl.deposit(charge.joules, now);
     }
 }
 
@@ -874,5 +954,230 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    /// The plain reference for [`Core::run_concurrent`]: the same jitter
+    /// draws, one [`Frontend::run_iteration`] and one `finish_run` per
+    /// step, no memo and no repeats.
+    fn run_concurrent_plain(core: &mut Core, work: [(&BlockChain, u64); 2]) -> [LoopRun; 2] {
+        let start = core.accounts.clock[0].max(core.accounts.clock[1]);
+        core.accounts.clock = [start, start];
+        core.set_active(ThreadId::T0, true);
+        core.set_active(ThreadId::T1, true);
+        let mut remaining = [work[0].1, work[1].1];
+        let mut runs = [LoopRun::empty(), LoopRun::empty()];
+        while remaining[0] > 0 || remaining[1] > 0 {
+            let jitter: f64 = core.accounts.rng.gen_range(-2.0..2.0);
+            let clock = core.accounts.clock;
+            let pick = if remaining[0] == 0 {
+                1
+            } else if remaining[1] == 0 || clock[0] + jitter <= clock[1] {
+                0
+            } else {
+                1
+            };
+            let tid = [ThreadId::T0, ThreadId::T1][pick];
+            let chain = work[pick].0;
+            let report = core.frontend.run_iteration(tid, chain);
+            let run = core
+                .accounts
+                .finish_run(&core.frontend, tid, chain, 1, report);
+            runs[pick].cycles += run.cycles;
+            runs[pick].iterations += 1;
+            runs[pick].report += run.report;
+            remaining[pick] -= 1;
+            if remaining[pick] == 0 {
+                core.set_active(tid, false);
+            }
+        }
+        runs
+    }
+
+    fn report_bits(r: &IterationReport) -> [u64; 13] {
+        [
+            r.cycles.to_bits(),
+            r.lsd_uops,
+            r.dsb_uops,
+            r.mite_uops,
+            r.lcp_stall_cycles.to_bits(),
+            r.switch_penalty_cycles.to_bits(),
+            r.crossing_penalty_cycles.to_bits(),
+            r.dsb_to_mite_switches,
+            r.dsb_evictions,
+            r.lsd_flushes,
+            r.l1i_misses,
+            r.l1i_accesses,
+            0,
+        ]
+    }
+
+    fn run_bits(run: &LoopRun) -> [u64; 13] {
+        let mut bits = report_bits(&run.report);
+        bits[12] = run.cycles.to_bits() ^ run.iterations.rotate_left(32);
+        bits
+    }
+
+    /// Everything observable that a step can change, bit for bit: both
+    /// clocks, the RAPL energy, the cumulative counters, the L1I
+    /// statistics and sets, and every DSB set in MRU order.
+    fn state_diff(fast: &Core, plain: &Core) -> Option<String> {
+        let (a, b) = (&fast.accounts, &plain.accounts);
+        if a.clock.map(f64::to_bits) != b.clock.map(f64::to_bits) {
+            return Some(format!("clocks {:?} vs {:?}", a.clock, b.clock));
+        }
+        if a.rapl.exact_uj().to_bits() != b.rapl.exact_uj().to_bits() {
+            return Some("RAPL energy".into());
+        }
+        let (fa, fb) = (fast.frontend(), plain.frontend());
+        for tid in [ThreadId::T0, ThreadId::T1] {
+            if report_bits(fa.counters(tid)) != report_bits(fb.counters(tid)) {
+                return Some(format!("{tid} counters"));
+            }
+        }
+        if fa.l1i().stats() != fb.l1i().stats() {
+            return Some(format!(
+                "L1I stats {:?} vs {:?}",
+                fa.l1i().stats(),
+                fb.l1i().stats()
+            ));
+        }
+        let geometry = fa.config().geometry;
+        for set in 0..geometry.l1i_sets {
+            if fa.l1i().set_lines(set) != fb.l1i().set_lines(set) {
+                return Some(format!("L1I set {set}"));
+            }
+        }
+        for thread in 0..2u8 {
+            for window in 0..geometry.dsb_sets as u64 {
+                let probe = leaky_frontend::LineId {
+                    thread,
+                    window,
+                    chunk: 0,
+                };
+                if !fa
+                    .dsb()
+                    .set_lines_for(probe)
+                    .eq(fb.dsb().set_lines_for(probe))
+                {
+                    return Some(format!("DSB set {window} (thread {thread})"));
+                }
+            }
+        }
+        None
+    }
+
+    /// A chain of `n` mix blocks `stride` bytes apart: 1 KiB keeps them
+    /// in one DSB set, 4 KiB also puts them in one L1I set.
+    fn strided(base: u64, n: usize, stride: u64) -> BlockChain {
+        use leaky_isa::{Addr, Block};
+        (0..n as u64)
+            .map(|i| Block::mix(Addr::new(base + i * stride)))
+            .collect()
+    }
+
+    fn config(lsd_enabled: bool, shared: bool) -> FrontendConfig {
+        FrontendConfig {
+            lsd_enabled,
+            dsb_policy: if shared {
+                SmtDsbPolicy::Shared
+            } else {
+                SmtDsbPolicy::Competitive
+            },
+            ..FrontendConfig::default()
+        }
+    }
+
+    /// Runs `schedule` (chain pair and iteration counts per
+    /// `run_concurrent`) on a memoized core and a plain one, comparing
+    /// both runs and the whole observable state after each call.
+    /// Returns the memoized core's repeat count.
+    fn differential(
+        config: FrontendConfig,
+        seed: u64,
+        chains: &[BlockChain],
+        schedule: &[(usize, usize, u64, u64)],
+    ) -> Result<u64, String> {
+        let model = ProcessorModel::gold_6226();
+        let mut fast = Core::with_frontend_config(model, MicrocodePatch::Patch1, config, seed);
+        let mut plain = fast.clone();
+        for (i, &(c0, c1, p, q)) in schedule.iter().enumerate() {
+            let (w0, w1) = (&chains[c0 % chains.len()], &chains[c1 % chains.len()]);
+            let (r0, r1) = fast.run_concurrent(
+                ThreadWork {
+                    chain: w0,
+                    iterations: p,
+                },
+                ThreadWork {
+                    chain: w1,
+                    iterations: q,
+                },
+            );
+            let [e0, e1] = run_concurrent_plain(&mut plain, [(w0, p), (w1, q)]);
+            if run_bits(&r0) != run_bits(&e0) || run_bits(&r1) != run_bits(&e1) {
+                return Err(format!(
+                    "run {i}: LoopRuns diverged: {r0:?} {r1:?} vs {e0:?} {e1:?}"
+                ));
+            }
+            if let Some(diff) = state_diff(&fast, &plain) {
+                return Err(format!("run {i}: {diff} diverged"));
+            }
+        }
+        Ok(fast.frontend().memo_stats().repeats)
+    }
+
+    #[test]
+    fn stationary_tails_repeat_exactly() {
+        // The SGX MT shape (receiver p ≫ sender q on a machine without
+        // the LSD), its mirror (q ≫ p), and an L1I-thrashing receiver:
+        // nine blocks 4 KiB apart miss in the L1I on every pass while the
+        // rest of the frontend returns to the same state, so it must
+        // never be served as a repeat.
+        let recv = strided(RECV, 6, 1024);
+        let send = strided(SEND, 3, 1024);
+        let thrash = strided(0x00c3_0000, 9, 4096);
+        let chains = [recv, send, thrash];
+        for shared in [false, true] {
+            let sgx = [(0, 1, 400, 20), (1, 0, 20, 400)];
+            let repeats = differential(config(false, shared), 3, &chains, &sgx).unwrap();
+            assert!(repeats > 600, "tails must repeat, got {repeats}");
+            let thrashing = [(2, 1, 200, 10), (1, 2, 10, 200)];
+            differential(config(false, shared), 5, &chains, &thrashing).unwrap();
+        }
+    }
+
+    proptest::proptest! {
+        /// `run_concurrent` is bit-identical to the plain step loop over
+        /// random chain pairs and lopsided iteration counts, on LSD-enabled
+        /// and LSD-disabled models under both sharing policies.
+        #[test]
+        fn run_concurrent_matches_the_plain_step_loop(
+            specs in proptest::collection::vec((0u64..3, 0u8..4, 1usize..12, 0u8..3), 2..5),
+            schedule in proptest::collection::vec(
+                (0usize..5, 0usize..5, 100u64..600, 1u64..40, proptest::prelude::any::<bool>()),
+                1..4),
+            lsd_enabled in proptest::prelude::any::<bool>(),
+            shared in proptest::prelude::any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            let chains: Vec<BlockChain> = specs
+                .iter()
+                .map(|&(base, set, n, kind)| {
+                    let base = RECV + base * 0x40_0000 + u64::from(set) * 32;
+                    match kind {
+                        0 => chain(base, set, n),
+                        1 => same_set_chain(base, DsbSet::new(set), n, Alignment::Misaligned),
+                        _ => strided(base, n, 4096),
+                    }
+                })
+                .collect();
+            let schedule: Vec<_> = schedule
+                .into_iter()
+                .map(|(c0, c1, big, small, flip)| {
+                    if flip { (c0, c1, small, big) } else { (c0, c1, big, small) }
+                })
+                .collect();
+            let outcome = differential(config(lsd_enabled, shared), seed, &chains, &schedule);
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
     }
 }

@@ -1605,6 +1605,7 @@ mod tests {
             memo.memo_stats(),
             MemoStats {
                 hits: 143,
+                repeats: 0,
                 misses: 13,
                 streaming: 144,
                 entries: 13,

@@ -19,8 +19,15 @@
 //! * **post** — the thread block and the same DSB sets after the step.
 //!
 //! The L1I is not snapshotted: its accesses depend only on the plan, so
-//! every step replays them for real (LRU order and statistics stay
+//! a keyed step performs them for real (LRU order and statistics stay
 //! live) and the resulting miss pattern joins the key.
+//!
+//! An entry is **stationary** when its post-state equals the state part
+//! of its key and none of its L1I fetches missed: the step rewrote the
+//! frontend exactly as it found it. The next step of the same thread on
+//! the same chain then has the same key again, so
+//! [`Frontend::run_memoized_while`] serves it as a *repeat* without
+//! re-keying it (DESIGN.md §6).
 
 use leaky_isa::BlockChain;
 use leaky_trace::{TraceEvent, TraceHook, TraceMode};
@@ -36,12 +43,18 @@ use crate::plan::DeliveryPlan;
 /// other on every step.
 const SLOTS: usize = 256;
 
+/// Key words ahead of the thread block: chain key, thread and activity
+/// bits, external MITE pressure.
+const KEY_HEAD: usize = 3;
+
 /// Deterministic work counters of a frontend's SMT transition memo (see
 /// [`Frontend::memo_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Steps replayed from a recorded transition.
+    /// Steps replayed from a recorded transition, repeats included.
     pub hits: u64,
+    /// Hits served as stationary repeats, without re-keying the step.
+    pub repeats: u64,
     /// Steps simulated and recorded.
     pub misses: u64,
     /// LSD-streaming steps, which bypass the memo: streaming is cheaper
@@ -64,6 +77,9 @@ struct Entry {
     /// Whether `events` was captured with tracing on: an untraced entry
     /// never serves a traced step.
     traced: bool,
+    /// Whether the post-state equals the key's state part and no L1I
+    /// fetch missed (see the module docs).
+    stationary: bool,
     events: Vec<TraceEvent>,
 }
 
@@ -146,8 +162,7 @@ impl Frontend {
     /// [`Frontend::run_iteration`] through the SMT transition memo: the
     /// report, every piece of frontend state and the emitted trace
     /// events are identical to the plain call; only the host cost
-    /// differs. `leaky_cpu`'s `Core::run_concurrent` steps both threads
-    /// through it.
+    /// differs. One step of [`Frontend::run_memoized_while`].
     ///
     /// LSD-streaming steps, LCP-bearing chains and the `SetPartitioned`
     /// ablation policy run the plain path. The table is bounded and
@@ -160,23 +175,78 @@ impl Frontend {
     /// Panics if the geometry's µops-per-line is zero
     /// (`Block::line_slots_for`).
     pub fn run_iteration_memoized(&mut self, tid: ThreadId, chain: &BlockChain) -> IterationReport {
+        let mut out = IterationReport::new();
+        self.run_memoized_while(tid, chain, |_, report, _| {
+            out = *report;
+            false
+        });
+        out
+    }
+
+    /// Runs consecutive iterations of `chain` on `tid` through the SMT
+    /// transition memo, as many as `more` asks for. After each step,
+    /// `more(self, report, repeat)` sees the frontend and the step's
+    /// report, and returns whether the thread steps again at once;
+    /// `leaky_cpu`'s `Core::run_concurrent` charges the step and draws
+    /// the next pick there.
+    ///
+    /// Once a step lands on a stationary entry, every further step is a
+    /// *repeat* (`repeat == true`): the report is the same, and so is
+    /// everything `more` can read of the frontend. A repeat skips the
+    /// key and performs the plain step's counter updates only: memo hit,
+    /// cumulative counters, L1I statistics of an all-hit pass, and the
+    /// entry's recorded events when traced. `more` gets the frontend by
+    /// shared reference, so nothing can change it between two repeats.
+    /// Each step is otherwise [`Frontend::run_iteration_memoized`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry's µops-per-line is zero
+    /// (`Block::line_slots_for`).
+    pub fn run_memoized_while<F>(&mut self, tid: ThreadId, chain: &BlockChain, mut more: F)
+    where
+        F: FnMut(&Frontend, &IterationReport, bool) -> bool,
+    {
         let plan = self
             .plans
             .get_or_build(chain, &self.config.geometry, self.config_key);
+        loop {
+            let (report, stationary) = self.step_memoized(tid, &plan);
+            if !more(self, &report, false) {
+                return;
+            }
+            if let Some(base) = stationary {
+                loop {
+                    self.repeat(tid.index(), &plan, base, &report);
+                    if !more(self, &report, true) {
+                        return;
+                    }
+                }
+            }
+        }
+    }
+
+    /// One memoized step; also returns the bucket of the entry it
+    /// landed on when that entry is stationary.
+    fn step_memoized(
+        &mut self,
+        tid: ThreadId,
+        plan: &DeliveryPlan,
+    ) -> (IterationReport, Option<usize>) {
         if plan.has_lcp || self.config.dsb_policy == SmtDsbPolicy::SetPartitioned {
-            return self.run_iteration_plan(tid, &plan, None);
+            return (self.run_iteration_plan(tid, plan, None), None);
         }
         if self.locks[tid.index()]
             .as_ref()
             .is_some_and(|lock| lock.key == plan.key)
         {
             self.memo.stats.streaming += 1;
-            return self.run_iteration_plan(tid, &plan, None);
+            return (self.run_iteration_plan(tid, plan, None), None);
         }
         let mut key = std::mem::take(&mut self.memo.key);
         let mut misses = std::mem::take(&mut self.memo.misses);
-        self.fetch_l1i_misses(&plan, &mut misses);
-        self.encode_key(tid, &plan, &misses, &mut key);
+        self.fetch_l1i_misses(plan, &mut misses);
+        self.encode_key(tid, plan, &misses, &mut key);
         let traced = !self.trace.is_off();
         let base = self.memo.bucket_for(&key);
         let slots = &mut self.memo.slots;
@@ -194,7 +264,7 @@ impl Frontend {
                 if way == 1 {
                     self.memo.slots[base + 1] = self.memo.slots[base].take();
                 }
-                self.replay(tid, &plan, &entry, traced);
+                self.replay(tid, plan, &entry, traced);
                 entry
             }
             None => {
@@ -202,18 +272,38 @@ impl Frontend {
                 self.memo.stats.misses += 1;
                 let stale = self.memo.slots[base + 1].take();
                 self.memo.slots[base + 1] = self.memo.slots[base].take();
-                self.record(tid, &plan, stale, &key, &misses, traced)
+                self.record(tid, plan, stale, &key, &misses, traced)
             }
         };
         let report = entry.report;
+        let stationary = entry.stationary.then_some(base);
         self.memo.slots[base] = Some(entry);
         self.memo.key = key;
         self.memo.misses = misses;
-        report
+        (report, stationary)
     }
 
-    /// Work counters of the SMT transition memo: hits, misses, bypassed
-    /// streaming steps and table occupancy. Deterministic for a seeded
+    /// A repeat of the stationary entry in slot `base`, whose report is
+    /// `report`: the plain step's counter updates, nothing else. The
+    /// step's fetches would all hit again, so the L1I only counts them.
+    /// The entry served the landing step under the same hook, so it is
+    /// traced whenever tracing is on.
+    fn repeat(&mut self, t: usize, plan: &DeliveryPlan, base: usize, report: &IterationReport) {
+        self.memo.stats.hits += 1;
+        self.memo.stats.repeats += 1;
+        self.l1i.count_repeated_hits(plan.cache_lines.len() as u64);
+        self.cumulative[t] += *report;
+        if !self.trace.is_off() {
+            if let Some(entry) = &self.memo.slots[base] {
+                for event in &entry.events {
+                    self.trace.emit(|| event.clone());
+                }
+            }
+        }
+    }
+
+    /// Work counters of the SMT transition memo: hits and the repeats
+    /// among them, misses, bypassed streaming steps and table occupancy. Deterministic for a seeded
     /// run; a frontend that never took a memoized step reports
     /// `slots == 0`.
     pub fn memo_stats(&self) -> MemoStats {
@@ -363,6 +453,9 @@ impl Frontend {
         self.encode_post(tid.index(), plan, &mut entry.words);
         entry.report = report;
         entry.traced = traced;
+        let state = &key[KEY_HEAD..key.len() - misses.len()];
+        entry.stationary =
+            misses.iter().all(|&word| word == 0) && entry.words[key.len()..] == *state;
         entry
     }
 }
