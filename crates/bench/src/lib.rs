@@ -21,9 +21,4 @@ pub mod perf;
 pub mod sweep;
 pub mod table;
 
-pub use sweep::SWEEP_SCHEMA;
 pub use table::TableWriter;
-
-/// The trace schema travels with the sweep document it annotates;
-/// re-exported so document consumers resolve both tags from one crate.
-pub use leaky_trace::TRACE_SCHEMA;

@@ -8,6 +8,7 @@
 //! catches large simulator regressions.
 
 use leaky_codec::json::{quoted, Json};
+use leaky_codec::schema;
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -50,7 +51,7 @@ pub fn time_ns_per_op<F: FnMut()>(warmup: u64, samples: usize, ops: u64, mut op:
 /// Serializes metrics into the `BENCH_frontend.json` document shape.
 pub fn render_report(metrics: &[Metric]) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"leaky-frontends/perf-report/v1\",\n");
+    let _ = writeln!(out, "{{\n  \"schema\": \"{}\",", schema::PERF_REPORT);
     out.push_str("  \"unit\": \"ns_per_op\",\n  \"metrics\": {\n");
     for (i, m) in metrics.iter().enumerate() {
         let comma = if i + 1 < metrics.len() { "," } else { "" };
@@ -71,9 +72,15 @@ pub fn render_report(metrics: &[Metric]) -> String {
 ///
 /// # Errors
 ///
-/// Returns an error when the document lacks a well-formed `metrics`
-/// object.
+/// Returns an error when the document's `schema` is not
+/// [`schema::PERF_REPORT`] or it lacks a well-formed `metrics` object.
 pub fn report_metrics(doc: &Json) -> Result<Vec<(String, f64)>, String> {
+    if doc.get("schema").and_then(Json::as_str) != Some(schema::PERF_REPORT) {
+        return Err(format!(
+            "report has no \"schema\": \"{}\" tag",
+            schema::PERF_REPORT
+        ));
+    }
     let metrics = doc
         .get("metrics")
         .ok_or_else(|| "report has no \"metrics\" object".to_string())?;
@@ -113,6 +120,10 @@ mod tests {
         ];
         let text = render_report(&metrics);
         let doc = parse(&text).unwrap();
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some(schema::PERF_REPORT)
+        );
         let parsed = report_metrics(&doc).unwrap();
         assert_eq!(parsed.len(), 2);
         assert_eq!(parsed[0].0, "lsd_iteration");
@@ -122,8 +133,29 @@ mod tests {
 
     #[test]
     fn missing_metrics_is_an_error() {
-        let doc = parse("{\"schema\": \"x\"}").unwrap();
+        let doc = parse("{\"schema\": \"leaky-frontends/perf-report/v1\"}").unwrap();
         assert!(report_metrics(&doc).is_err());
+    }
+
+    #[test]
+    fn any_other_schema_tag_is_an_error() {
+        let metrics = "\"metrics\": {\"lsd_iteration\": {\"ns_per_op\": 1.0}}";
+        for head in [
+            "\"schema\": \"leaky-frontends/sweep/v1\", ",
+            "\"schema\": 1, ",
+            "",
+        ] {
+            let doc = parse(&format!("{{{head}{metrics}}}")).unwrap();
+            assert!(report_metrics(&doc).is_err(), "accepted {{{head}...}}");
+        }
+        let good = parse(&format!(
+            "{{\"schema\": \"{}\", {metrics}}}",
+            schema::PERF_REPORT
+        ));
+        assert_eq!(
+            report_metrics(&good.unwrap()),
+            Ok(vec![("lsd_iteration".to_string(), 1.0)])
+        );
     }
 
     #[test]

@@ -16,6 +16,7 @@
 
 use crate::table::{fmt, TableWriter};
 use leaky_codec::json::{number, quoted};
+use leaky_codec::schema;
 use leaky_codec::token;
 use leaky_exp::runner::SweepRun;
 use leaky_exp::{
@@ -24,10 +25,6 @@ use leaky_exp::{
 use leaky_trace::TraceMode;
 use std::fmt::Write as _;
 use std::path::Path;
-
-/// Schema tag of the [`render_json_document`] output. One shared
-/// constant so the writer, the readers and the docs cannot drift.
-pub const SWEEP_SCHEMA: &str = "leaky-frontends/sweep/v1";
 
 /// Worker threads to use when the caller does not say: the
 /// `LEAKY_SWEEP_JOBS` environment variable, else all available cores.
@@ -473,7 +470,7 @@ pub fn render_json(run: &SweepRun) -> String {
 pub fn render_json_document(sweeps: &[SweepRun]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"schema\": \"");
-    out.push_str(SWEEP_SCHEMA);
+    out.push_str(schema::SWEEP);
     out.push_str("\",\n  \"sweeps\": [\n");
     for (i, run) in sweeps.iter().enumerate() {
         out.push_str(&render_json(run));
@@ -620,7 +617,7 @@ mod tests {
         let doc = parse(&render_json_document(&runs)).expect("valid JSON");
         assert_eq!(
             doc.get("schema").and_then(Json::as_str),
-            Some("leaky-frontends/sweep/v1")
+            Some(schema::SWEEP)
         );
         let sweeps = doc.get("sweeps").and_then(Json::as_array).expect("sweeps");
         let cells = sweeps[0]

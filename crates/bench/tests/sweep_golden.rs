@@ -144,3 +144,28 @@ fn traced_sweep_emits_the_committed_golden_trace() {
     );
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn every_spec_has_a_golden_and_every_channel_is_documented() {
+    // Reads the live registries: a spec registered without a committed
+    // golden has nothing pinning its output bytes, and a channel missing
+    // from EXPERIMENTS.md is invisible to users of the sweep CLI.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    for name in leaky_exp::experiments::standard_registry().names() {
+        let golden = root.join("tests/golden").join(format!("{name}.txt"));
+        let text = std::fs::read_to_string(&golden).unwrap_or_default();
+        assert!(
+            !text.is_empty(),
+            "spec `{name}` has no committed golden at {}",
+            golden.display()
+        );
+    }
+    let docs = std::fs::read_to_string(root.join("../../EXPERIMENTS.md")).expect("EXPERIMENTS.md");
+    for channel in &leaky_frontends::channels::REGISTRY {
+        assert!(
+            docs.contains(channel.name),
+            "channel `{}` is registered but never mentioned in EXPERIMENTS.md",
+            channel.name
+        );
+    }
+}

@@ -100,7 +100,10 @@ fn riscv_bundle_matches_golden_and_is_parallel_deterministic() {
 #[test]
 fn every_committed_scenario_file_validates() {
     // The CI scenario-validation step runs this same loop from the
-    // shell; the test keeps it honest locally.
+    // shell; the test keeps it honest locally. Each file must also be
+    // named in EXPERIMENTS.md, so the library and its walkthrough
+    // cannot drift apart.
+    let docs = std::fs::read_to_string(repo_root().join("EXPERIMENTS.md")).expect("EXPERIMENTS.md");
     let mut seen = 0;
     let mut entries: Vec<_> = std::fs::read_dir(scenarios_dir())
         .expect("scenarios/ directory")
@@ -109,6 +112,11 @@ fn every_committed_scenario_file_validates() {
         .collect();
     entries.sort();
     for path in entries {
+        let file_name = path.file_name().expect("file name").to_string_lossy();
+        assert!(
+            docs.contains(file_name.as_ref()),
+            "{file_name} is not mentioned in EXPERIMENTS.md (document the scenario library)"
+        );
         let out = sweep(
             &[
                 "--scenario",

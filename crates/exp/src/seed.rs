@@ -6,6 +6,17 @@
 //! bit-identical output. The derivation is: FNV-1a over the key bytes
 //! to condense the string, then one [`SplitMix64::split`] to decorrelate
 //! keys that differ in few bits (FNV is fast but weakly avalanching).
+//!
+//! Ambient randomness cannot creep in: the workspace's `rand` exports
+//! no thread-local generator and no `random`, so neither compiles.
+//!
+//! ```compile_fail,E0425
+//! let _ = rand::thread_rng();
+//! ```
+//!
+//! ```compile_fail,E0425
+//! let _ = rand::random::<u64>();
+//! ```
 
 use leaky_uarch::Fnv1a;
 use rand::rngs::{SplitMix64, StdRng};

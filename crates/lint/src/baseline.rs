@@ -15,11 +15,9 @@
 use std::collections::BTreeSet;
 
 use leaky_codec::json::{self, quoted, Json};
+use leaky_codec::schema;
 
 use crate::diag::Diagnostic;
-
-/// Schema tag of the baseline document.
-pub const BASELINE_SCHEMA: &str = "leaky-frontends/lint-baseline/v1";
 
 /// Conventional baseline file name at the workspace root.
 pub const BASELINE_FILE: &str = "lint-baseline.json";
@@ -74,9 +72,10 @@ impl Baseline {
     /// string keys.
     pub fn parse(text: &str) -> Result<Baseline, String> {
         let doc = json::parse(text).map_err(|e| format!("baseline is not valid JSON: {e}"))?;
-        if doc.get("schema").and_then(Json::as_str) != Some(BASELINE_SCHEMA) {
+        if doc.get("schema").and_then(Json::as_str) != Some(schema::LINT_BASELINE) {
             return Err(format!(
-                "baseline has no \"schema\": \"{BASELINE_SCHEMA}\" tag (wrong or outdated file?)"
+                "baseline has no \"schema\": \"{}\" tag (wrong or outdated file?)",
+                schema::LINT_BASELINE
             ));
         }
         let findings = doc
@@ -106,7 +105,10 @@ impl Baseline {
             .iter()
             .map(|d| (d.file.as_str(), d.rule, d.message.as_str()))
             .collect();
-        let mut out = format!("{{\n  \"schema\": \"{BASELINE_SCHEMA}\",\n  \"findings\": [\n");
+        let mut out = format!(
+            "{{\n  \"schema\": \"{}\",\n  \"findings\": [\n",
+            schema::LINT_BASELINE
+        );
         let rows: Vec<String> = entries
             .iter()
             .map(|(file, rule, message)| {
@@ -139,7 +141,7 @@ mod tests {
     fn render_parse_round_trips_and_ignores_lines() {
         let diags = vec![
             diag("crates/a/src/lib.rs", "panic-path", "path \"x\" → y"),
-            diag("crates/b/src/lib.rs", "schema-sync", "raw literal"),
+            diag("crates/b/src/lib.rs", "wall-clock", "Instant::now()"),
         ];
         let text = Baseline::render(&diags);
         let parsed = Baseline::parse(&text).expect("round trip");
@@ -179,10 +181,14 @@ mod tests {
     #[test]
     fn schema_tag_is_mandatory() {
         assert!(Baseline::parse("{}").is_err());
-        let wrong =
-            "{\n  \"schema\": \"leaky-frontends/lint-baseline/v9\",\n  \"findings\": [\n  ]\n}\n";
-        assert!(Baseline::parse(wrong).is_err());
+        let wrong = Baseline::render(&[]).replace(schema::LINT_BASELINE, schema::LINT);
+        assert!(Baseline::parse(&wrong).is_err());
         let empty = Baseline::render(&[]);
+        let doc = json::parse(&empty).expect("rendered baseline is JSON");
+        assert_eq!(
+            doc.get("schema").and_then(Json::as_str),
+            Some(schema::LINT_BASELINE)
+        );
         assert!(Baseline::parse(&empty).expect("empty ok").is_empty());
         let keyless = empty.replace("[\n  ]", "[{\"file\": \"a.rs\", \"rule\": \"x\"}]");
         assert!(Baseline::parse(&keyless)

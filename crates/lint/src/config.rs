@@ -1,6 +1,5 @@
-//! Lint configuration: which crates are determinism-critical, which
-//! (struct, key-function) pairs must stay field-complete, and where the
-//! cross-artifact sources of truth live.
+//! Lint configuration: which crates are determinism-critical and which
+//! (struct, key-function) pairs must stay field-complete.
 //!
 //! The defaults describe *this* workspace; fixture tests reuse them
 //! over miniature workspace trees that mirror the same paths.
@@ -34,22 +33,6 @@ pub struct LintConfig {
     pub determinism_crates: Vec<&'static str>,
     /// Structural key-completeness obligations.
     pub key_pairs: Vec<KeyPair>,
-    /// File holding the covert-channel registry rows.
-    pub registry_file: &'static str,
-    /// Document that must mention every registry entry.
-    pub docs_file: &'static str,
-    /// Directory of experiment spec sources (each `fn name` return value
-    /// is a spec).
-    pub experiments_dir: &'static str,
-    /// Directory that must hold `<spec>.txt` for every registered spec.
-    pub golden_dir: &'static str,
-    /// Documentation files whose `leaky-frontends/...` schema mentions
-    /// must match a defined constant (the schema-sync docs leg).
-    pub schema_docs: Vec<&'static str>,
-    /// Workspace-relative directory of committed scenario files
-    /// (profiles and bundles); every `.toml` there must declare a
-    /// defined schema constant and be documented.
-    pub scenario_dir: &'static str,
 }
 
 impl Default for LintConfig {
@@ -92,12 +75,6 @@ impl Default for LintConfig {
                     role: "sweep provenance (run identity in JSON output)",
                 },
             ],
-            registry_file: "crates/core/src/channels/registry.rs",
-            docs_file: "EXPERIMENTS.md",
-            experiments_dir: "crates/exp/src/experiments",
-            golden_dir: "crates/bench/tests/golden",
-            schema_docs: vec!["README.md", "DESIGN.md", "EXPERIMENTS.md"],
-            scenario_dir: "scenarios",
         }
     }
 }

@@ -2,10 +2,8 @@
 //! the stable machine-readable JSON document.
 
 use leaky_codec::json::quoted;
+use leaky_codec::schema;
 use std::fmt;
-
-/// Schema tag of the `--format json` diagnostics document.
-pub const LINT_SCHEMA: &str = "leaky-frontends/lint/v1";
 
 /// One rule violation, anchored to a file and line so a
 /// `// lint: allow(<rule>)` escape on that line can suppress it.
@@ -64,7 +62,7 @@ pub fn render_json(diags: &[Diagnostic], baselined: impl Fn(&Diagnostic) -> bool
             pinned
         ));
     }
-    let mut out = format!("{{\n  \"schema\": \"{LINT_SCHEMA}\",\n");
+    let mut out = format!("{{\n  \"schema\": \"{}\",\n", schema::LINT);
     out.push_str(&format!(
         "  \"total\": {}, \"new\": {}, \"baselined\": {},\n",
         diags.len(),
@@ -96,6 +94,7 @@ mod tests {
         assert!(json.contains("\"total\": 2, \"new\": 1, \"baselined\": 1"));
         // The document is real JSON: the message survives the strict reader.
         let doc = leaky_codec::json::parse(&json).expect("lint/v1 parses");
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(schema::LINT));
         let first = &doc
             .get("diagnostics")
             .and_then(Json::as_array)

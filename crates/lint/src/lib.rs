@@ -2,13 +2,14 @@
 //!
 //! Every guarantee this reproduction makes — sweeps byte-identical at
 //! any `--jobs N`, scheduling-independent per-cell seeds, (chain key,
-//! profile key)-safe memo caches, committed goldens that pin every
-//! spec — is a *determinism invariant*. This crate machine-checks those
-//! invariants over the workspace source instead of trusting convention:
+//! profile key)-safe memo caches — is a *determinism invariant*. This
+//! crate machine-checks the invariants that no type, compile error or
+//! single test can, over the workspace source instead of trusting
+//! convention:
 //!
-//! * **determinism** — `wall-clock`, `ambient-rng`,
-//!   `unordered-collections` in the crates that feed content keys,
-//!   sweep output or goldens (`exp`, `bench`, `stats`, `core`, ...);
+//! * **determinism** — `wall-clock`, `unordered-collections` in the
+//!   crates that feed content keys, sweep output or goldens (`exp`,
+//!   `bench`, `stats`, `core`, ...);
 //! * **panic-freedom** — `panic-path`: no `pub` library function
 //!   reaches a panicking construct, transitively through the
 //!   [`graph`] call graph, without a `# Panics` contract on the entry
@@ -17,18 +18,14 @@
 //!   stays closure-form so the off-mode hot path builds nothing;
 //! * **cache-keys** — `key-completeness`: configuration structs and
 //!   their key/provenance functions stay field-complete;
-//! * **cross-artifact** — `registry-docs`, `spec-goldens`,
-//!   `bin-sources`, `schema-sync`: code, docs, goldens, manifests and
-//!   schema version strings name the same things;
 //! * **hygiene** — `stale-allow`: every escape suppresses something.
 //!
 //! The tool is self-contained (hand-rolled comment/string/raw-string
 //! aware lexer, item parser and name-resolution call graph, no
 //! dependencies) and runs as `cargo run -p leaky_lint -- check`.
 //! Intentional exceptions are escaped per line with
-//! `// lint: allow(<rule>)` (Rust) or `# lint: allow(<rule>)` (TOML);
-//! reviewed findings can instead be pinned in the committed
-//! `lint-baseline.json` ratchet (see [`baseline`]). `--format json`
+//! `// lint: allow(<rule>)`; reviewed findings can instead be pinned in
+//! the committed `lint-baseline.json` ratchet (see [`baseline`]). `--format json`
 //! emits a stable machine-readable document. See DESIGN.md §10 for the
 //! invariant catalogue.
 //!

@@ -1,12 +1,12 @@
 //! Stale-allow audit (`stale-allow`): the escape inventory stays honest.
 //!
-//! Every `lint: allow(<rule>)` escape — Rust comment or TOML manifest —
-//! must either suppress at least one diagnostic the rules would
-//! otherwise emit, or (for `panic-path`) neutralize a concrete panic
-//! site the reachability pass consulted. An escape that suppresses
-//! nothing is dead weight that will silently mask a *future* violation
-//! on its line, so it is itself a finding; so is an escape naming a
-//! rule that does not exist (typo, or a rule renamed out from under it).
+//! Every `lint: allow(<rule>)` escape must either suppress at least one
+//! diagnostic the rules would otherwise emit, or (for `panic-path`)
+//! neutralize a concrete panic site the reachability pass consulted.
+//! An escape that suppresses nothing is dead weight that will silently
+//! mask a *future* violation on its line, so it is itself a finding; so
+//! is an escape naming a rule that does not exist (typo, or a rule
+//! renamed out from under it).
 //!
 //! `lint: allow(stale-allow)` is exempt from the audit (auditing the
 //! auditor's own escapes would recurse); it exists so a deliberately
@@ -57,13 +57,6 @@ pub fn check(
         for (&line, rules) in file.allow_entries() {
             for rule in rules {
                 audit(&file.rel_path, line, rule);
-            }
-        }
-    }
-    for manifest in ws.manifests.values() {
-        for (&line, rules) in manifest.allow_entries() {
-            for rule in rules {
-                audit(&manifest.rel_path, line, rule);
             }
         }
     }

@@ -1,6 +1,8 @@
 //! Determinism rules: the crates that feed content keys, sweep output
 //! or goldens (`exp`, `bench`, `stats`, `core`) must not read wall
-//! clocks, ambient randomness, or iterate unordered collections.
+//! clocks or iterate unordered collections. (Ambient randomness needs
+//! no rule: the workspace's `rand` exports no `thread_rng` or `random`,
+//! so using either is a compile error — see `leaky_exp::seed`.)
 //!
 //! One stray `Instant::now()` in a metric, one `HashMap` iteration in a
 //! table renderer, and "byte-identical at any `--jobs N`" silently
@@ -11,7 +13,7 @@ use crate::diag::Diagnostic;
 use crate::source::SourceFile;
 use crate::workspace::Workspace;
 
-/// Runs the three determinism rules over every file of the
+/// Runs the two determinism rules over every file of the
 /// determinism-critical crates (binaries and test code included: bins
 /// render goldens, and a nondeterministic test is a flaky test).
 pub fn check(ws: &Workspace, cfg: &LintConfig, diags: &mut Vec<Diagnostic>) {
@@ -56,39 +58,11 @@ fn check_file(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
             ));
         }
 
-        // ambient-rng: unseeded randomness.
-        if tok.is_ident("thread_rng") || tok.is_ident("RandomState") {
-            diags.push(Diagnostic::new(
-                &file.rel_path,
-                tok.line,
-                "ambient-rng",
-                format!(
-                    "`{}` in a determinism-critical crate: all randomness must flow from \
-                     per-cell derived seeds (`leaky_exp::seed`)",
-                    tok.text
-                ),
-            ));
-        }
-        if tok.is_ident("rand")
-            && code.get(i + 1).is_some_and(|t| t.is_punct(':'))
-            && code.get(i + 2).is_some_and(|t| t.is_punct(':'))
-            && code.get(i + 3).is_some_and(|t| t.is_ident("random"))
-        {
-            diags.push(Diagnostic::new(
-                &file.rel_path,
-                tok.line,
-                "ambient-rng",
-                "`rand::random` in a determinism-critical crate: all randomness must flow \
-                 from per-cell derived seeds (`leaky_exp::seed`)"
-                    .into(),
-            ));
-        }
-
         // unordered-collections: HashMap/HashSet iteration order is
-        // scheduling- and seed-dependent; `BTreeMap`/`BTreeSet` (or
-        // explicit sorting) is the sanctioned alternative. Any mention
-        // is flagged — proving a map is never iterated is harder than
-        // using an ordered one.
+        // scheduling- and seed-dependent (a `RandomState` hasher is what
+        // makes it so); `BTreeMap`/`BTreeSet` (or explicit sorting) is
+        // the sanctioned alternative. Any mention is flagged — proving a
+        // map is never iterated is harder than using an ordered one.
         if tok.is_ident("HashMap") || tok.is_ident("HashSet") {
             diags.push(Diagnostic::new(
                 &file.rel_path,
@@ -102,5 +76,32 @@ fn check_file(file: &SourceFile, diags: &mut Vec<Diagnostic>) {
                 ),
             ));
         }
+        if tok.is_ident("RandomState") {
+            diags.push(Diagnostic::new(
+                &file.rel_path,
+                tok.line,
+                "unordered-collections",
+                "`RandomState` in a determinism-critical crate: its per-process seed makes \
+                 hash iteration order unstable; use BTree collections or sort explicitly"
+                    .into(),
+            ));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn random_state_is_an_unordered_collection() {
+        let file = SourceFile::new(
+            "crates/exp/src/lib.rs".into(),
+            "fn f() { let s = RandomState::new(); }\n",
+        );
+        let mut diags = Vec::new();
+        check_file(&file, &mut diags);
+        assert_eq!(diags.len(), 1);
+        assert_eq!(diags[0].rule, "unordered-collections");
     }
 }

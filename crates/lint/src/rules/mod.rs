@@ -4,9 +4,6 @@ pub mod allows;
 pub mod determinism;
 pub mod keys;
 pub mod panics;
-pub mod scenario;
-pub mod schema;
-pub mod sync;
 pub mod zero_cost;
 
 use crate::config::LintConfig;
@@ -28,21 +25,16 @@ pub struct RuleInfo {
 
 /// Every rule, in family order. `leaky_lint rules` prints this table;
 /// DESIGN.md §10 documents the rationale per row.
-pub const RULES: [RuleInfo; 12] = [
+pub const RULES: [RuleInfo; 6] = [
     RuleInfo {
         name: "wall-clock",
         family: "determinism",
         description: "no Instant::now()/SystemTime in crates feeding content keys, sweep output or goldens",
     },
     RuleInfo {
-        name: "ambient-rng",
-        family: "determinism",
-        description: "no thread_rng/RandomState/rand::random — randomness flows from derived per-cell seeds",
-    },
-    RuleInfo {
         name: "unordered-collections",
         family: "determinism",
-        description: "no HashMap/HashSet in determinism-critical crates — use BTree collections or sort",
+        description: "no HashMap/HashSet/RandomState in determinism-critical crates — use BTree collections or sort",
     },
     RuleInfo {
         name: "panic-path",
@@ -58,31 +50,6 @@ pub const RULES: [RuleInfo; 12] = [
         name: "key-completeness",
         family: "cache-keys",
         description: "every field of FrontendGeometry/CostModel/FrontendConfig/ChannelParams reaches its key/provenance function",
-    },
-    RuleInfo {
-        name: "registry-docs",
-        family: "cross-artifact",
-        description: "every channels::REGISTRY entry is documented in EXPERIMENTS.md",
-    },
-    RuleInfo {
-        name: "spec-goldens",
-        family: "cross-artifact",
-        description: "every Experiment spec has a committed golden under crates/bench/tests/golden/",
-    },
-    RuleInfo {
-        name: "bin-sources",
-        family: "cross-artifact",
-        description: "every [[bin]] has a source file and every src/bin/*.rs is declared",
-    },
-    RuleInfo {
-        name: "schema-sync",
-        family: "cross-artifact",
-        description: "every leaky-frontends/<name>/vN schema string is one shared const; code and docs reference it",
-    },
-    RuleInfo {
-        name: "scenario-files",
-        family: "cross-artifact",
-        description: "every committed scenarios/*.toml declares a defined schema const, a valid kind, and is documented",
     },
     RuleInfo {
         name: "stale-allow",
@@ -102,9 +69,6 @@ pub fn run_all(ws: &Workspace, cfg: &LintConfig) -> Vec<Diagnostic> {
     let used_site_allows = panics::check(&files, &graph, &mut diags);
     zero_cost::check(ws, &mut diags);
     keys::check(ws, cfg, &mut diags);
-    sync::check(ws, cfg, &mut diags);
-    schema::check(ws, cfg, &mut diags);
-    scenario::check(ws, cfg, &mut diags);
 
     // The stale-allow audit runs over the *raw* diagnostics — an escape
     // is live exactly when it would suppress one of them (or absorbed a
@@ -113,20 +77,12 @@ pub fn run_all(ws: &Workspace, cfg: &LintConfig) -> Vec<Diagnostic> {
     allows::check(ws, &diags, &used_site_allows, &mut stale);
     diags.append(&mut stale);
 
-    diags.retain(|d| !is_escaped(ws, d));
+    diags.retain(|d| {
+        !ws.files
+            .get(&d.file)
+            .is_some_and(|file| file.is_allowed(d.rule, d.line))
+    });
     diags.sort();
     diags.dedup();
     diags
-}
-
-/// Whether a `lint: allow(<rule>)` escape suppresses `d` — in the
-/// source file or manifest the diagnostic anchors to.
-fn is_escaped(ws: &Workspace, d: &Diagnostic) -> bool {
-    if let Some(file) = ws.files.get(&d.file) {
-        return file.is_allowed(d.rule, d.line);
-    }
-    if let Some(manifest) = ws.manifests.get(&d.file) {
-        return manifest.is_allowed(d.rule, d.line);
-    }
-    false
 }

@@ -122,7 +122,7 @@ pub fn collect_allows(tokens: &[Token]) -> BTreeMap<u32, BTreeSet<String>> {
 
 /// Extracts rule names from a comment body containing
 /// `lint: allow(rule1, rule2)`. Returns empty when the marker is absent.
-pub fn parse_allow_rules(comment: &str) -> Vec<String> {
+fn parse_allow_rules(comment: &str) -> Vec<String> {
     let Some(pos) = comment.find("lint: allow(") else {
         return Vec::new();
     };

@@ -1,6 +1,4 @@
-//! Workspace loading: deterministic walk of the `src/` trees, manifest
-//! (`Cargo.toml`) parsing for `[[bin]]` targets, and the artifact files
-//! the cross-artifact rules compare against.
+//! Workspace loading: deterministic walk of the `src/` trees.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -8,7 +6,7 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-use crate::source::{parse_allow_rules, SourceFile};
+use crate::source::SourceFile;
 
 /// Why the workspace could not be loaded.
 #[derive(Debug)]
@@ -35,63 +33,19 @@ impl fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// One `[[bin]]` declaration from a manifest.
-#[derive(Debug)]
-pub struct BinDecl {
-    /// `name = "..."` value, if present in the section.
-    pub name: Option<String>,
-    /// `path = "..."` value, if present in the section.
-    pub path: Option<String>,
-    /// 1-based line of the `[[bin]]` header.
-    pub line: u32,
-}
-
-/// A parsed-enough `Cargo.toml`: its `[[bin]]` sections plus
-/// `# lint: allow(...)` escapes (TOML comments use `#`, so the Rust
-/// lexer does not apply here).
-#[derive(Debug)]
-pub struct Manifest {
-    /// Workspace-relative path of the manifest.
-    pub rel_path: String,
-    /// Declared binary targets, in file order.
-    pub bins: Vec<BinDecl>,
-    /// Escape map: suppressed line → allowed rule names.
-    allows: BTreeMap<u32, Vec<String>>,
-}
-
-impl Manifest {
-    /// Whether `rule` is escaped on `line` of this manifest.
-    pub fn is_allowed(&self, rule: &str, line: u32) -> bool {
-        self.allows
-            .get(&line)
-            .is_some_and(|rules| rules.iter().any(|r| r == rule))
-    }
-
-    /// Every `# lint: allow` escape, keyed by the line it suppresses —
-    /// consumed by the stale-allow audit.
-    pub fn allow_entries(&self) -> &BTreeMap<u32, Vec<String>> {
-        &self.allows
-    }
-}
-
-/// The loaded workspace: lexed sources, manifests and artifact files.
+/// The loaded workspace: every lexed source file.
 #[derive(Debug)]
 pub struct Workspace {
-    /// Absolute workspace root.
-    pub root: PathBuf,
     /// All `.rs` files under the scanned `src/` trees, keyed by
     /// workspace-relative path (sorted, so every report is
     /// deterministic).
     pub files: BTreeMap<String, SourceFile>,
-    /// Root and per-crate manifests, keyed by workspace-relative path.
-    pub manifests: BTreeMap<String, Manifest>,
 }
 
 impl Workspace {
     /// Loads the workspace rooted at `root`: every `.rs` file under
-    /// `src/` and `crates/*/src/`, plus the root and per-crate
-    /// manifests. `third_party/` stand-ins and `target/` are never
-    /// scanned.
+    /// `src/` and `crates/*/src/`. `third_party/` stand-ins and
+    /// `target/` are never scanned.
     pub fn load(root: &Path) -> Result<Workspace, LintError> {
         let mut files = BTreeMap::new();
         let mut src_dirs = vec![root.join("src")];
@@ -102,36 +56,7 @@ impl Workspace {
             walk_rs(root, &dir, &mut files)?;
         }
 
-        let mut manifests = BTreeMap::new();
-        let mut manifest_paths = vec![root.join("Cargo.toml")];
-        for crate_dir in sorted_dirs(&root.join("crates"))? {
-            manifest_paths.push(crate_dir.join("Cargo.toml"));
-        }
-        for path in manifest_paths {
-            if !path.is_file() {
-                continue;
-            }
-            let text = read(&path)?;
-            let rel = rel_path(root, &path);
-            manifests.insert(rel.clone(), parse_manifest(rel, &text));
-        }
-
-        Ok(Workspace {
-            root: root.to_path_buf(),
-            files,
-            manifests,
-        })
-    }
-
-    /// Reads a workspace-relative artifact file (EXPERIMENTS.md, a
-    /// golden, ...), or `None` when absent.
-    pub fn read_artifact(&self, rel: &str) -> Option<String> {
-        fs::read_to_string(self.root.join(rel)).ok()
-    }
-
-    /// Whether a workspace-relative path exists on disk.
-    pub fn artifact_exists(&self, rel: &str) -> bool {
-        self.root.join(rel).exists()
+        Ok(Workspace { files })
     }
 }
 
@@ -215,114 +140,4 @@ fn walk_rs(
         }
     }
     Ok(())
-}
-
-/// Line-oriented manifest scan: tracks `[[bin]]` sections, their
-/// `name`/`path` keys, and `# lint: allow(...)` comments. This is not a
-/// TOML parser — it only needs the workspace's declared-target
-/// convention, and unknown syntax degrades to "no bins seen".
-fn parse_manifest(rel_path: String, text: &str) -> Manifest {
-    let mut bins = Vec::new();
-    let mut allows: BTreeMap<u32, Vec<String>> = BTreeMap::new();
-    let mut in_bin = false;
-    let mut pending_standalone: Option<Vec<String>> = None;
-    for (idx, raw) in text.lines().enumerate() {
-        let line_no = idx as u32 + 1;
-        let line = raw.trim();
-        // Escapes: trailing comments bind to their line, standalone
-        // comment lines bind to the next non-comment line.
-        if let Some(hash) = raw.find('#') {
-            let rules = parse_allow_rules(&raw[hash..]);
-            if !rules.is_empty() {
-                if raw[..hash].trim().is_empty() {
-                    pending_standalone = Some(rules);
-                } else {
-                    allows.entry(line_no).or_default().extend(rules);
-                }
-            }
-        }
-        if line.starts_with('#') {
-            continue;
-        }
-        if let Some(rules) = pending_standalone.take() {
-            if !line.is_empty() {
-                allows.entry(line_no).or_default().extend(rules);
-            } else {
-                pending_standalone = Some(rules);
-            }
-        }
-        if line.starts_with('[') {
-            in_bin = line.starts_with("[[bin]]");
-            if in_bin {
-                bins.push(BinDecl {
-                    name: None,
-                    path: None,
-                    line: line_no,
-                });
-            }
-            continue;
-        }
-        if !in_bin {
-            continue;
-        }
-        if let Some(decl) = bins.last_mut() {
-            if let Some(value) = toml_string_value(line, "name") {
-                decl.name = Some(value);
-            } else if let Some(value) = toml_string_value(line, "path") {
-                decl.path = Some(value);
-            }
-        }
-    }
-    Manifest {
-        rel_path,
-        bins,
-        allows,
-    }
-}
-
-/// Extracts `key = "value"` from a TOML line, if it assigns `key`.
-fn toml_string_value(line: &str, key: &str) -> Option<String> {
-    let rest = line.strip_prefix(key)?.trim_start();
-    let rest = rest.strip_prefix('=')?.trim_start();
-    let rest = rest.strip_prefix('"')?;
-    Some(rest[..rest.find('"')?].to_owned())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn manifest_bin_sections_are_parsed() {
-        let text = "\
-[package]
-name = \"demo\"
-
-[[bin]]
-name = \"tool_a\"
-path = \"src/bin/tool_a.rs\"
-
-# lint: allow(bin-sources) — generated at build time
-[[bin]]
-name = \"tool_b\"
-path = \"src/bin/tool_b.rs\"
-";
-        let m = parse_manifest("Cargo.toml".into(), text);
-        assert_eq!(m.bins.len(), 2);
-        assert_eq!(m.bins[0].name.as_deref(), Some("tool_a"));
-        assert_eq!(m.bins[0].path.as_deref(), Some("src/bin/tool_a.rs"));
-        assert_eq!(m.bins[1].line, 9);
-        assert!(m.is_allowed("bin-sources", 9));
-        assert!(!m.is_allowed("bin-sources", 4));
-    }
-
-    #[test]
-    fn toml_values_ignore_non_assignments() {
-        assert_eq!(
-            toml_string_value("name = \"x\"", "name").as_deref(),
-            Some("x")
-        );
-        assert_eq!(toml_string_value("rename = \"x\"", "name"), None);
-        assert_eq!(toml_string_value("name.workspace = true", "name"), None);
-    }
 }

@@ -1,11 +1,7 @@
-//! Determinism-critical fixture crate: two seeded violations
+//! Determinism-critical fixture crate: the seeded `wall-clock` violation
 //! (the unordered-collections seed lives in the store fixture crate).
 
 pub fn stamp() -> u64 {
     let t = Instant::now();
     t.elapsed().as_nanos() as u64
-}
-
-pub fn noise() -> u64 {
-    thread_rng().gen()
 }

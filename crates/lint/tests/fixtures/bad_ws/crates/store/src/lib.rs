@@ -1,4 +1,4 @@
-//! Result-store fixture crate: one seeded violation. The store's
+//! Result-store fixture crate: two seeded violations. The store's
 //! directory listings feed resume decisions, so it is determinism-lint
 //! territory like the sweep crates.
 
@@ -9,8 +9,4 @@ pub fn index() -> usize {
 
 pub fn capacity() -> usize {
     16 // lint: allow(wall-clock) — stale: nothing here reads a clock
-}
-
-pub fn schema() -> &'static str {
-    "leaky-frontends/results/v1"
 }

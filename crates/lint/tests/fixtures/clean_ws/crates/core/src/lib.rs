@@ -1,11 +1,7 @@
-//! Determinism-critical fixture crate: the same two violation sites
-//! as bad_ws, each escaped on its own line.
+//! Determinism-critical fixture crate: the same violation site as
+//! bad_ws, escaped on its own line.
 
 pub fn stamp() -> u64 {
     let t = Instant::now(); // lint: allow(wall-clock) — operator telemetry only
     t.elapsed().as_nanos() as u64
-}
-
-pub fn noise() -> u64 {
-    thread_rng().gen() // lint: allow(ambient-rng) — fixture exception
 }

@@ -11,9 +11,3 @@ pub fn capacity() -> usize {
     // lint: allow(stale-allow) — twin: the escape below is deliberately dead
     16 // lint: allow(wall-clock) — stale: nothing here reads a clock
 }
-
-pub fn schema() -> &'static str {
-    "leaky-frontends/results/v1" // lint: allow(schema-sync) — fixture exception
-}
-
-pub const SCENARIO_SCHEMA: &str = "leaky-frontends/scenario/v1";

@@ -47,20 +47,11 @@ fn bad_fixture_diagnostics_anchor_to_the_seeded_files() {
             .clone()
     };
     assert_eq!(anchor("wall-clock"), "crates/core/src/lib.rs");
-    assert_eq!(anchor("ambient-rng"), "crates/core/src/lib.rs");
     assert_eq!(anchor("unordered-collections"), "crates/store/src/lib.rs");
     assert_eq!(anchor("panic-path"), "crates/isa/src/geom.rs");
     assert_eq!(anchor("trace-zero-cost"), "crates/exp/src/telemetry.rs");
     assert_eq!(anchor("stale-allow"), "crates/store/src/lib.rs");
-    assert_eq!(anchor("schema-sync"), "crates/store/src/lib.rs");
     assert_eq!(anchor("key-completeness"), "crates/uarch/src/profile.rs");
-    assert_eq!(
-        anchor("registry-docs"),
-        "crates/core/src/channels/registry.rs"
-    );
-    assert_eq!(anchor("spec-goldens"), "crates/exp/src/experiments/mod.rs");
-    assert_eq!(anchor("bin-sources"), "crates/core/Cargo.toml");
-    assert_eq!(anchor("scenario-files"), "scenarios/rogue.toml");
 }
 
 #[test]

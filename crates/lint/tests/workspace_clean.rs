@@ -53,9 +53,4 @@ fn the_scan_actually_covers_the_workspace() {
         "suspiciously few files scanned: {}",
         ws.files.len()
     );
-    assert!(
-        ws.manifests.len() > 10,
-        "suspiciously few manifests scanned: {}",
-        ws.manifests.len()
-    );
 }

@@ -44,11 +44,6 @@ pub use profile::{encode_profile, parse_profile, ProfileFileExt, ProfileRegistry
 
 use std::fmt;
 
-/// Schema tag every scenario file must declare in its top-level
-/// `schema` key. One shared constant so the loader, the committed
-/// `scenarios/` library and the docs cannot drift.
-pub const SCENARIO_SCHEMA: &str = "leaky-frontends/scenario/v1";
-
 /// An error from parsing or validating a scenario file.
 ///
 /// Carries the 1-based line number when the error is anchored to a

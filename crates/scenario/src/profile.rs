@@ -20,7 +20,8 @@ use leaky_isa::FrontendGeometry;
 use leaky_uarch::{CostModel, UarchProfile};
 
 use crate::toml::{is_bare_key, Doc, Table, Value};
-use crate::{leak, ScenarioError, SCENARIO_SCHEMA};
+use crate::{leak, ScenarioError};
+use leaky_codec::schema;
 
 /// Every [`FrontendGeometry`] field, in declaration order — drives both
 /// validation and [`encode_profile`], so the two cannot drift.
@@ -155,20 +156,20 @@ pub fn document_kind(doc: &Doc) -> Result<&str, ScenarioError> {
             ));
         }
     }
-    let Some(schema) = doc.root.get("schema") else {
+    let Some(tag) = doc.root.get("schema") else {
         return Err(ScenarioError::doc("missing top-level `schema` key"));
     };
-    match &schema.value {
-        Value::Str(s) if s == SCENARIO_SCHEMA => {}
+    match &tag.value {
+        Value::Str(s) if s == schema::SCENARIO => {}
         Value::Str(s) => {
             return Err(ScenarioError::at(
-                schema.line,
-                format!("schema must be \"{SCENARIO_SCHEMA}\", got \"{s}\""),
+                tag.line,
+                format!("schema must be \"{}\", got \"{s}\"", schema::SCENARIO),
             ));
         }
         other => {
             return Err(ScenarioError::at(
-                schema.line,
+                tag.line,
                 format!("key `schema`: expected string, got {}", other.type_name()),
             ));
         }
@@ -438,7 +439,7 @@ fn escape(s: &str) -> String {
 /// to the encodings of the built-ins.
 pub fn encode_profile(p: &UarchProfile) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "schema = \"{SCENARIO_SCHEMA}\"");
+    let _ = writeln!(out, "schema = \"{}\"", schema::SCENARIO);
     let _ = writeln!(out, "kind = \"profile\"");
     let _ = writeln!(out);
     let _ = writeln!(out, "[profile]");
@@ -565,6 +566,7 @@ mod tests {
     fn builtin_profiles_round_trip_through_the_codec() {
         for builtin in UarchProfile::all() {
             let text = encode_profile(&builtin);
+            assert!(text.starts_with(&format!("schema = \"{}\"\n", schema::SCENARIO)));
             let parsed = parse_profile(&text).expect("canonical encoding parses");
             assert_eq!(parsed.key, builtin.key);
             assert_eq!(parsed.description, builtin.description);

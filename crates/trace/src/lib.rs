@@ -19,8 +19,8 @@
 //!   bit-identically in any deterministic fold order.
 //! - **Sinks & telemetry**: pluggable [`TraceSink`]s ([`CsvSink`],
 //!   [`TextSink`], [`TimedTextSink`]) for per-cell trace files, and a
-//!   [`Telemetry`] record (schema [`TRACE_SCHEMA`]) that rides along
-//!   `leaky_exp::CellMeasurement` into sweep JSON.
+//!   [`Telemetry`] record (schema `leaky_codec::schema::TRACE`) that
+//!   rides along `leaky_exp::CellMeasurement` into sweep JSON.
 //!
 //! Every simulation crate links this crate, so it must not widen their
 //! build graphs: its only dependency is the dependency-free leaf
@@ -56,4 +56,4 @@ pub use event::{Source, TraceEvent, UnlockReason, CSV_HEADER};
 pub use hook::{EventBuffer, TraceHook, TraceMode};
 pub use sink::{drain, CsvSink, TextSink, TimedTextSink, TraceSink};
 pub use summary::{SourceTotals, StallSummary};
-pub use telemetry::{Telemetry, TRACE_SCHEMA};
+pub use telemetry::Telemetry;

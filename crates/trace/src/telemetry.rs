@@ -5,11 +5,8 @@ use crate::event::{Source, TraceEvent, UnlockReason, CSV_HEADER};
 use crate::hook::TraceMode;
 use crate::summary::StallSummary;
 use leaky_codec::json::number;
+use leaky_codec::schema;
 use std::fmt::Write as _;
-
-/// Schema tag embedded in every telemetry object, versioned like the
-/// sweep document's `leaky-frontends/sweep/v1`.
-pub const TRACE_SCHEMA: &str = "leaky-frontends/trace/v1";
 
 /// A finished trace, detached from its hook: the stall summary plus (in
 /// events mode) the raw event stream.
@@ -36,8 +33,9 @@ impl Telemetry {
         let mut out = String::with_capacity(1024);
         let _ = write!(
             out,
-            "{{\"schema\": \"{TRACE_SCHEMA}\", \"mode\": \"{}\", \"events\": {}, \
+            "{{\"schema\": \"{}\", \"mode\": \"{}\", \"events\": {}, \
              \"iterations\": {}, \"sources\": {{",
+            schema::TRACE,
             self.mode.label(),
             self.events.len(),
             s.iterations
@@ -168,6 +166,11 @@ mod tests {
         let json = t.to_json_inline();
         assert!(
             json.starts_with("{\"schema\": \"leaky-frontends/trace/v1\", \"mode\": \"summary\"")
+        );
+        let doc = leaky_codec::json::parse(&json).expect("telemetry is JSON");
+        assert_eq!(
+            doc.get("schema").and_then(leaky_codec::json::Json::as_str),
+            Some(schema::TRACE)
         );
         assert!(json.contains("\"dsb\": {\"iterations\": 2, \"cycles\": 25.0"));
         assert!(json.contains("\"threshold\": 2596.125"));
