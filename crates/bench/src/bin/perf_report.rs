@@ -287,24 +287,31 @@ fn measure(budget: &Budget) -> Vec<Metric> {
         push(&format!("trace_off_{metric}"), ns, budget.bit_ops);
     }
 
-    // The MT eviction channel's per-bit cost (both SMT threads simulated
-    // per measure), and one 2-bit slow-switch transmission: the whole
-    // decode path, ambiguity-band resamples included.
-    let mut mt = ChannelSpec::new("mt-eviction")
-        .model(ProcessorModel::gold_6226())
-        .seed(1)
-        .build()
-        .expect("registered SMT channel");
-    let mut bit = false;
-    let ns = time_ns_per_op(budget.bit_ops / 4, budget.samples, budget.bit_ops, || {
-        bit = !bit;
-        black_box(mt.debug_measure(bit));
-    });
-    push("bit_mt_eviction", ns, budget.bit_ops);
+    // The MT channels' per-bit cost (both SMT threads walk the chain
+    // pair's state graph per measure): the eviction channel, and the
+    // misalignment channel, whose steps ping-pong between the threads.
+    // Then one 2-bit slow-switch transmission: the whole decode path,
+    // ambiguity-band resamples included.
+    for (metric, channel) in [
+        ("bit_mt_eviction", "mt-eviction"),
+        ("bit_mt_misalignment", "mt-misalignment"),
+    ] {
+        let mut mt = ChannelSpec::new(channel)
+            .model(ProcessorModel::gold_6226())
+            .seed(1)
+            .build()
+            .expect("registered SMT channel");
+        let mut bit = false;
+        let ns = time_ns_per_op(budget.bit_ops / 4, budget.samples, budget.bit_ops, || {
+            bit = !bit;
+            black_box(mt.debug_measure(bit));
+        });
+        push(metric, ns, budget.bit_ops);
+    }
 
     // One SGX MT 1-bit (§VIII-1): a single `run_concurrent` of 10 000
     // receiver and 1 000 in-enclave sender iterations, the per-bit cost
-    // that dominates Table VI. Every step rides the SMT transition memo.
+    // that dominates Table VI. Every step walks the SMT state graph.
     let mut sgx_mt = SgxMtChannel::new(
         ProcessorModel::xeon_e2174g(),
         NonMtKind::Eviction,

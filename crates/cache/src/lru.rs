@@ -93,6 +93,18 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// What was counted between `earlier` and `self`, field by field
+    /// (wrapping, so [`SetAssocCache::add_stats`] restores `self` exactly).
+    pub fn since(self, earlier: CacheStats) -> CacheStats {
+        CacheStats {
+            accesses: self.accesses.wrapping_sub(earlier.accesses),
+            hits: self.hits.wrapping_sub(earlier.hits),
+            misses: self.misses.wrapping_sub(earlier.misses),
+            evictions: self.evictions.wrapping_sub(earlier.evictions),
+            flushes: self.flushes.wrapping_sub(earlier.flushes),
+        }
+    }
+
     /// Miss rate in `[0, 1]`, or `0` with no accesses.
     pub fn miss_rate(&self) -> f64 {
         if self.accesses == 0 {
@@ -275,14 +287,31 @@ impl SetAssocCache {
         &self.lines[base..base + self.lens[set] as usize]
     }
 
-    /// Counts `n` accesses that all hit, without touching contents or LRU
-    /// order. This is exact for repeating an access sequence that has
-    /// just run and hit throughout: every line is still resident, and a
-    /// true-LRU pass of the same all-hit sequence leaves each set's
-    /// lines in the same order it found them.
-    pub fn count_repeated_hits(&mut self, n: u64) {
-        self.stats.accesses += n;
-        self.stats.hits += n;
+    /// Overwrites set `set` with `lines`, MRU first: the inverse of
+    /// [`SetAssocCache::set_lines`]. Statistics are untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `set >= config.sets` or `lines` holds more lines than
+    /// the cache has ways.
+    pub fn load_set(&mut self, set: usize, lines: &[u64]) {
+        assert!(lines.len() <= self.config.ways, "more lines than ways");
+        let base = set * self.config.ways;
+        self.lines[base..base + lines.len()].copy_from_slice(lines);
+        self.lens[set] = lines.len() as u16;
+    }
+
+    /// Adds a statistics delta (see [`CacheStats::since`]) without
+    /// touching contents or LRU order: replaying the delta of an access
+    /// pass counts exactly what re-running that pass from the same
+    /// contents would count.
+    pub fn add_stats(&mut self, delta: CacheStats) {
+        let s = &mut self.stats;
+        s.accesses = s.accesses.wrapping_add(delta.accesses);
+        s.hits = s.hits.wrapping_add(delta.hits);
+        s.misses = s.misses.wrapping_add(delta.misses);
+        s.evictions = s.evictions.wrapping_add(delta.evictions);
+        s.flushes = s.flushes.wrapping_add(delta.flushes);
     }
 
     /// Running statistics.
@@ -426,9 +455,79 @@ mod tests {
     }
 
     #[test]
+    fn load_set_round_trips_set_lines() {
+        let mut c = SetAssocCache::new(CacheConfig {
+            sets: 2,
+            ways: 4,
+            line_bytes: 64,
+        });
+        for line in [6, 0, 2, 4, 1, 2, 8] {
+            c.access_line(line);
+        }
+        let saved: Vec<Vec<u64>> = (0..2).map(|set| c.set_lines(set).to_vec()).collect();
+        let stats = c.stats();
+        let mut other = SetAssocCache::new(c.config());
+        other.access_line(3);
+        other.access_line(10);
+        for (set, lines) in saved.iter().enumerate() {
+            other.load_set(set, lines);
+            assert_eq!(other.set_lines(set), &lines[..]);
+        }
+        // The loaded cache behaves exactly like the original from here on.
+        for line in [0, 12, 6, 3, 8] {
+            assert_eq!(other.access_line(line), c.access_line(line), "line {line}");
+        }
+        for set in 0..2 {
+            assert_eq!(other.set_lines(set), c.set_lines(set));
+        }
+        // Loading touches no statistics.
+        c.load_set(0, &[]);
+        assert_eq!(c.set_occupancy(0), 0);
+        assert_eq!(c.stats().accesses, stats.accesses + 5);
+    }
+
+    #[test]
+    fn stats_delta_matches_rerunning_the_pass() {
+        // A pass that hits, misses and evicts in set 0 of a 2-set, 2-way
+        // cache. Following it from the same starting contents — load the
+        // recorded post-state, add the recorded delta — ends exactly
+        // where simulating it again ends.
+        let mut c = SetAssocCache::new(CacheConfig {
+            sets: 2,
+            ways: 2,
+            line_bytes: 64,
+        });
+        for line in [0, 2, 1] {
+            c.access_line(line);
+        }
+        let mut rerun = c.clone();
+        let mut replay = c.clone();
+        let pass = [2, 4, 0, 1, 2];
+        let before = c.stats();
+        for &line in &pass {
+            c.access_line(line);
+        }
+        let delta = c.stats().since(before);
+        assert_eq!((delta.accesses, delta.misses, delta.evictions), (5, 3, 3));
+        for &line in &pass {
+            rerun.access_line(line);
+        }
+        for set in 0..2 {
+            replay.load_set(set, c.set_lines(set));
+        }
+        replay.add_stats(delta);
+        assert_eq!(replay.stats(), rerun.stats());
+        for set in 0..2 {
+            assert_eq!(replay.set_lines(set), rerun.set_lines(set));
+        }
+    }
+
+    #[test]
     fn repeated_hits_match_rerunning_an_all_hit_pass() {
         // Lines 0, 2, 4 share set 0 of a 2-set, 4-way cache; line 6 is
-        // resident but untouched by the pass.
+        // resident but untouched by the pass. A true-LRU all-hit pass
+        // leaves the sets as it found them, so its delta alone replays a
+        // repeat of it.
         let mut c = SetAssocCache::new(CacheConfig {
             sets: 2,
             ways: 4,
@@ -438,10 +537,12 @@ mod tests {
             c.access_line(line);
         }
         let pass = [2, 0, 2, 4];
+        let before = c.stats();
         assert!(pass.iter().all(|&l| c.access_line(l).hit()));
+        let delta = c.stats().since(before);
         let mut rerun = c.clone();
         assert!(pass.iter().all(|&l| rerun.access_line(l).hit()));
-        c.count_repeated_hits(pass.len() as u64);
+        c.add_stats(delta);
         assert_eq!(c.stats(), rerun.stats());
         for set in 0..2 {
             assert_eq!(c.set_lines(set), rerun.set_lines(set));

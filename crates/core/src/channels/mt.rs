@@ -388,31 +388,46 @@ mod tests {
 
     #[test]
     fn memo_counters_are_pinned() {
-        // One seeded 16-bit transmission: both threads of every
-        // `run_concurrent` step through the SMT transition memo. The
-        // profile has no LSD, so no step streams. Steps that follow a
-        // same-thread stationary step are repeats, which count as hits.
-        let mut ch = MtChannel::with_profile(
-            ProcessorModel::gold_6226(),
-            MtKind::Eviction,
-            ChannelParams::mt_defaults(),
-            &UarchProfile::icelake(),
-            5,
-        )
-        .unwrap();
-        ch.transmit(&MessagePattern::Random.generate(16, 5));
-        let stats = ch.core.frontend().memo_stats();
-        assert_eq!(
-            stats,
-            leaky_frontend::MemoStats {
-                hits: 37_382,
-                repeats: 26_259,
-                misses: 18,
-                streaming: 0,
-                entries: 18,
-                slots: 256,
-            }
-        );
+        // One seeded 16-bit transmission per MT configuration that
+        // `channel_stream` runs: every `run_concurrent` walks its chain
+        // pair's state graph. Nearly every step follows a recorded edge,
+        // and no graph outgrows its state cap.
+        let pinned = [
+            (MtKind::Eviction, "skylake", [37_340, 60, 56, 60, 0]),
+            (MtKind::Misalignment, "skylake", [55_474, 26, 22, 26, 0]),
+            (MtKind::Eviction, "icelake", [37_378, 22, 21, 22, 0]),
+            (MtKind::Misalignment, "icelake", [62_980, 20, 15, 20, 0]),
+        ];
+        for (kind, profile, [followed, simulated, states, edges, resets]) in pinned {
+            let profile_ref = UarchProfile::by_key(profile).unwrap();
+            let mut ch = MtChannel::with_profile(
+                ProcessorModel::gold_6226(),
+                kind,
+                ChannelParams::mt_defaults(),
+                &profile_ref,
+                5,
+            )
+            .unwrap();
+            ch.transmit(&MessagePattern::Random.generate(16, 5));
+            let stats = ch.core.frontend().memo_stats();
+            let label = format!("{kind:?}@{profile}");
+            assert!(
+                100 * stats.followed >= 99 * (stats.followed + stats.simulated),
+                "{label}: {stats:?}"
+            );
+            assert_eq!(stats.resets, 0, "{label}");
+            assert_eq!(
+                stats,
+                leaky_frontend::MemoStats {
+                    followed,
+                    simulated,
+                    states: states as usize,
+                    edges: edges as usize,
+                    resets,
+                },
+                "{label}"
+            );
+        }
     }
 
     #[test]

@@ -2,7 +2,8 @@
 
 use leaky_backend::Backend;
 use leaky_frontend::{
-    Frontend, FrontendConfig, IterationReport, SmtDsbPolicy, ThreadId, UarchProfile,
+    CostModel, EdgeNote, Frontend, FrontendConfig, IterationReport, SmtDsbPolicy, ThreadId,
+    UarchProfile,
 };
 use leaky_isa::BlockChain;
 use leaky_power::{DeliveryClass, PowerModel, Rapl};
@@ -69,8 +70,8 @@ pub struct Core {
 
 /// Everything a step is charged to apart from the frontend: clocks,
 /// backend, energy and the scheduling RNG. It is a field of its own so
-/// that [`Core::run_concurrent`]'s step callback can borrow it while
-/// [`Frontend::run_memoized_while`] holds the frontend.
+/// that [`Core::run_concurrent`] can charge steps while its
+/// [`leaky_frontend::SmtWalk`] holds the frontend.
 #[derive(Debug, Clone)]
 struct Accounts {
     model: ProcessorModel,
@@ -96,6 +97,14 @@ struct Accounts {
     /// the new one.
     backend_cache: Vec<((u64, u64), f64)>,
     rng: StdRng,
+}
+
+/// The inputs of a charge that the frontend supplies, plus the SMT
+/// backend factor ([`Accounts::smt_factor`]).
+struct Cost<'a> {
+    profile_key: u64,
+    costs: &'a CostModel,
+    factor: f64,
 }
 
 /// What one run costs its thread: wall cycles and energy.
@@ -334,14 +343,15 @@ impl Core {
     ///
     /// Every step draws its jitter, even once only one thread has work
     /// left: the draw keeps the RNG stream, and with it every later run
-    /// on this core, independent of how the steps were served. Steps go
-    /// through [`Frontend::run_memoized_while`], which keeps the picked
-    /// thread running for as long as the next pick is that thread again.
-    /// After a step that lands on a stationary transition, the following
-    /// steps are repeats: the report, the backend throughput, the cycles
-    /// and the energy per step are the landing step's, so they are
-    /// computed once; each repeat still advances the clock, deposits its
-    /// energy and adds to its [`LoopRun`] one step at a time.
+    /// on this core, independent of how the steps were served. The steps
+    /// walk the chain pair's state graph ([`Frontend::smt_walk`]): a step
+    /// whose edge is recorded follows it instead of simulating. Its
+    /// cycles and energy depend only on the edge and on the SMT backend
+    /// factor (the sibling's recent µops per cycle, or a trace-driven
+    /// sibling's demand), so they are cached on the edge under that
+    /// factor. Each step still advances the clock, deposits its energy
+    /// and adds to its [`LoopRun`] one step at a time, in the plain
+    /// loop's order.
     ///
     /// # Panics
     ///
@@ -361,29 +371,33 @@ impl Core {
         let mut remaining = [work0.iterations, work1.iterations];
         let mut runs = [LoopRun::empty(), LoopRun::empty()];
         let chains = [work0.chain, work1.chain];
-        let mut next = self.accounts.pick(&remaining);
-        while let Some(pick) = next {
+        let accounts = &mut self.accounts;
+        let mut walk = self.frontend.smt_walk(chains);
+        let profile_key = walk.frontend().profile_key();
+        let costs = walk.frontend().config().costs;
+        while let Some(pick) = accounts.pick(&remaining) {
             let tid = [ThreadId::T0, ThreadId::T1][pick];
-            let chain = chains[pick];
-            let accounts = &mut self.accounts;
-            let mut charge = Charge::default();
-            self.frontend
-                .run_memoized_while(tid, chain, |frontend, report, repeat| {
-                    if !repeat {
-                        charge = accounts.charge(frontend, tid, chain, 1, report);
-                    }
-                    accounts.apply(pick, charge);
-                    runs[pick].cycles += charge.cycles;
-                    runs[pick].iterations += 1;
-                    runs[pick].report += *report;
-                    remaining[pick] -= 1;
-                    next = accounts.pick(&remaining);
-                    next == Some(pick)
-                });
+            let factor = accounts.smt_factor(tid, walk.frontend().both_active());
+            let (report, note) = walk.step(tid);
+            let cost = Cost {
+                profile_key,
+                costs: &costs,
+                factor,
+            };
+            let charge = match note {
+                Some(note) => accounts.charge_noted(&cost, tid, chains[pick], report, note),
+                None => accounts.charge_at(&cost, tid, chains[pick], 1, report),
+            };
+            accounts.apply(pick, charge);
+            runs[pick].cycles += charge.cycles;
+            runs[pick].iterations += 1;
+            runs[pick].report += *report;
+            remaining[pick] -= 1;
             if remaining[pick] == 0 {
-                self.set_active(tid, false);
+                walk.deactivate(tid);
             }
         }
+        drop(walk);
         let [r0, r1] = runs;
         (r0, r1)
     }
@@ -518,7 +532,12 @@ impl Accounts {
         iterations: u64,
         report: IterationReport,
     ) -> LoopRun {
-        let charge = self.charge(frontend, tid, chain, iterations, &report);
+        let cost = Cost {
+            profile_key: frontend.profile_key(),
+            costs: &frontend.config().costs,
+            factor: self.smt_factor(tid, frontend.both_active()),
+        };
+        let charge = self.charge_at(&cost, tid, chain, iterations, &report);
         self.apply(tid.index(), charge);
         LoopRun {
             cycles: charge.cycles,
@@ -527,18 +546,66 @@ impl Accounts {
         }
     }
 
+    /// The factor by which SMT stretches `tid`'s backend time: 1 alone.
+    /// Rename/retire bandwidth is shared between threads in proportion
+    /// to demand. A trace-driven victim (fingerprinting model) contends
+    /// for its full share plus its demand level; a simulated sibling
+    /// contends only for the µop bandwidth it actually used recently —
+    /// the §IV-D mix blocks are designed to leave backend headroom, so
+    /// light siblings barely slow each other down.
+    fn smt_factor(&self, tid: ThreadId, both_active: bool) -> f64 {
+        let t = tid.index();
+        if !both_active {
+            1.0
+        } else if self.trace_sibling[t] {
+            2.0 + self.sibling_demand[t]
+        } else {
+            let other = tid.other().index();
+            1.0 + (self.recent_upc[other] / self.backend.config().rename_width).min(1.0)
+        }
+    }
+
+    /// [`Accounts::charge_at`] for one step along a graph edge, cached in
+    /// the edge's note under the SMT factor: everything else the charge
+    /// reads is fixed for the edge (its report, its thread's chain, the
+    /// core's models), so a note with the same factor holds exactly what
+    /// `charge_at` would compute, including the recent µops per cycle it
+    /// leaves behind.
+    fn charge_noted(
+        &mut self,
+        cost: &Cost<'_>,
+        tid: ThreadId,
+        chain: &BlockChain,
+        report: &IterationReport,
+        note: &mut EdgeNote,
+    ) -> Charge {
+        let t = tid.index();
+        let key = cost.factor.to_bits();
+        if let Some((k, [cycles, joules, upc])) = *note {
+            if k == key {
+                if cycles > 0.0 {
+                    self.recent_upc[t] = upc;
+                }
+                return Charge { cycles, joules };
+            }
+        }
+        let charge = self.charge_at(cost, tid, chain, 1, report);
+        *note = Some((key, [charge.cycles, charge.joules, self.recent_upc[t]]));
+        charge
+    }
+
     /// What a run costs: the frontend/backend bottleneck in cycles, and
     /// the energy of its delivery mix over that time. Updates the
     /// backend memo and the thread's recent µops per cycle.
-    fn charge(
+    fn charge_at(
         &mut self,
-        frontend: &Frontend,
+        cost: &Cost<'_>,
         tid: ThreadId,
         chain: &BlockChain,
         iterations: u64,
         report: &IterationReport,
     ) -> Charge {
-        let key = (chain.key(), frontend.profile_key());
+        let key = (chain.key(), cost.profile_key);
         let per_iter = match self.backend_cache.first() {
             Some(&(k, v)) if k == key => v,
             _ => match self.backend_cache.iter().position(|&(k, _)| k == key) {
@@ -557,32 +624,15 @@ impl Accounts {
                 }
             },
         };
-        let mut backend_cycles = per_iter * iterations as f64;
-        let t = tid.index();
-        if frontend.both_active() {
-            // Rename/retire bandwidth is shared between threads in
-            // proportion to demand. A trace-driven victim (fingerprinting
-            // model) contends for its full share plus its demand level; a
-            // simulated sibling contends only for the µop bandwidth it
-            // actually used recently — the §IV-D mix blocks are designed to
-            // leave backend headroom, so light siblings barely slow each
-            // other down.
-            let factor = if self.trace_sibling[t] {
-                2.0 + self.sibling_demand[t]
-            } else {
-                let other = tid.other().index();
-                1.0 + (self.recent_upc[other] / self.backend.config().rename_width).min(1.0)
-            };
-            backend_cycles *= factor;
-        }
+        let backend_cycles = per_iter * iterations as f64 * cost.factor;
         let cycles = report.cycles.max(backend_cycles);
         if cycles > 0.0 {
-            self.recent_upc[t] = report.total_uops() as f64 / cycles;
+            self.recent_upc[tid.index()] = report.total_uops() as f64 / cycles;
         }
 
         // Energy: apportion cycles to delivery classes via the cost model.
         let dt = self.model.cycles_to_seconds(cycles);
-        let watts = mean_watts(&self.power, &frontend.config().costs, report);
+        let watts = mean_watts(&self.power, cost.costs, report);
         Charge {
             cycles,
             joules: watts * dt,
@@ -636,6 +686,7 @@ fn dominant_class(report: &IterationReport) -> DeliveryClass {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use leaky_frontend::{TraceHook, TraceMode};
     use leaky_isa::{same_set_chain, Alignment, DsbSet};
 
     const RECV: u64 = 0x0041_8000;
@@ -738,7 +789,7 @@ mod tests {
         assert_eq!(
             core.frontend().memo_stats(),
             leaky_frontend::MemoStats::default(),
-            "single-thread runs must not allocate a memo table"
+            "single-thread runs must not build a state graph"
         );
         core.run_concurrent(
             ThreadWork {
@@ -751,9 +802,9 @@ mod tests {
             },
         );
         let stats = core.frontend().memo_stats();
-        assert_eq!(stats.slots, 256);
-        assert_eq!(stats.hits + stats.misses + stats.streaming, 100);
-        assert!(stats.hits > 0 && stats.entries as u64 <= stats.misses);
+        assert_eq!(stats.followed + stats.simulated, 100);
+        assert!(stats.followed > 0 && stats.edges as u64 <= stats.simulated);
+        assert!(stats.states > 0 && stats.edges <= 2 * stats.states);
     }
 
     #[test]
@@ -958,14 +1009,17 @@ mod tests {
 
     /// The plain reference for [`Core::run_concurrent`]: the same jitter
     /// draws, one [`Frontend::run_iteration`] and one `finish_run` per
-    /// step, no memo and no repeats.
-    fn run_concurrent_plain(core: &mut Core, work: [(&BlockChain, u64); 2]) -> [LoopRun; 2] {
+    /// step, no state graph. Also returns how often consecutive steps
+    /// ran on different threads.
+    fn run_concurrent_plain(core: &mut Core, work: [(&BlockChain, u64); 2]) -> ([LoopRun; 2], u64) {
         let start = core.accounts.clock[0].max(core.accounts.clock[1]);
         core.accounts.clock = [start, start];
         core.set_active(ThreadId::T0, true);
         core.set_active(ThreadId::T1, true);
         let mut remaining = [work[0].1, work[1].1];
         let mut runs = [LoopRun::empty(), LoopRun::empty()];
+        let mut switches = 0;
+        let mut last = None;
         while remaining[0] > 0 || remaining[1] > 0 {
             let jitter: f64 = core.accounts.rng.gen_range(-2.0..2.0);
             let clock = core.accounts.clock;
@@ -976,6 +1030,8 @@ mod tests {
             } else {
                 1
             };
+            switches += u64::from(last.is_some_and(|l| l != pick));
+            last = Some(pick);
             let tid = [ThreadId::T0, ThreadId::T1][pick];
             let chain = work[pick].0;
             let report = core.frontend.run_iteration(tid, chain);
@@ -990,7 +1046,7 @@ mod tests {
                 core.set_active(tid, false);
             }
         }
-        runs
+        (runs, switches)
     }
 
     fn report_bits(r: &IterationReport) -> [u64; 13] {
@@ -1019,7 +1075,7 @@ mod tests {
 
     /// Everything observable that a step can change, bit for bit: both
     /// clocks, the RAPL energy, the cumulative counters, the L1I
-    /// statistics and sets, and every DSB set in MRU order.
+    /// statistics and sets, every DSB set in MRU order, and the trace.
     fn state_diff(fast: &Core, plain: &Core) -> Option<String> {
         let (a, b) = (&fast.accounts, &plain.accounts);
         if a.clock.map(f64::to_bits) != b.clock.map(f64::to_bits) {
@@ -1033,6 +1089,12 @@ mod tests {
             if report_bits(fa.counters(tid)) != report_bits(fb.counters(tid)) {
                 return Some(format!("{tid} counters"));
             }
+        }
+        if fa.trace().events() != fb.trace().events() {
+            return Some("trace events".into());
+        }
+        if fa.trace().summary() != fb.trace().summary() {
+            return Some("trace summary".into());
         }
         if fa.l1i().stats() != fb.l1i().stats() {
             return Some(format!(
@@ -1088,19 +1150,25 @@ mod tests {
     }
 
     /// Runs `schedule` (chain pair and iteration counts per
-    /// `run_concurrent`) on a memoized core and a plain one, comparing
-    /// both runs and the whole observable state after each call.
-    /// Returns the memoized core's repeat count.
+    /// `run_concurrent`) on a graph-walking core and a plain one,
+    /// comparing both runs, the LSD locks on every chain and the whole
+    /// observable state after each call. `before(i, core)` runs on both
+    /// cores ahead of call `i`. Returns the walking core's graph counters
+    /// and how often consecutive steps switched threads.
     fn differential(
         config: FrontendConfig,
         seed: u64,
         chains: &[BlockChain],
         schedule: &[(usize, usize, u64, u64)],
-    ) -> Result<u64, String> {
+        mut before: impl FnMut(usize, &mut Core),
+    ) -> Result<(leaky_frontend::MemoStats, u64), String> {
         let model = ProcessorModel::gold_6226();
         let mut fast = Core::with_frontend_config(model, MicrocodePatch::Patch1, config, seed);
         let mut plain = fast.clone();
+        let mut switches = 0;
         for (i, &(c0, c1, p, q)) in schedule.iter().enumerate() {
+            before(i, &mut fast);
+            before(i, &mut plain);
             let (w0, w1) = (&chains[c0 % chains.len()], &chains[c1 % chains.len()]);
             let (r0, r1) = fast.run_concurrent(
                 ThreadWork {
@@ -1112,7 +1180,8 @@ mod tests {
                     iterations: q,
                 },
             );
-            let [e0, e1] = run_concurrent_plain(&mut plain, [(w0, p), (w1, q)]);
+            let ([e0, e1], n) = run_concurrent_plain(&mut plain, [(w0, p), (w1, q)]);
+            switches += n;
             if run_bits(&r0) != run_bits(&e0) || run_bits(&r1) != run_bits(&e1) {
                 return Err(format!(
                     "run {i}: LoopRuns diverged: {r0:?} {r1:?} vs {e0:?} {e1:?}"
@@ -1121,8 +1190,15 @@ mod tests {
             if let Some(diff) = state_diff(&fast, &plain) {
                 return Err(format!("run {i}: {diff} diverged"));
             }
+            for c in chains {
+                for tid in [ThreadId::T0, ThreadId::T1] {
+                    if fast.frontend().lsd_locked(tid, c) != plain.frontend().lsd_locked(tid, c) {
+                        return Err(format!("run {i}: {tid} LSD lock diverged"));
+                    }
+                }
+            }
         }
-        Ok(fast.frontend().memo_stats().repeats)
+        Ok((fast.frontend().memo_stats(), switches))
     }
 
     #[test]
@@ -1130,19 +1206,45 @@ mod tests {
         // The SGX MT shape (receiver p ≫ sender q on a machine without
         // the LSD), its mirror (q ≫ p), and an L1I-thrashing receiver:
         // nine blocks 4 KiB apart miss in the L1I on every pass while the
-        // rest of the frontend returns to the same state, so it must
-        // never be served as a repeat.
+        // rest of the frontend returns to the same state. Each tail
+        // follows edges (a self-loop for the stationary ones), and the
+        // thrashing tail's L1I statistics come from its edges' deltas.
         let recv = strided(RECV, 6, 1024);
         let send = strided(SEND, 3, 1024);
         let thrash = strided(0x00c3_0000, 9, 4096);
         let chains = [recv, send, thrash];
         for shared in [false, true] {
             let sgx = [(0, 1, 400, 20), (1, 0, 20, 400)];
-            let repeats = differential(config(false, shared), 3, &chains, &sgx).unwrap();
-            assert!(repeats > 600, "tails must repeat, got {repeats}");
+            let (stats, _) =
+                differential(config(false, shared), 3, &chains, &sgx, |_, _| {}).unwrap();
+            assert!(
+                stats.followed > 600,
+                "tails must follow edges, got {stats:?}"
+            );
             let thrashing = [(2, 1, 200, 10), (1, 2, 10, 200)];
-            differential(config(false, shared), 5, &chains, &thrashing).unwrap();
+            let (stats, _) =
+                differential(config(false, shared), 5, &chains, &thrashing, |_, _| {}).unwrap();
+            assert!(
+                stats.followed > 300,
+                "thrashing tails follow edges, got {stats:?}"
+            );
         }
+    }
+
+    /// Random chains from `(base, set, blocks, kind)` specs: aligned or
+    /// misaligned same-set chains, or mix blocks 4 KiB apart.
+    fn chains_from(specs: &[(u64, u8, usize, u8)]) -> Vec<BlockChain> {
+        specs
+            .iter()
+            .map(|&(base, set, n, kind)| {
+                let base = RECV + base * 0x40_0000 + u64::from(set) * 32;
+                match kind {
+                    0 => chain(base, set, n),
+                    1 => same_set_chain(base, DsbSet::new(set), n, Alignment::Misaligned),
+                    _ => strided(base, n, 4096),
+                }
+            })
+            .collect()
     }
 
     proptest::proptest! {
@@ -1159,25 +1261,119 @@ mod tests {
             shared in proptest::prelude::any::<bool>(),
             seed in 0u64..1_000,
         ) {
-            let chains: Vec<BlockChain> = specs
-                .iter()
-                .map(|&(base, set, n, kind)| {
-                    let base = RECV + base * 0x40_0000 + u64::from(set) * 32;
-                    match kind {
-                        0 => chain(base, set, n),
-                        1 => same_set_chain(base, DsbSet::new(set), n, Alignment::Misaligned),
-                        _ => strided(base, n, 4096),
-                    }
-                })
-                .collect();
+            let chains = chains_from(&specs);
             let schedule: Vec<_> = schedule
                 .into_iter()
                 .map(|(c0, c1, big, small, flip)| {
                     if flip { (c0, c1, small, big) } else { (c0, c1, big, small) }
                 })
                 .collect();
-            let outcome = differential(config(lsd_enabled, shared), seed, &chains, &schedule);
+            let outcome =
+                differential(config(lsd_enabled, shared), seed, &chains, &schedule, |_, _| {});
             proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+
+        /// Balanced ping-pong: two chains of the same shape (so the same
+        /// per-step cost) with p ≈ q, so the jitter hands the core back
+        /// and forth and most steps switch threads.
+        #[test]
+        fn run_concurrent_matches_the_plain_step_loop_under_ping_pong(
+            spec in (0u8..4, 1usize..12, 0u8..3),
+            sets in (0u8..4, 0u8..4),
+            runs in proptest::collection::vec((50u64..400, 0u64..3), 1..4),
+            lsd_enabled in proptest::prelude::any::<bool>(),
+            shared in proptest::prelude::any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            let (_, n, kind) = spec;
+            let chains = chains_from(&[(0, sets.0, n, kind), (1, sets.1, n, kind)]);
+            let schedule: Vec<_> = runs.iter().map(|&(p, d)| (0, 1, p, p + d)).collect();
+            let steps: u64 = schedule.iter().map(|&(_, _, p, q)| p + q).sum();
+            let outcome =
+                differential(config(lsd_enabled, shared), seed, &chains, &schedule, |_, _| {});
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.as_ref().unwrap_err());
+            let (_, switches) = outcome.unwrap();
+            proptest::prop_assert!(4 * switches > steps, "{} switches in {} steps", switches, steps);
+        }
+
+        /// One thread has only a few iterations, so it finishes and is
+        /// deactivated while its sibling is mid-walk; the sibling walks on
+        /// alone, and the next call starts from the solo state. With
+        /// `victim`, T1's backend share comes from a trace-driven sibling
+        /// demand that changes between calls (the other SMT factor the
+        /// edge notes are keyed on).
+        #[test]
+        fn run_concurrent_matches_the_plain_step_loop_when_a_thread_finishes_mid_walk(
+            specs in proptest::collection::vec((0u64..3, 0u8..4, 1usize..12, 0u8..3), 2..4),
+            runs in proptest::collection::vec(
+                (0usize..4, 0usize..4, 20u64..300, 1u64..4, proptest::prelude::any::<bool>()),
+                1..5),
+            victim in proptest::prelude::any::<bool>(),
+            lsd_enabled in proptest::prelude::any::<bool>(),
+            shared in proptest::prelude::any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            let chains = chains_from(&specs);
+            let schedule: Vec<_> = runs
+                .into_iter()
+                .map(|(c0, c1, long, short, flip)| {
+                    if flip { (c0, c1, short, long) } else { (c0, c1, long, short) }
+                })
+                .collect();
+            let outcome = differential(config(lsd_enabled, shared), seed, &chains, &schedule, |i, core| {
+                if victim && i > 0 {
+                    core.set_sibling_demand(ThreadId::T1, 0.25 * (i % 3) as f64);
+                }
+            });
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+
+        /// A trace hook installed between two calls: the later call walks
+        /// edges recorded untraced, which must not serve its traced steps.
+        #[test]
+        fn run_concurrent_matches_the_plain_step_loop_with_a_hook_installed_between_calls(
+            specs in proptest::collection::vec((0u64..3, 0u8..4, 1usize..12, 0u8..3), 2..4),
+            runs in proptest::collection::vec((20u64..300, 1u64..40, proptest::prelude::any::<bool>()), 2..4),
+            events in proptest::prelude::any::<bool>(),
+            lsd_enabled in proptest::prelude::any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            let chains = chains_from(&specs);
+            let schedule: Vec<_> = runs
+                .iter()
+                .map(|&(big, small, flip)| if flip { (0, 1, small, big) } else { (0, 1, big, small) })
+                .collect();
+            let late = schedule.len() - 1;
+            let mode = if events { TraceMode::Events } else { TraceMode::Summary };
+            let outcome = differential(config(lsd_enabled, false), seed, &chains, &schedule, |i, core| {
+                if i == late {
+                    core.set_trace(TraceHook::new(mode));
+                }
+            });
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+
+        /// A graph that outgrows its state cap is cleared mid-walk: every
+        /// call runs under a new MITE pressure on T0, so every call adds
+        /// at least three states (both, one and no threads active) and
+        /// 180 calls pass the 512-state cap; the walk must carry on
+        /// exactly across the reset.
+        #[test]
+        fn run_concurrent_matches_the_plain_step_loop_across_a_graph_reset(
+            specs in proptest::collection::vec((0u64..3, 0u8..4, 1usize..12, 0u8..3), 2..3),
+            counts in (2u64..8, 2u64..8),
+            lsd_enabled in proptest::prelude::any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            let chains = chains_from(&specs);
+            let schedule = vec![(0, 1, counts.0, counts.1); 180];
+            let outcome = differential(config(lsd_enabled, false), seed, &chains, &schedule, |i, core| {
+                core.frontend_mut()
+                    .set_external_mite_pressure(ThreadId::T0, 0.01 * i as f64);
+            });
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.as_ref().unwrap_err());
+            let (stats, _) = outcome.unwrap();
+            proptest::prop_assert!(stats.resets > 0, "no reset: {:?}", stats);
         }
     }
 }

@@ -399,7 +399,7 @@ impl Dsb {
 
     /// Appends physical set `set`'s occupancy, then its packed lines MRU
     /// first — the ring's logical content, independent of where its
-    /// head happens to sit (the SMT transition memo's DSB snapshot).
+    /// head happens to sit (the state graph's DSB encoding).
     pub(crate) fn push_set(&self, set: usize, out: &mut Vec<u64>) {
         let ways = self.geom.dsb_ways;
         let base = set * ways;

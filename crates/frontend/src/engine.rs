@@ -20,9 +20,9 @@ use crate::counters::{detect_report_period, IterationReport, UopSource};
 use crate::dsb::{Dsb, LineId, SmtDsbPolicy};
 use crate::plan::{pack_lock_member, DeliveryPlan, PlanBlock, PlanCache};
 
-mod memo;
+mod graph;
 
-pub use memo::MemoStats;
+pub use graph::{EdgeNote, MemoStats, SmtWalk};
 
 /// One of the two hardware threads sharing the physical core.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -242,7 +242,7 @@ pub struct Frontend {
     /// Per thread: (chain key, consecutive clean iterations) for LSD
     /// warm-up tracking. The count saturates at the warm-up length: it
     /// is only ever compared with `<` against it, and a bounded count
-    /// keeps the SMT transition memo's keys finite.
+    /// keeps the state graphs finite.
     lock_streak: [(u64, u32); 2],
     cumulative: [IterationReport; 2],
     /// Memoized delivery plans for the chains this frontend executes,
@@ -255,9 +255,9 @@ pub struct Frontend {
     /// [`FrontendConfig`]: tracing must never reach the profile key, the
     /// plan cache, or any other behavior-bearing state.
     trace: TraceHook,
-    /// SMT transition memo behind [`Frontend::run_iteration_memoized`];
-    /// its table is allocated on the first memoized step.
-    memo: memo::SmtMemo,
+    /// Whole-run state graphs behind [`Frontend::smt_walk`], one per
+    /// walked chain pair (a few at most); empty until the first walk.
+    graphs: graph::Graphs,
 }
 
 /// [`UopSource`] → trace [`Source`] (the trace crate sits below this one
@@ -290,7 +290,7 @@ impl Frontend {
             plans: PlanCache::default(),
             config_key: config.profile_key(),
             trace: TraceHook::Off,
-            memo: memo::SmtMemo::default(),
+            graphs: graph::Graphs::default(),
             config,
         }
     }
@@ -323,8 +323,8 @@ impl Frontend {
     /// slate call [`Frontend::reset_counters`]); so does the memoized
     /// plan cache — its (chain, profile-key) entries make stale plans
     /// unreachable rather than requiring a flush, and switching *back*
-    /// to a previous configuration rehits its plans. The SMT transition
-    /// memo is cleared: its entries assume the configuration they were
+    /// to a previous configuration rehits its plans. The state graphs
+    /// are cleared: their edges assume the configuration they were
     /// recorded under.
     ///
     /// # Panics
@@ -339,7 +339,7 @@ impl Frontend {
         self.lock_streak = [(0, 0), (0, 0)];
         self.config_key = config.profile_key();
         self.config = config;
-        self.memo.clear();
+        self.graphs.clear();
     }
 
     /// Installs a trace hook. [`TraceHook::Off`] (the construction
@@ -488,19 +488,11 @@ impl Frontend {
         let plan = self
             .plans
             .get_or_build(chain, &self.config.geometry, self.config_key);
-        self.run_iteration_plan(tid, &plan, None)
+        self.run_iteration_plan(tid, &plan)
     }
 
     /// The hot path: one iteration over a prebuilt delivery plan.
-    /// `l1i_misses` carries the iteration's L1I miss bits when the
-    /// fetches were already performed (the memoized step); `None` fetches
-    /// here.
-    fn run_iteration_plan(
-        &mut self,
-        tid: ThreadId,
-        plan: &DeliveryPlan,
-        l1i_misses: Option<&[u64]>,
-    ) -> IterationReport {
+    fn run_iteration_plan(&mut self, tid: ThreadId, plan: &DeliveryPlan) -> IterationReport {
         let t = tid.index();
         let mut report = IterationReport::new();
 
@@ -554,10 +546,7 @@ impl Frontend {
 
         for &blk in &plan.blocks {
             let fetched = blk.cache_start as usize..blk.cache_end as usize;
-            match l1i_misses {
-                None => self.fetch_l1i(&plan.cache_lines[fetched], &mut report),
-                Some(bits) => self.charge_l1i(fetched, bits, &mut report),
-            }
+            self.fetch_l1i(&plan.cache_lines[fetched], &mut report);
             if blk.has_lcp {
                 self.deliver_lcp_block(tid, plan, blk, &mut report);
             } else {
@@ -624,7 +613,7 @@ impl Frontend {
         let mut history: Vec<IterationReport> = Vec::with_capacity(2 * MAX_STEADY_PERIOD);
         let mut done = 0u64;
         while done < n {
-            let r = self.run_iteration_plan(tid, &plan, None);
+            let r = self.run_iteration_plan(tid, &plan);
             done += 1;
             if history.len() == 2 * MAX_STEADY_PERIOD {
                 history.remove(0);
@@ -665,23 +654,6 @@ impl Frontend {
         for &line in cache_lines {
             report.l1i_accesses += 1;
             if !self.l1i.access_line(line).hit() {
-                report.l1i_misses += 1;
-                report.cycles += self.config.costs.l1i_miss;
-            }
-        }
-    }
-
-    /// [`Frontend::fetch_l1i`]'s accounting for fetches already performed:
-    /// bit `i` of `misses` says whether cache line `i` of the plan missed.
-    fn charge_l1i(
-        &self,
-        fetched: std::ops::Range<usize>,
-        misses: &[u64],
-        report: &mut IterationReport,
-    ) {
-        for i in fetched {
-            report.l1i_accesses += 1;
-            if misses[i / 64] >> (i % 64) & 1 != 0 {
                 report.l1i_misses += 1;
                 report.cycles += self.config.costs.l1i_miss;
             }
@@ -1569,11 +1541,19 @@ mod tests {
         assert_eq!(fe.lock_streak[0], (chain.key(), 3));
     }
 
+    /// One step of `tid` as a one-step walk over `pair`.
+    fn walk_step(fe: &mut Frontend, pair: [&BlockChain; 2], tid: ThreadId) -> IterationReport {
+        *fe.smt_walk(pair).step(tid).0
+    }
+
     #[test]
     fn memoized_steps_match_plain_steps_and_count_work() {
         // Receiver (6 lines) against a sender (3 lines) in the same set —
         // the §V-A MT eviction thrash — then against a sender in another
-        // set, where the receiver locks into the LSD and streams.
+        // set, where the receiver locks into the LSD and streams. Every
+        // step is a one-step walk: it interns its entry state, follows or
+        // records one edge and materializes. LSD-streaming steps are
+        // edges too.
         let recv = aligned(RECV_BASE, 0, 6);
         let send = aligned(SEND_BASE, 0, 3);
         let quiet = aligned(SEND_BASE, 9, 3);
@@ -1585,35 +1565,35 @@ mod tests {
         }
         assert_eq!(memo.memo_stats(), MemoStats::default());
         for i in 0..300 {
-            let (tid, chain) = match (i % 2, i < 150) {
-                (0, _) => (ThreadId::T0, &recv),
-                (_, true) => (ThreadId::T1, &send),
-                _ => (ThreadId::T1, &quiet),
+            let sender = if i < 150 { &send } else { &quiet };
+            let (tid, chain) = match i % 2 {
+                0 => (ThreadId::T0, &recv),
+                _ => (ThreadId::T1, sender),
             };
             let expected = plain.run_iteration(tid, chain);
             assert_eq!(
-                memo.run_iteration_memoized(tid, chain),
+                walk_step(&mut memo, [&recv, sender], tid),
                 expected,
                 "step {i}"
             );
         }
         for tid in [ThreadId::T0, ThreadId::T1] {
             assert_eq!(memo.counters(tid), plain.counters(tid));
+            assert_eq!(memo.l1i().stats(), plain.l1i().stats());
         }
         assert!(memo.lsd_locked(ThreadId::T0, &recv));
         assert_eq!(
             memo.memo_stats(),
             MemoStats {
-                hits: 143,
-                repeats: 0,
-                misses: 13,
-                streaming: 144,
-                entries: 13,
-                slots: 256,
+                followed: 282,
+                simulated: 18,
+                states: 17,
+                edges: 18,
+                resets: 0,
             }
         );
         memo.reconfigure(FrontendConfig::default());
-        assert_eq!(memo.memo_stats().entries, 0, "reconfigure clears the table");
+        assert_eq!(memo.memo_stats().states, 0, "reconfigure clears the graphs");
     }
 
     #[test]
@@ -1621,7 +1601,7 @@ mod tests {
         // §IV-G window tracking across memoized steps: T0 streams a
         // two-line loop; T1 alternates two single-block misaligned loops
         // in the same set (two distinct crossings, 2 + 2·2 ≤ 8: the lock
-        // survives) long enough for its steps to replay from the memo,
+        // survives) long enough for its steps to follow recorded edges,
         // then runs two more (2 + 2·4 > 8: the lock collapses). A replay
         // that dropped the crossings would keep T0 streaming.
         let recv = aligned(RECV_BASE, 0, 2);
@@ -1651,7 +1631,7 @@ mod tests {
         for (i, chain) in schedule.enumerate() {
             let expected = plain.run_iteration(ThreadId::T1, chain);
             assert_eq!(
-                memo.run_iteration_memoized(ThreadId::T1, chain),
+                walk_step(&mut memo, [&recv, chain], ThreadId::T1),
                 expected,
                 "step {i}"
             );
@@ -1661,13 +1641,13 @@ mod tests {
                 "step {i}"
             );
         }
-        assert!(memo.memo_stats().hits > 0);
+        assert!(memo.memo_stats().followed > 0);
         assert!(
             !plain.lsd_locked(ThreadId::T0, &recv),
             "four crossings collapse the lock"
         );
         let expected = plain.run_iteration(ThreadId::T0, &recv);
-        assert_eq!(memo.run_iteration_memoized(ThreadId::T0, &recv), expected);
+        assert_eq!(walk_step(&mut memo, [&recv, &recv], ThreadId::T0), expected);
     }
 
     #[test]

@@ -4,8 +4,9 @@
 //! policies. Three engines execute the same random interleavings of
 //! iterations, activity transitions, thread and L1I flushes and MITE
 //! pressure changes: the plain optimized path, the same engine stepped
-//! through its SMT transition memo
-//! ([`Frontend::run_iteration_memoized`]) and the naive oracle. Every
+//! through its state graph (one-step [`Frontend::smt_walk`]s, which
+//! intern the entry state, follow or record one edge and materialize)
+//! and the naive oracle. Every
 //! single [`IterationReport`] (an exact `f64`-carrying struct) is
 //! compared with `==`, and the two optimized engines must end in the
 //! same observable state — any divergence in delivery order, cost
@@ -89,7 +90,7 @@ fn geometry_from(g: (u8, u8, u8)) -> FrontendGeometry {
 }
 
 /// The engines under test: the plain optimized path, the optimized
-/// engine stepped through its transition memo, and the naive oracle.
+/// engine stepped through its state graph, and the naive oracle.
 struct Engines {
     fast: Frontend,
     memo: Frontend,
@@ -147,7 +148,7 @@ impl Engines {
     /// One iteration on all three engines: identical reports and locks.
     fn iterate(&mut self, tid: ThreadId, chain: &BlockChain) -> Result<(), TestCaseError> {
         let fast_report = self.fast.run_iteration(tid, chain);
-        let memo_report = self.memo.run_iteration_memoized(tid, chain);
+        let memo_report = *self.memo.smt_walk([chain, chain]).step(tid).0;
         let naive_report = self.naive.run_iteration(tid, chain);
         prop_assert_eq!(fast_report, naive_report, "iteration reports diverged");
         prop_assert_eq!(memo_report, naive_report, "memoized report diverged");
@@ -280,8 +281,8 @@ proptest! {
     /// optimized engine, plain and memoized, must remain bit-identical
     /// to the naive reference. This is the regression net for the fast
     /// path's precomputed 6-µop line splits, for the (chain,
-    /// profile-key) plan-cache keying and for the memo's reconfigure
-    /// clear: reusing a stale split, plan or transition diverges the
+    /// profile-key) plan-cache keying and for the graphs' reconfigure
+    /// clear: reusing a stale split, plan or edge diverges the
     /// line/chunk walk and fails on the first report.
     #[test]
     fn optimized_frontend_matches_naive_under_random_geometry(

@@ -3,9 +3,9 @@
 //! never change what the frontend computes. Reports are bit-identical
 //! with tracing off, summary-traced and events-traced, and a drained
 //! event stream folds to exactly the summary the summary hook kept
-//! online. The SMT transition memo replays recorded events instead of
-//! simulating, and `Core::run_concurrent` serves stationary tails as
-//! repeats that re-emit them, so both streams must be the plain path's,
+//! online. A walk through the SMT state graph re-emits an edge's
+//! recorded events instead of simulating, in one-step walks and in
+//! `Core::run_concurrent`, so both streams must be the plain path's,
 //! event for event.
 
 use leaky_frontends_repro::cpu::{Core, LoopRun, MicrocodePatch, ProcessorModel, ThreadWork};
@@ -75,11 +75,10 @@ proptest! {
         prop_assert_eq!(s, e, "event stream does not fold to the online summary");
     }
 
-    /// Stepping two threads through the SMT transition memo emits
+    /// Stepping two threads through the SMT state graph emits
     /// exactly the plain path's event stream under the events hook and
     /// folds to exactly its summary under the summary hook — also when
-    /// the hooks are installed mid-run, over transitions recorded
-    /// untraced.
+    /// the hooks are installed mid-run, over edges recorded untraced.
     #[test]
     fn memoized_steps_replay_the_plain_event_stream(
         specs in proptest::collection::vec(
@@ -121,9 +120,11 @@ proptest! {
             let ch = &chains[ci % chains.len()];
             let [ps, ms, pe, me] = &mut all;
             let a = ps.run_iteration(tid, ch);
-            prop_assert_eq!(a, ms.run_iteration_memoized(tid, ch), "memoized report diverged");
+            let walked = *ms.smt_walk([ch, ch]).step(tid).0;
+            prop_assert_eq!(a, walked, "memoized report diverged");
             prop_assert_eq!(a, pe.run_iteration(tid, ch), "events-traced report diverged");
-            prop_assert_eq!(a, me.run_iteration_memoized(tid, ch), "memoized report diverged");
+            let walked = *me.smt_walk([ch, ch]).step(tid).0;
+            prop_assert_eq!(a, walked, "memoized report diverged");
         }
         prop_assert_eq!(
             memo_events.trace().events(),
@@ -139,7 +140,7 @@ proptest! {
 
     /// `Core::run_concurrent` under the events and summary hooks against
     /// a plain frontend, over random chain pairs with lopsided iteration
-    /// counts whose long tails repeat.
+    /// counts whose long tails follow self-loop edges.
     #[test]
     fn run_concurrent_replays_the_plain_event_stream(
         specs in proptest::collection::vec((0usize..3, 0u8..4, 1usize..10, any::<bool>()), 2..3),
@@ -224,8 +225,8 @@ fn fold(stream: &[TraceEvent]) -> StallSummary {
 
 /// Runs `runs` on four cores (events hook throughout, summary hook
 /// throughout, and an events and a summary hook installed only for the
-/// last run, over transitions recorded untraced) and a plain frontend
-/// that replays the recorded thread order. Returns the repeats of the
+/// last run, over edges recorded untraced) and a plain frontend that
+/// replays the recorded thread order. Returns the followed steps of the
 /// core traced throughout, and those of the late events-traced core in
 /// the last run.
 fn check_concurrent_tracing(
@@ -251,10 +252,10 @@ fn check_concurrent_tracing(
     let mut plain = Frontend::new(config);
     plain.set_trace(TraceHook::new(TraceMode::Events));
     let mut last_start = 0;
-    let mut late_repeats = 0;
+    let mut late_followed = 0;
     for (i, &counts) in runs.iter().enumerate() {
         if i + 1 == runs.len() {
-            late_repeats = late_events.frontend().memo_stats().repeats;
+            late_followed = late_events.frontend().memo_stats().followed;
             late_events.set_trace(TraceHook::new(TraceMode::Events));
             late_summary.set_trace(TraceHook::new(TraceMode::Summary));
         }
@@ -281,16 +282,16 @@ fn check_concurrent_tracing(
     prop_assert_eq!(
         late_events.frontend().trace().events().unwrap_or_default(),
         last,
-        "an untraced transition served a traced step"
+        "an untraced edge served a traced step"
     );
     prop_assert_eq!(
         late_summary.frontend().trace().summary(),
         Some(fold(last)),
-        "an untraced transition served a summary-traced step"
+        "an untraced edge served a summary-traced step"
     );
     Ok((
-        events.frontend().memo_stats().repeats,
-        late_events.frontend().memo_stats().repeats - late_repeats,
+        events.frontend().memo_stats().followed,
+        late_events.frontend().memo_stats().followed - late_followed,
     ))
 }
 
@@ -298,7 +299,8 @@ fn check_concurrent_tracing(
 fn stationary_tails_re_emit_their_events() {
     // The SGX MT shape: a long receiver against a short sender on a
     // machine without the LSD, then the mirror image, then again. Every
-    // tail walks a state recorded untraced by the late cores.
+    // tail follows a self-loop edge, recorded untraced by the late cores
+    // until their hooks go in.
     let recv = chain(0, 0, 6, false);
     let send = chain(1, 0, 3, false);
     for shared in [false, true] {
@@ -306,7 +308,7 @@ fn stationary_tails_re_emit_their_events() {
         let (traced, late) =
             check_concurrent_tracing(concurrent_config(false, shared), 7, [&recv, &send], &runs)
                 .unwrap();
-        assert!(traced > 600, "tails must repeat, got {traced}");
-        assert!(late > 300, "the traced tail must repeat, got {late}");
+        assert!(traced > 600, "tails must follow edges, got {traced}");
+        assert!(late > 300, "the traced tail must follow edges, got {late}");
     }
 }
