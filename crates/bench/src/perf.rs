@@ -28,6 +28,10 @@ pub struct Metric {
 /// Runs `warmup` untimed operations, then `samples` timed samples of
 /// `ops` operations each, and reports the median sample to shed
 /// scheduler noise. The closure should already hold any setup state.
+///
+/// # Panics
+///
+/// Panics if `samples` or `ops` is zero.
 pub fn time_ns_per_op<F: FnMut()>(warmup: u64, samples: usize, ops: u64, mut op: F) -> f64 {
     assert!(samples > 0 && ops > 0, "need at least one sample of one op");
     for _ in 0..warmup {
@@ -35,8 +39,10 @@ pub fn time_ns_per_op<F: FnMut()>(warmup: u64, samples: usize, ops: u64, mut op:
     }
     let mut per_op: Vec<f64> = (0..samples)
         .map(|_| {
-            // lint: allow(wall-clock) — perf smoke measures real elapsed
-            // time by definition; its output never reaches keys or goldens.
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "perf smoke measures real elapsed time; its output never reaches keys or goldens"
+            )]
             let start = Instant::now();
             for _ in 0..ops {
                 op();

@@ -74,6 +74,11 @@ pub fn has_legacy_rendering(name: &str) -> bool {
 
 /// Renders a sweep in its pre-migration binary's exact format, if it is
 /// one of the migrated experiments.
+///
+/// # Panics
+///
+/// Panics if `run` did not come from the named experiment's own spec:
+/// each renderer reads the metrics that spec's cells emit.
 pub fn render_legacy(run: &SweepRun) -> Option<String> {
     match run.name {
         "tab3_all_channels" => Some(legacy_tab3(run)),
@@ -164,10 +169,10 @@ fn legacy_tab2(run: &SweepRun) -> String {
             let _ = write!(
                 out,
                 " {:>9} {:>8}",
-                fmt(result.metric("rate_kbps").expect("supported"), 2), // lint: allow(panic-path) — metric set fixed by this run's own spec
+                fmt(result.metric("rate_kbps").expect("supported"), 2),
                 format!(
                     "{}%",
-                    fmt(result.metric("error_rate").expect("supported") * 100.0, 2) // lint: allow(panic-path) — metric set fixed by this run's own spec
+                    fmt(result.metric("error_rate").expect("supported") * 100.0, 2)
                 )
             );
         }
@@ -201,9 +206,9 @@ fn legacy_fig8(run: &SweepRun) -> String {
             let _ = writeln!(
                 out,
                 "{d:>3} {:>12} {:>9}% {:>14}",
-                fmt(result.metric("rate_kbps").expect("supported"), 2), // lint: allow(panic-path) — metric set fixed by this run's own spec
-                fmt(result.metric("error_rate").expect("supported") * 100.0, 2), // lint: allow(panic-path) — metric set fixed by this run's own spec
-                fmt(result.metric("effective_kbps").expect("supported"), 2) // lint: allow(panic-path) — metric set fixed by this run's own spec
+                fmt(result.metric("rate_kbps").expect("supported"), 2),
+                fmt(result.metric("error_rate").expect("supported") * 100.0, 2),
+                fmt(result.metric("effective_kbps").expect("supported"), 2)
             );
         }
         let _ = writeln!(out);
@@ -241,8 +246,8 @@ fn legacy_tab5(run: &SweepRun) -> String {
             out,
             "{:<22} {:>12} {:>9}%",
             format!("{}-based", result.cell.str("kind")),
-            fmt(result.metric("rate_kbps").expect("supported"), 2), // lint: allow(panic-path) — metric set fixed by this run's own spec
-            fmt(result.metric("error_rate").expect("supported") * 100.0, 2) // lint: allow(panic-path) — metric set fixed by this run's own spec
+            fmt(result.metric("rate_kbps").expect("supported"), 2),
+            fmt(result.metric("error_rate").expect("supported") * 100.0, 2)
         );
     }
     let _ = writeln!(
@@ -273,10 +278,10 @@ fn legacy_tab7(run: &SweepRun) -> String {
             out,
             "{:<10} {:>11}% {:>9}% {:>12} {:>12}",
             result.cell.str("channel"),
-            fmt(result.metric("l1_miss_rate").expect("supported") * 100.0, 2), // lint: allow(panic-path) — metric set fixed by this run's own spec
-            fmt(result.metric("accuracy").expect("supported") * 100.0, 0), // lint: allow(panic-path) — metric set fixed by this run's own spec
-            result.metric("l1i_misses").expect("supported"), // lint: allow(panic-path) — metric set fixed by this run's own spec
-            result.metric("l1d_misses").expect("supported"), // lint: allow(panic-path) — metric set fixed by this run's own spec
+            fmt(result.metric("l1_miss_rate").expect("supported") * 100.0, 2),
+            fmt(result.metric("accuracy").expect("supported") * 100.0, 0),
+            result.metric("l1i_misses").expect("supported"),
+            result.metric("l1d_misses").expect("supported"),
         );
     }
     let _ = writeln!(out, "\npaper:   MEM F+R 2.81%  L1D F+R 4.79%  L1D LRU 4.48%  L1I F+R 0.45%  L1I P+P 0.48%  Frontend 0.21%");
@@ -295,6 +300,11 @@ fn metric_cell(v: f64) -> String {
 }
 
 /// Renders the unified fixed-width table of one sweep.
+///
+/// # Panics
+///
+/// Panics if a cell lacks an axis of the first cell; the cells of one
+/// run all come from one grid.
 pub fn render_table(run: &SweepRun) -> String {
     let mut out = String::new();
     let profile = if run.quick { "quick" } else { "full" };
@@ -321,7 +331,7 @@ pub fn render_table(run: &SweepRun) -> String {
     for result in &run.cells {
         let mut row: Vec<String> = axes
             .iter()
-            .map(|a| result.cell.get(a).expect("axis present").to_string()) // lint: allow(panic-path) — axes come from the run's own grid
+            .map(|a| result.cell.get(a).expect("axis present").to_string())
             .collect();
         for m in &metrics {
             row.push(match (&result.outcome, result.metric(m)) {
@@ -552,7 +562,6 @@ pub fn run_by_name_traced(name: &str, quick: bool, jobs: usize, trace: TraceMode
         trace,
         ..RunConfig::default()
     };
-    // lint: allow(panic-path) — storeless runs cannot fail
     run_experiment_with(exp, &cfg).expect("no store attached, so no store errors")
 }
 

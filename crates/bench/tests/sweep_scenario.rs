@@ -250,6 +250,56 @@ fn invalid_d_values_are_rejected_at_load_time() {
 }
 
 #[test]
+fn a_dsb_too_small_for_the_channel_layout_fails_validation() {
+    // Every channel layout collides in DSB set 3 (and the eviction decoy
+    // in set 19), so a 3-set copy of `constant_time` must fail at the
+    // `uarch` axis line under --validate instead of panicking in a cell.
+    let profile = std::fs::read_to_string(scenarios_dir().join("constant_time.toml"))
+        .expect("committed profile")
+        .replace("key = \"constant_time\"", "key = \"constant_time_3set\"")
+        .replace("dsb_sets = 32", "dsb_sets = 3");
+    let bundle = std::fs::read_to_string(scenarios_dir().join("tab3_uarch.toml"))
+        .expect("committed bundle")
+        .replace("\"constant_time\"]", "\"constant_time_3set\"]");
+    let uarch_line = bundle
+        .lines()
+        .position(|l| l.starts_with("uarch = "))
+        .expect("uarch axis")
+        + 1;
+
+    let dir = std::env::temp_dir().join(format!("leaky_scenario_3set_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    std::fs::write(dir.join("constant_time_3set.toml"), profile).expect("write profile");
+    let bundle_path = dir.join("tab3_uarch_3set.toml");
+    std::fs::write(&bundle_path, bundle).expect("write bundle");
+    let out = sweep(
+        &[
+            "--scenario",
+            bundle_path.to_str().expect("utf-8 path"),
+            "--profile-dir",
+            dir.to_str().expect("utf-8 path"),
+            "--validate",
+        ],
+        "1",
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "--validate must reject the bundle"
+    );
+    let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+    assert!(
+        stderr.contains(&format!(
+            "line {uarch_line}: channel `non-mt-stealthy-eviction` with d = 6 under uarch \
+             `constant_time_3set`: the layout uses DSB set 19, beyond a 3-set DSB"
+        )),
+        "unexpected stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn control_characters_in_a_title_still_yield_valid_json() {
     // The TOML subset passes a raw tab through a string value; the
     // sweep/v1 writer must escape it (and the quote) or the document is

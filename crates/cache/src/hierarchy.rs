@@ -58,6 +58,10 @@ pub struct CacheHierarchy {
     l1: SetAssocCache,
     latency: LatencyModel,
     /// Lines known to have been flushed to memory (not merely L1-evicted).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "membership only, never iterated; on the Spectre hot path"
+    )]
     flushed: std::collections::HashSet<u64>,
 }
 
@@ -76,6 +80,10 @@ impl CacheHierarchy {
     /// # Panics
     ///
     /// Panics on a degenerate cache geometry (`SetAssocCache::new`).
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the `flushed` set is membership only, never iterated"
+    )]
     pub fn with_latency(config: CacheConfig, latency: LatencyModel) -> Self {
         CacheHierarchy {
             l1: SetAssocCache::new(config),

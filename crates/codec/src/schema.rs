@@ -9,12 +9,6 @@ pub const SWEEP: &str = "leaky-frontends/sweep/v1";
 /// The per-cell telemetry object inside sweep documents.
 pub const TRACE: &str = "leaky-frontends/trace/v1";
 
-/// `leaky_lint check --format json` diagnostics documents.
-pub const LINT: &str = "leaky-frontends/lint/v1";
-
-/// The committed `lint-baseline.json` ratchet.
-pub const LINT_BASELINE: &str = "leaky-frontends/lint-baseline/v1";
-
 /// Profile files and scenario bundles under `scenarios/`.
 pub const SCENARIO: &str = "leaky-frontends/scenario/v1";
 
@@ -22,7 +16,7 @@ pub const SCENARIO: &str = "leaky-frontends/scenario/v1";
 pub const PERF_REPORT: &str = "leaky-frontends/perf-report/v1";
 
 /// The whole table.
-pub const ALL: [&str; 6] = [SWEEP, TRACE, LINT, LINT_BASELINE, SCENARIO, PERF_REPORT];
+pub const ALL: [&str; 4] = [SWEEP, TRACE, SCENARIO, PERF_REPORT];
 
 #[cfg(test)]
 mod tests {
@@ -37,8 +31,6 @@ mod tests {
             [
                 "leaky-frontends/sweep/v1",
                 "leaky-frontends/trace/v1",
-                "leaky-frontends/lint/v1",
-                "leaky-frontends/lint-baseline/v1",
                 "leaky-frontends/scenario/v1",
                 "leaky-frontends/perf-report/v1",
             ]

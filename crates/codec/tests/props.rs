@@ -11,11 +11,20 @@
 //!   return a `Result` without panicking. Arbitrary bytes are always an
 //!   error for store entries, trace blocks and scenario bundles, and so
 //!   is any change to a checksummed store entry.
+//! * Error or canonical, never panic: line-level mutants (lines dropped,
+//!   duplicated, swapped, fields replaced by hostile tokens) of a trace
+//!   block, and of a store entry whose checksum is then recomputed so
+//!   the mutant reaches the line parser, either fail to decode or decode
+//!   to a value whose encoding is a fixed point of the codec. TOML-subset
+//!   documents assembled from valid and broken line shapes either fail
+//!   to parse or parse with unique table names and unique keys.
 
 use leaky_codec::json::{self, number, quoted, Json};
+use leaky_scenario::toml::{Doc, Table};
 use leaky_scenario::{parse_bundle, ProfileRegistry};
 use leaky_store::{Entry, StoredMetric, StoredOutcome, StoredProvenance};
 use leaky_trace::{Source, TraceEvent, TraceHook, TraceMode};
+use leaky_uarch::Fnv1a;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use std::path::Path;
@@ -134,6 +143,123 @@ fn sample_bundle() -> &'static str {
     })
 }
 
+/// Field values a line-level mutant splices in: empty, signs, overflow,
+/// malformed and non-finite hex, separators and keywords of the formats.
+const TOKENS: [&str; 16] = [
+    "",
+    "0",
+    "-1",
+    "1.5",
+    "nan",
+    "0x",
+    "0xffffffffffffffff",
+    "0x7ff8000000000001",
+    "18446744073709551616",
+    "99999999999999999999",
+    "\t",
+    "measured",
+    "events",
+    "telemetry",
+    "tev",
+    "é",
+];
+
+/// Applies one line-level edit to `lines`, chosen by `op`: drop line
+/// `at`, duplicate it, swap it with line `other`, or replace one of its
+/// space- or tab-separated fields with `TOKENS[token]`.
+fn edit_lines(lines: &mut Vec<String>, (op, at, other, token): (u32, usize, usize, usize)) {
+    if lines.is_empty() {
+        return;
+    }
+    let n = lines.len();
+    let at = at % n;
+    match op {
+        0 => {
+            lines.remove(at);
+        }
+        1 => lines.insert(at, lines[at].clone()),
+        2 => lines.swap(at, other % n),
+        _ => {
+            let line = &lines[at];
+            let mut fields = Vec::new();
+            let mut start = None;
+            for (i, c) in line.char_indices().chain([(line.len(), ' ')]) {
+                match (start, c == ' ' || c == '\t') {
+                    (None, false) => start = Some(i),
+                    (Some(s), true) => {
+                        fields.push((s, i));
+                        start = None;
+                    }
+                    _ => {}
+                }
+            }
+            let token = TOKENS[token % TOKENS.len()];
+            lines[at] = match fields.get(other % fields.len().max(1)) {
+                Some(&(s, e)) => format!("{}{token}{}", &line[..s], &line[e..]),
+                None => format!("{line}{token}"),
+            };
+        }
+    }
+}
+
+/// The edit draws of one mutant: one to four `edit_lines` operations.
+fn edits() -> impl Strategy<Value = Vec<(u32, usize, usize, usize)>> {
+    vec(
+        (0u32..4, any::<usize>(), any::<usize>(), any::<usize>()),
+        1..5,
+    )
+}
+
+/// `body` (every entry line above the checksum) with a correct
+/// checksum line appended.
+fn checksummed(body: &str) -> String {
+    let mut h = Fnv1a::new();
+    h.write_bytes(body.as_bytes());
+    format!("{body}checksum 0x{:016x}\n", h.finish())
+}
+
+/// One TOML-subset line per draw: valid and broken shapes of headers,
+/// keys and values (multi-line arrays included), over a small key
+/// vocabulary so duplicates happen.
+fn toml_line(draw: u32) -> String {
+    const KEYS: [&str; 5] = ["key", "name", "d", "uarch", "a-b_1"];
+    const SHAPES: [&str; 24] = [
+        "[K]",
+        "[ K ]",
+        "[]",
+        "[K",
+        "[K.x]",
+        "K = 1",
+        "K = -7_000",
+        "K = 1.5e3",
+        "K = \"text # not a comment\"",
+        "K = \"esc \\\" \\\\\"",
+        "K = \"unterminated",
+        "K = true",
+        "K = [1, 2.5, \"x\", [false]]",
+        "K = [",
+        "\"b\", 3]",
+        "]",
+        "K = []",
+        "K =",
+        "= 1",
+        "K",
+        "# comment",
+        "K = 99999999999999999999",
+        "K = 0x10",
+        "",
+    ];
+    let key = KEYS[(draw >> 8) as usize % KEYS.len()];
+    SHAPES[draw as usize % SHAPES.len()].replace('K', key)
+}
+
+/// Whether `table`'s keys are pairwise distinct.
+fn keys_are_unique(table: &Table) -> bool {
+    let mut keys: Vec<&str> = table.entries.iter().map(|e| e.key.as_str()).collect();
+    keys.sort_unstable();
+    keys.windows(2).all(|w| w[0] != w[1])
+}
+
 #[test]
 fn samples_are_valid_documents() {
     assert!(json::parse(&sample_json()).is_ok());
@@ -212,6 +338,54 @@ proptest! {
             prop_assert!(Entry::decode(text).is_err());
             let _ = leaky_trace::codec::decode(&text.lines().collect::<Vec<_>>());
             let _ = parse_bundle(text, profiles());
+        }
+    }
+
+    #[test]
+    fn trace_block_line_mutants_error_or_decode_canonically(edits in edits()) {
+        let mut lines: Vec<String> =
+            leaky_trace::codec::encode(&sample_telemetry()).lines().map(String::from).collect();
+        for edit in edits {
+            edit_lines(&mut lines, edit);
+        }
+        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+        if let Ok(telemetry) = leaky_trace::codec::decode(&refs) {
+            let again = leaky_trace::codec::encode(&telemetry);
+            let reread = leaky_trace::codec::decode(&again.lines().collect::<Vec<_>>());
+            prop_assert_eq!(reread.map(|t| leaky_trace::codec::encode(&t)).ok(), Some(again));
+        }
+    }
+
+    #[test]
+    fn rechecksummed_entry_mutants_error_or_decode_canonically(edits in edits()) {
+        let entry = sample_entry();
+        let body_end = entry.rfind("checksum ").expect("checksum line");
+        let mut lines: Vec<String> = entry[..body_end].lines().map(String::from).collect();
+        for edit in edits {
+            edit_lines(&mut lines, edit);
+        }
+        let mut body = lines.join("\n");
+        body.push('\n');
+        if let Ok(decoded) = Entry::decode(&checksummed(&body)) {
+            if let Ok(again) = decoded.encode() {
+                let reread = Entry::decode(&again).ok().and_then(|e| e.encode().ok());
+                prop_assert_eq!(reread, Some(again));
+            }
+        }
+    }
+
+    #[test]
+    fn toml_shaped_documents_parse_or_error(draws in vec(any::<u32>(), 0..24)) {
+        let text: String = draws.iter().map(|&d| toml_line(d) + "\n").collect();
+        if let Ok(doc) = Doc::parse(&text) {
+            prop_assert!(keys_are_unique(&doc.root), "{text}");
+            let mut names: Vec<&str> = doc.tables.iter().map(|t| t.name.as_str()).collect();
+            names.sort_unstable();
+            prop_assert!(names.windows(2).all(|w| w[0] != w[1]), "{text}");
+            for table in &doc.tables {
+                prop_assert!(keys_are_unique(table), "{text}");
+                prop_assert!(table.entries.iter().all(|e| e.line > table.line), "{text}");
+            }
         }
     }
 }

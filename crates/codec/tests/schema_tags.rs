@@ -51,7 +51,7 @@ fn schema_tags_in(line: &str) -> Vec<&str> {
 #[test]
 fn schema_tag_shape_is_strict() {
     assert!(is_schema_tag("leaky-frontends/sweep/v1"));
-    assert!(is_schema_tag("leaky-frontends/lint-baseline/v12"));
+    assert!(is_schema_tag("leaky-frontends/perf-report/v12"));
     assert!(!is_schema_tag("leaky-frontends/sweep/v"));
     assert!(!is_schema_tag("leaky-frontends/sweep"));
     assert!(!is_schema_tag("leaky-store/v1"));

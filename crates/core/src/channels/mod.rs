@@ -17,7 +17,7 @@ use leaky_stats::threshold::CalibrationError;
 use leaky_stats::{ThresholdDecoder, ThresholdDecoderBuilder};
 
 use crate::channels::non_mt::NonMtKind;
-use crate::params::ChannelParams;
+use crate::params::{ChannelParams, ParamsError};
 use crate::run::ChannelRun;
 
 pub use registry::{channel_info, channel_names, BuildError, ChannelInfo, ChannelSpec, REGISTRY};
@@ -88,6 +88,27 @@ pub(crate) const SENDER_ALT_REGION: u64 = 0x00c3_0000;
 pub(crate) const SET_X: u8 = 3;
 pub(crate) const SET_Y: u8 = 19;
 
+/// Whether [`layout`] can lay out a `kind` channel with `params` under
+/// `geom`: the §V constraints ([`ChannelParams::validate`]) hold, and the
+/// geometry has the DSB sets the layout collides in (`SET_X`, plus the
+/// eviction decoy set `SET_Y`).
+pub(crate) fn check_layout(
+    kind: NonMtKind,
+    params: &ChannelParams,
+    geom: &FrontendGeometry,
+) -> Result<(), ParamsError> {
+    let misaligned = kind == NonMtKind::Misalignment;
+    params.validate(geom.dsb_ways, misaligned)?;
+    let set = if misaligned { SET_X } else { SET_X.max(SET_Y) };
+    if usize::from(set) >= geom.dsb_sets {
+        return Err(ParamsError::DsbSet {
+            set,
+            sets: geom.dsb_sets,
+        });
+    }
+    Ok(())
+}
+
 /// The code layout of a §V channel, `(recv, one, zero)`: the receiver
 /// holds `d` aligned blocks of set `x`.
 ///
@@ -100,17 +121,17 @@ pub(crate) const SET_Y: u8 = 19;
 ///
 /// # Panics
 ///
-/// Panics if `params` violate the §V constraints under `geom` (see
-/// [`ChannelParams::validate`]).
+/// Panics if [`check_layout`] rejects the layout. A channel built through
+/// the registry never gets here, as `ChannelSpec::build` checks first.
 pub(crate) fn layout(
     kind: NonMtKind,
     params: &ChannelParams,
     geom: &FrontendGeometry,
 ) -> (BlockChain, BlockChain, BlockChain) {
-    let misaligned = kind == NonMtKind::Misalignment;
-    if let Err(err) = params.validate(geom.dsb_ways, misaligned) {
+    if let Err(err) = check_layout(kind, params, geom) {
         panic!("invalid channel parameters: {err}");
     }
+    let misaligned = kind == NonMtKind::Misalignment;
     let mut recv_region = CodeRegion::with_geometry(RECEIVER_REGION, *geom);
     let mut send_region = CodeRegion::with_geometry(SENDER_REGION, *geom);
     let mut alt_region = CodeRegion::with_geometry(SENDER_ALT_REGION, *geom);

@@ -123,8 +123,9 @@ impl NonMtChannel {
     ///
     /// # Panics
     ///
-    /// Panics if `params` violate the §V constraints under the profile's
-    /// geometry.
+    /// Panics if the channel parameters violate the §V constraints under
+    /// the profile's geometry, or the geometry lacks a DSB set the layout
+    /// uses (see [`validate_params`](crate::channels::registry::validate_params)).
     pub fn with_profile(
         model: ProcessorModel,
         kind: NonMtKind,

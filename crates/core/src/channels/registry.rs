@@ -28,14 +28,14 @@
 //! ```
 
 use leaky_cpu::ProcessorModel;
-use leaky_frontend::{FrontendConfig, UarchProfile};
+use leaky_frontend::{check_geometry, FrontendConfig, UarchProfile};
 use leaky_isa::FrontendGeometry;
 
 use crate::channels::mt::{MtChannel, MtKind, MtNoise, MtUnsupported};
 use crate::channels::non_mt::{NonMtChannel, NonMtKind};
 use crate::channels::power::PowerChannel;
 use crate::channels::slow_switch::SlowSwitchChannel;
-use crate::channels::CovertChannel;
+use crate::channels::{check_layout, CovertChannel};
 use crate::params::{ChannelParams, EncodeMode, ParamsError};
 
 /// One registry row: a channel variant under its stable name.
@@ -170,7 +170,9 @@ pub fn default_params(name: &str) -> Option<ChannelParams> {
 
 /// Checks `params` against the §V constraints the named channel enforces
 /// under `geometry`: the way budget `d ≤ N` for every channel that lays
-/// out same-set chains, plus `d < M ≤ N` for the misalignment channels.
+/// out same-set chains, plus `d < M ≤ N` for the misalignment channels,
+/// and room in the DSB for the sets the layout collides in
+/// ([`ParamsError::DsbSet`]).
 /// Slow-switch builds an LCP chain instead and takes any parameters.
 ///
 /// # Errors
@@ -184,7 +186,12 @@ pub fn validate_params(
     if name == "slow-switch" {
         return Ok(());
     }
-    params.validate(geometry.dsb_ways, name.ends_with("misalignment"))
+    let kind = if name.ends_with("misalignment") {
+        NonMtKind::Misalignment
+    } else {
+        NonMtKind::Eviction
+    };
+    check_layout(kind, params, geometry)
 }
 
 /// Why a [`ChannelSpec`] could not be built.
@@ -204,6 +211,9 @@ pub enum BuildError {
     /// The parameters violate the §V constraints under the profile's
     /// geometry (see [`ChannelParams::validate`]).
     InvalidParams(ParamsError),
+    /// The profile's (or the frontend override's) geometry is outside
+    /// what the frontend can model (see [`check_geometry`]).
+    UnsupportedGeometry(String),
 }
 
 impl std::fmt::Display for BuildError {
@@ -218,6 +228,7 @@ impl std::fmt::Display for BuildError {
                 write!(f, "{name} has no frontend-config override hook")
             }
             BuildError::InvalidParams(e) => write!(f, "invalid channel parameters: {e}"),
+            BuildError::UnsupportedGeometry(e) => write!(f, "unsupported geometry: {e}"),
         }
     }
 }
@@ -317,14 +328,10 @@ impl ChannelSpec {
     /// [`BuildError::SmtUnavailable`] for MT channels on SMT-less
     /// machines; [`BuildError::NoiseUnsupported`] /
     /// [`BuildError::FrontendOverrideUnsupported`] when an override has
-    /// no hook on the selected channel; [`BuildError::InvalidParams`]
+    /// no hook on the selected channel; [`BuildError::UnsupportedGeometry`]
+    /// for a geometry the frontend cannot model; [`BuildError::InvalidParams`]
     /// when the parameters violate the §V constraints under the
     /// profile's geometry (the concrete constructors panic instead).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate cache geometry (`SetAssocCache::new`), as
-    /// the concrete constructors do.
     pub fn build(&self) -> Result<Box<dyn CovertChannel>, BuildError> {
         let info = channel_info(&self.kind)
             .ok_or_else(|| BuildError::UnknownChannel(self.kind.clone()))?;
@@ -343,6 +350,11 @@ impl ChannelSpec {
             return Err(BuildError::SmtUnavailable(MtUnsupported {
                 model: self.model.name,
             }));
+        }
+        let geometries = std::iter::once(&self.profile.geometry)
+            .chain(self.frontend.as_ref().map(|(config, _)| &config.geometry));
+        for geometry in geometries {
+            check_geometry(geometry).map_err(BuildError::UnsupportedGeometry)?;
         }
         validate_params(info.name, &params, &self.profile.geometry)
             .map_err(BuildError::InvalidParams)?;
@@ -472,6 +484,59 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(err, BuildError::SmtUnavailable(_)));
+    }
+
+    #[test]
+    fn a_dsb_too_small_for_the_layout_is_a_value_not_a_panic() {
+        let profile = |dsb_sets| {
+            let mut p = UarchProfile::skylake();
+            p.geometry.dsb_sets = dsb_sets;
+            p
+        };
+        // Every layout collides in set 3, so a 3-set DSB fits none ...
+        for info in REGISTRY.iter().filter(|i| i.name != "slow-switch") {
+            let err = ChannelSpec::new(info.name)
+                .profile(profile(3))
+                .build()
+                .unwrap_err();
+            let set = if info.name.ends_with("misalignment") {
+                3
+            } else {
+                19
+            };
+            assert_eq!(
+                err,
+                BuildError::InvalidParams(ParamsError::DsbSet { set, sets: 3 }),
+                "{}",
+                info.name
+            );
+        }
+        // ... while 16 sets hold set 3 but not the eviction decoy set 19.
+        assert!(ChannelSpec::new("non-mt-fast-misalignment")
+            .profile(profile(16))
+            .build()
+            .is_ok());
+        let err = ChannelSpec::new("non-mt-stealthy-eviction")
+            .profile(profile(16))
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "invalid channel parameters: the layout uses DSB set 19, beyond a 16-set DSB"
+        );
+        assert!(ChannelSpec::new("slow-switch")
+            .profile(profile(3))
+            .build()
+            .is_ok());
+        // Beyond the 64 sets the frontend models, no channel builds.
+        let err = ChannelSpec::new("slow-switch")
+            .profile(profile(65))
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "unsupported geometry: dsb_sets = 65 exceeds the 64 sets a lock's set mask holds"
+        );
     }
 
     #[test]

@@ -150,7 +150,6 @@ impl Code for Hamming74 {
             if block.len() < 7 {
                 break; // truncated trailing block: drop
             }
-            // lint: allow(panic-path) — short blocks dropped two lines up
             let mut w: [bool; 7] = block.try_into().expect("length checked");
             // Syndrome: which parity checks fail (1-indexed position).
             let s1 = w[0] ^ w[2] ^ w[4] ^ w[6];

@@ -170,6 +170,10 @@ pub struct FingerprintLibrary {
 
 impl FingerprintLibrary {
     /// Builds a library from labelled reference trace sets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `references` is empty.
     pub fn new(references: Vec<(String, Vec<Vec<f64>>)>) -> Self {
         assert!(!references.is_empty(), "library needs references");
         FingerprintLibrary { references }
@@ -189,8 +193,8 @@ impl FingerprintLibrary {
                 let d = mean_pairwise_distance(&probe, set).expect("equal-length traces");
                 (name.as_str(), d)
             })
-            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances")) // lint: allow(panic-path) — simulated IPC distances are always finite
-            .expect("non-empty library") // lint: allow(panic-path) — non-emptiness asserted in `new`
+            .min_by(|a, b| a.1.partial_cmp(&b.1).expect("finite distances"))
+            .expect("non-empty library")
             .0
     }
 }

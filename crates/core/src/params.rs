@@ -185,6 +185,14 @@ pub enum ParamsError {
     Iterations,
     /// `r` is zero.
     R,
+    /// The channel's code layout collides in DSB set `set`, which a
+    /// geometry of `sets` sets does not have.
+    DsbSet {
+        /// The highest DSB set index the layout uses.
+        set: u8,
+        /// The geometry's DSB set count.
+        sets: usize,
+    },
 }
 
 impl fmt::Display for ParamsError {
@@ -199,6 +207,9 @@ impl fmt::Display for ParamsError {
             }
             ParamsError::Iterations => f.write_str("iteration counts p and q must be positive"),
             ParamsError::R => f.write_str("r must be positive"),
+            ParamsError::DsbSet { set, sets } => {
+                write!(f, "the layout uses DSB set {set}, beyond a {sets}-set DSB")
+            }
         }
     }
 }
@@ -207,11 +218,17 @@ impl std::error::Error for ParamsError {}
 
 impl fmt::Display for ChannelParams {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "d={} M={} p={} q={} r={}",
-            self.d, self.m_total, self.p, self.q, self.r
-        )
+        // Destructured without `..`: this string is the run identity in
+        // sweep provenance, so a new field is a compile error (E0027)
+        // here until it is part of it.
+        let ChannelParams {
+            d,
+            m_total,
+            p,
+            q,
+            r,
+        } = self;
+        write!(f, "d={d} M={m_total} p={p} q={q} r={r}")
     }
 }
 

@@ -270,6 +270,10 @@ impl Core {
 
     /// Sets the sibling-demand factor used when `tid`'s sibling runs a
     /// modeled (trace-based) victim rather than simulated code.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `demand` is outside `0.0..=4.0`.
     pub fn set_sibling_demand(&mut self, tid: ThreadId, demand: f64) {
         assert!((0.0..=4.0).contains(&demand), "demand out of range");
         self.accounts.sibling_demand[tid.index()] = demand;

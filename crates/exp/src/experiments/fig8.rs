@@ -52,7 +52,7 @@ impl Experiment for Fig8DSweep {
             .params(ChannelParams::mt_defaults().with_d(d))
             .seed(1000 + d as u64)
             .build()
-            .expect("SMT machine"); // lint: allow(panic-path) — all fig8 machines are SMT-capable (comment above)
+            .expect("SMT machine");
         ch.set_trace(TraceHook::new(trace));
         let run = ch.transmit(&MessagePattern::Alternating.generate(bits, 0));
         Some(

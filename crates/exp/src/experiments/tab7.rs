@@ -44,7 +44,7 @@ impl Experiment for Tab7SpectreMissRates {
         let kind = ChannelKind::all()
             .into_iter()
             .find(|k| k.label() == cell.str("channel"))
-            .unwrap_or_else(|| panic!("unknown channel {:?}", cell.str("channel"))); // lint: allow(panic-path) — grid emits only ChannelKind labels
+            .unwrap_or_else(|| panic!("unknown channel {:?}", cell.str("channel")));
         let mut attack = SpectreV1::new(kind, secret(chunks), SEED);
         let result = attack.leak();
         Some(

@@ -111,7 +111,10 @@ impl ParamGrid {
     }
 
     /// Number of cells (product of axis lengths; 1 for an axis-less grid).
-    #[allow(clippy::len_without_is_empty)]
+    #[expect(
+        clippy::len_without_is_empty,
+        reason = "the cell count sizes work; no caller asks for emptiness"
+    )]
     pub fn len(&self) -> usize {
         self.axes.iter().map(|a| a.values.len()).product()
     }

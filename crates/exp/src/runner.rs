@@ -463,8 +463,10 @@ pub fn run_experiment_with(
         }
     }
 
-    // lint: allow(wall-clock) — elapsed_ns is operator telemetry only;
-    // renderers and content keys never consume it.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "elapsed_ns is operator telemetry only; renderers and content keys never consume it"
+    )]
     let start = Instant::now();
 
     let worker = |i: usize| -> Computed {
@@ -490,8 +492,8 @@ pub fn run_experiment_with(
             let attempt_cell = cell.with_attempt(attempt);
             let ran = catch_unwind(AssertUnwindSafe(|| {
                 if injected == Some(FaultKind::Panic) {
-                    // lint: allow(panic-path) — deliberate fault injection;
-                    // the surrounding catch_unwind is the system under test.
+                    // Deliberate fault injection: the surrounding
+                    // catch_unwind is the system under test.
                     panic!("injected panic on {} (attempt {attempt})", attempt_cell.key);
                 }
                 if cfg.trace == TraceMode::Off {

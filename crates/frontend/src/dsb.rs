@@ -100,6 +100,10 @@ pub struct Dsb {
 
 impl Dsb {
     /// Creates an empty DSB.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry has more than 255 ways or more than 64 sets.
     pub fn new(geom: FrontendGeometry, policy: SmtDsbPolicy) -> Self {
         assert!(geom.dsb_ways <= u8::MAX as usize, "ways must fit a u8");
         // The engine's LSD-lock set masks are one u64 bit per set; a wider

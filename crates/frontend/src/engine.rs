@@ -100,18 +100,28 @@ impl FrontendConfig {
     /// backend-throughput memo) pair with chain keys, so state cached
     /// under one configuration can never serve another.
     pub fn profile_key(&self) -> u64 {
+        // Destructured without `..`, so a new configuration field is a
+        // compile error (E0027) here until it joins the key.
+        let FrontendConfig {
+            geometry,
+            costs,
+            lsd_enabled,
+            dsb_policy,
+            flush_on_partition,
+            lsd_warmup_iterations,
+        } = self;
         leaky_uarch::config_fingerprint(
-            &self.geometry,
-            &self.costs,
+            geometry,
+            costs,
             &[
-                self.lsd_enabled as u64,
-                match self.dsb_policy {
+                *lsd_enabled as u64,
+                match dsb_policy {
                     SmtDsbPolicy::Competitive => 0,
                     SmtDsbPolicy::SetPartitioned => 1,
                     SmtDsbPolicy::Shared => 2,
                 },
-                self.flush_on_partition as u64,
-                self.lsd_warmup_iterations as u64,
+                *flush_on_partition as u64,
+                *lsd_warmup_iterations as u64,
             ],
         )
     }
@@ -153,6 +163,83 @@ const MAX_LOCK_LINES: usize = 128;
 /// so the live set stays tiny; 16 covers any plausible ablation geometry.
 /// Overflow is treated as a collapse.
 const MAX_LOCK_CROSSINGS: usize = 16;
+
+/// Upper bound on L1I lines (`l1i_sets × l1i_ways`): 8 MiB of tags,
+/// 2048 times a Table I L1I (512 lines).
+const MAX_L1I_LINES: usize = 1 << 20;
+
+/// Checks that the frontend can model `geometry`: every field is
+/// positive and within the bounds the DSB, LSD and L1I models are built
+/// with. Profile files and channel specs are checked before anything is
+/// constructed, so an unsupported geometry is an error value, never a
+/// panic in a constructor.
+///
+/// # Errors
+///
+/// The first unsupported field, named with its bound.
+pub fn check_geometry(geometry: &FrontendGeometry) -> Result<(), String> {
+    let FrontendGeometry {
+        dsb_sets,
+        dsb_ways,
+        dsb_window_bytes,
+        dsb_line_uops,
+        lsd_uops,
+        lsd_windows,
+        l1i_sets,
+        l1i_ways,
+        l1i_line_bytes,
+        iq_entries,
+        decode_width,
+        idq_delivery_width,
+    } = *geometry;
+    let positive = [
+        dsb_sets,
+        dsb_ways,
+        dsb_window_bytes,
+        dsb_line_uops,
+        lsd_uops,
+        lsd_windows,
+        l1i_sets,
+        l1i_ways,
+        l1i_line_bytes,
+        iq_entries,
+        decode_width,
+        idq_delivery_width,
+    ];
+    if positive.contains(&0) {
+        return Err("every geometry field must be positive".to_string());
+    }
+    if dsb_sets > 64 {
+        return Err(format!(
+            "dsb_sets = {dsb_sets} exceeds the 64 sets a lock's set mask holds"
+        ));
+    }
+    if dsb_ways > usize::from(u8::MAX) {
+        return Err(format!("dsb_ways = {dsb_ways} exceeds 255"));
+    }
+    if u32::try_from(dsb_line_uops).is_err() {
+        return Err(format!("dsb_line_uops = {dsb_line_uops} exceeds u32::MAX"));
+    }
+    if lsd_uops > MAX_LOCK_LINES {
+        return Err(format!(
+            "lsd_uops = {lsd_uops} exceeds the {MAX_LOCK_LINES} lines a lock tracks"
+        ));
+    }
+    if !l1i_line_bytes.is_power_of_two() {
+        return Err(format!(
+            "l1i_line_bytes = {l1i_line_bytes} must be a power of two"
+        ));
+    }
+    if l1i_ways > usize::from(u16::MAX) {
+        return Err(format!("l1i_ways = {l1i_ways} exceeds 65535"));
+    }
+    if l1i_sets.saturating_mul(l1i_ways) > MAX_L1I_LINES {
+        return Err(format!(
+            "l1i_sets × l1i_ways = {l1i_sets} × {l1i_ways} exceeds {MAX_L1I_LINES} lines"
+        ));
+    }
+    Ok(())
+}
 
 /// Longest report cycle `run_iterations` recognises as steady state.
 const MAX_STEADY_PERIOD: usize = 16;
@@ -445,6 +532,10 @@ impl Frontend {
 
     /// Sets the sibling-pressure factor on this thread's MITE decode costs
     /// (victim-model hook for the §XI side channel).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pressure` is negative.
     pub fn set_external_mite_pressure(&mut self, tid: ThreadId, pressure: f64) {
         assert!(pressure >= 0.0, "pressure must be non-negative");
         self.external_mite_pressure[tid.index()] = pressure;

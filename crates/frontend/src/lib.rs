@@ -59,7 +59,9 @@ pub mod reference;
 pub use costs::CostModel;
 pub use counters::{detect_report_period, IterationReport, UopSource};
 pub use dsb::{Dsb, LineId, SmtDsbPolicy};
-pub use engine::{EdgeNote, Frontend, FrontendConfig, MemoStats, SmtWalk, ThreadId};
+pub use engine::{
+    check_geometry, EdgeNote, Frontend, FrontendConfig, MemoStats, SmtWalk, ThreadId,
+};
 // Re-exported so frontend consumers can install hooks without naming
 // `leaky_trace` themselves (the hook rides on `Frontend`, not the config).
 pub use leaky_trace::{TraceHook, TraceMode};

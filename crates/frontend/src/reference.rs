@@ -8,6 +8,10 @@
 //! collapse. It is deliberately allocation-heavy and slow; its sole job
 //! is to produce bit-identical [`IterationReport`]s so property tests can
 //! prove the optimized engine changed *speed* and nothing else.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the oracle keeps its verbatim HashSet bookkeeping; membership only, never iterated"
+)]
 
 use std::collections::HashSet;
 
@@ -262,6 +266,10 @@ impl NaiveFrontend {
     }
 
     /// Sets the sibling-pressure factor on this thread's MITE decode costs.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pressure` is negative.
     pub fn set_external_mite_pressure(&mut self, tid: ThreadId, pressure: f64) {
         assert!(pressure >= 0.0, "pressure must be non-negative");
         self.external_mite_pressure[tid.index()] = pressure;

@@ -310,7 +310,7 @@ mod tests {
     fn chain_l1i_footprint_stays_within_associativity() {
         // §IV-F: 9 same-DSB-set blocks cause no L1I conflicts.
         let c = same_set_chain(BASE, DsbSet::new(0), 9, Alignment::Aligned);
-        let mut per_set = std::collections::HashMap::new();
+        let mut per_set = std::collections::BTreeMap::new();
         for b in c.blocks() {
             for line in b.cache_lines() {
                 *per_set.entry(line & 0x3f).or_insert(0usize) += 1;

@@ -69,9 +69,9 @@ impl CodeRegion {
             .iter()
             .map(|b| b.end().value())
             .max()
-            .expect("chain is non-empty"); // lint: allow(panic-path) — same_set_chain_with always emits ≥1 block
-                                           // Round up to the next full set period so a following chain cannot
-                                           // share any window with this one.
+            .expect("chain is non-empty");
+        // Round up to the next full set period so a following chain cannot
+        // share any window with this one.
         let period = (self.geom.dsb_window_bytes * self.geom.dsb_sets) as u64;
         self.cursor = end.div_ceil(period) * period;
         chain
@@ -142,9 +142,9 @@ mod tests {
         let mut r = CodeRegion::new(0x0041_8000);
         let a = r.same_set_chain(DsbSet::new(9), 8, Alignment::Aligned);
         let b = r.same_set_chain(DsbSet::new(9), 8, Alignment::Aligned);
-        let wa: std::collections::HashSet<u64> =
+        let wa: std::collections::BTreeSet<u64> =
             a.blocks().iter().map(|x| x.base().window()).collect();
-        let wb: std::collections::HashSet<u64> =
+        let wb: std::collections::BTreeSet<u64> =
             b.blocks().iter().map(|x| x.base().window()).collect();
         assert!(wa.is_disjoint(&wb));
     }

@@ -104,6 +104,10 @@ impl PowerModel {
     }
 
     /// Energy in joules for `cycles` of execution in `class` at `freq_hz`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `freq_hz` is not positive.
     pub fn energy_joules(&self, class: DeliveryClass, cycles: f64, freq_hz: f64) -> f64 {
         assert!(freq_hz > 0.0, "frequency must be positive");
         self.watts(class) * cycles / freq_hz

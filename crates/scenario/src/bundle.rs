@@ -17,6 +17,7 @@ use std::path::Path;
 use leaky_cpu::ProcessorModel;
 use leaky_exp::experiments::{channel_cell_traced, machine};
 use leaky_exp::{CellMeasurement, Experiment, JobCell, ParamGrid};
+use leaky_frontend::check_geometry;
 use leaky_frontends::channels::mt::MtNoise;
 use leaky_frontends::channels::registry::{default_params, validate_params};
 use leaky_frontends::channels::{channel_info, ChannelSpec};
@@ -24,7 +25,7 @@ use leaky_frontends::params::MessagePattern;
 use leaky_trace::TraceMode;
 use leaky_uarch::UarchProfile;
 
-use crate::profile::{check_tables, document_kind, get_str, get_uint, ProfileRegistry};
+use crate::profile::{check_tables, document_kind, get_str, get_uint, table, ProfileRegistry};
 use crate::toml::{is_bare_key, Doc, Entry, Table, Value};
 use crate::{leak, ScenarioError};
 
@@ -204,17 +205,27 @@ fn resolve_pattern(label: &str) -> Option<MessagePattern> {
         .find(|p| p.to_string() == label)
 }
 
-/// Rejects a grid whose cells would build a channel on invalid §V
-/// parameters: every channel × `d` (the axis values, or the channel's
-/// default) × uarch profile combination must pass
-/// [`validate_params`] under that profile's geometry. The error points
-/// at the `d` axis line, or at the `uarch` axis when there is none.
+/// Rejects a grid whose cells would fail to build a channel: every
+/// uarch profile's geometry must pass [`check_geometry`] (the error
+/// points at the `uarch` axis line), and every channel × `d` (the axis
+/// values, or the channel's default) × uarch profile combination must
+/// pass [`validate_params`] under that profile's geometry (the error
+/// points at the `d` axis line, or at the `uarch` axis when there is
+/// none).
 fn check_params(
     channels: &[String],
     profiles: &[UarchProfile],
     d_axis: Option<&(usize, Vec<i64>)>,
     uarch_line: usize,
 ) -> Result<(), ScenarioError> {
+    for profile in profiles {
+        if let Err(err) = check_geometry(&profile.geometry) {
+            return Err(ScenarioError::at(
+                uarch_line,
+                format!("uarch `{}`: unsupported geometry: {err}", profile.key),
+            ));
+        }
+    }
     for channel in channels {
         let Some(defaults) = default_params(channel) else {
             continue;
@@ -262,18 +273,18 @@ pub fn parse_bundle(
         &["scenario", "grid", "message", "workload"],
     )?;
 
-    let meta = doc.table("scenario").expect("required above"); // lint: allow(panic-path) — check_tables guarantees presence
+    let meta = table(&doc, "scenario")?;
     reject_unknown_keys(meta, &["name", "title"])?;
     let name = get_str(meta, "name")?;
     if !is_bare_key(name) {
         return Err(ScenarioError::at(
-            meta.get("name").expect("just read").line, // lint: allow(panic-path) — name was read above
+            meta.line_of("name"),
             format!("scenario name `{name}` must contain only [A-Za-z0-9_-]"),
         ));
     }
     let title = get_str(meta, "title")?.to_string();
 
-    let grid = doc.table("grid").expect("required above"); // lint: allow(panic-path) — check_tables guarantees presence
+    let grid = table(&doc, "grid")?;
     let mut axes = Vec::new();
     let mut bundle_profiles = Vec::new();
     let mut channels: Vec<String> = Vec::new();
@@ -377,7 +388,7 @@ pub fn parse_bundle(
     }
     check_params(&channels, &bundle_profiles, d_axis.as_ref(), uarch_line)?;
 
-    let message = doc.table("message").expect("required above"); // lint: allow(panic-path) — check_tables guarantees presence
+    let message = table(&doc, "message")?;
     reject_unknown_keys(message, &["seed", "pattern"])?;
     let message_seed = get_uint(message, "seed")?;
     let pattern = match message.get("pattern") {
@@ -392,7 +403,7 @@ pub fn parse_bundle(
                 Some(p) => Some(p),
                 None => {
                     return Err(ScenarioError::at(
-                        message.get("pattern").expect("just read").line, // lint: allow(panic-path) — pattern was read above
+                        message.line_of("pattern"),
                         format!(
                             "unknown message pattern `{label}` (supported: all-0s, all-1s, alternating, random)"
                         ),
@@ -409,7 +420,7 @@ pub fn parse_bundle(
         }
     };
 
-    let workload = doc.table("workload").expect("required above"); // lint: allow(panic-path) — check_tables guarantees presence
+    let workload = table(&doc, "workload")?;
     reject_unknown_keys(
         workload,
         &["bits", "quick_bits", "mt_bits", "quick_mt_bits"],
@@ -418,7 +429,7 @@ pub fn parse_bundle(
         let v = get_uint(workload, key)?;
         if v == 0 {
             return Err(ScenarioError::at(
-                workload.get(key).expect("just read").line, // lint: allow(panic-path) — key was read above
+                workload.line_of(key),
                 format!("key `{key}` in [workload]: must be a positive integer"),
             ));
         }
@@ -444,7 +455,7 @@ pub fn parse_bundle(
                 let v = get_float(t, key)?;
                 if !(0.0..=1.0).contains(&v) {
                     return Err(ScenarioError::at(
-                        t.get(key).expect("just read").line, // lint: allow(panic-path) — key was read above
+                        t.line_of(key),
                         format!("key `{key}` in [noise]: must be a probability in 0.0..=1.0"),
                     ));
                 }
@@ -453,7 +464,7 @@ pub fn parse_bundle(
             let burst_relative = get_float(t, "burst_relative")?;
             if !burst_relative.is_finite() || burst_relative < 0.0 {
                 return Err(ScenarioError::at(
-                    t.get("burst_relative").expect("just read").line, // lint: allow(panic-path) — key was read above
+                    t.line_of("burst_relative"),
                     "key `burst_relative` in [noise]: must be a non-negative float",
                 ));
             }
@@ -533,7 +544,8 @@ impl ScenarioExperiment {
             .iter()
             .find(|p| p.key == key)
             .copied()
-            .unwrap_or_else(|| panic!("unresolved uarch profile {key:?}")) // lint: allow(panic-path) — parse_bundle resolved every axis value
+            // parse_bundle resolved every axis value.
+            .unwrap_or_else(|| panic!("unresolved uarch profile {key:?}"))
     }
 }
 
@@ -582,8 +594,9 @@ impl Experiment for ScenarioExperiment {
             .profile(self.profile_for(cell.str("uarch")))
             .seed(cell.seed);
         if cell.get("d").is_some() {
+            // parse_bundle validated the channel name.
             let params = default_params(&channel)
-                .unwrap_or_else(|| panic!("no default params for {channel:?}")) // lint: allow(panic-path) — parse_bundle validated the channel name
+                .unwrap_or_else(|| panic!("no default params for {channel:?}"))
                 .with_d(cell.int("d") as usize);
             spec = spec.params(params);
         }
@@ -592,8 +605,9 @@ impl Experiment for ScenarioExperiment {
         }
         let pattern = match self.bundle.pattern {
             Some(p) => p,
+            // parse_bundle resolved every axis value.
             None => resolve_pattern(cell.str("pattern"))
-                .unwrap_or_else(|| panic!("unresolved pattern {:?}", cell.str("pattern"))), // lint: allow(panic-path) — parse_bundle resolved every axis value
+                .unwrap_or_else(|| panic!("unresolved pattern {:?}", cell.str("pattern"))),
         };
         let message = pattern.generate(bits, self.bundle.message_seed);
         channel_cell_traced(&spec, &message, trace)
@@ -702,6 +716,21 @@ quick_mt_bits = 4
             let err = parse_bundle(&text, &reg).expect_err(want);
             assert_eq!(err.to_string(), want);
         }
+    }
+
+    #[test]
+    fn unsupported_geometries_fail_at_the_uarch_line() {
+        let mut reg = ProfileRegistry::builtins();
+        let mut odd = UarchProfile::skylake();
+        odd.key = "odd_lines";
+        odd.geometry.l1i_line_bytes = 48;
+        reg.add(odd).expect("new key");
+        let text = minimal().replace("uarch = [\"skylake\"]", "uarch = [\"odd_lines\"]");
+        let err = parse_bundle(&text, &reg).expect_err("48-byte L1I lines");
+        assert_eq!(
+            err.to_string(),
+            "line 10: uarch `odd_lines`: unsupported geometry: l1i_line_bytes = 48 must be a power of two"
+        );
     }
 
     #[test]

@@ -94,7 +94,8 @@ fn geometry_value(g: &FrontendGeometry, key: &str) -> usize {
         "iq_entries" => g.iq_entries,
         "decode_width" => g.decode_width,
         "idq_delivery_width" => g.idq_delivery_width,
-        other => panic!("not a geometry key: {other}"), // lint: allow(panic-path) — callers iterate GEOMETRY_KEYS
+        // Callers iterate GEOMETRY_KEYS.
+        other => panic!("not a geometry key: {other}"),
     }
 }
 
@@ -141,7 +142,8 @@ fn cost_value(c: &CostModel, key: &str) -> f64 {
         "loop_overhead" => c.loop_overhead,
         "smt_mite_factor" => c.smt_mite_factor,
         "timer_overhead" => c.timer_overhead,
-        other => panic!("not a cost key: {other}"), // lint: allow(panic-path) — callers iterate COST_KEYS
+        // Callers iterate COST_KEYS.
+        other => panic!("not a cost key: {other}"),
     }
 }
 
@@ -217,11 +219,15 @@ pub(crate) fn check_tables(
         }
     }
     for name in required {
-        if doc.table(name).is_none() {
-            return Err(ScenarioError::doc(format!("missing table [{name}]")));
-        }
+        table(doc, name)?;
     }
     Ok(())
+}
+
+/// A required table: `missing table [name]` when absent.
+pub(crate) fn table<'d>(doc: &'d Doc, name: &str) -> Result<&'d Table, ScenarioError> {
+    doc.table(name)
+        .ok_or_else(|| ScenarioError::doc(format!("missing table [{name}]")))
 }
 
 /// Typed getter: a required string key.
@@ -305,7 +311,7 @@ pub fn parse_profile(text: &str) -> Result<UarchProfile, ScenarioError> {
         &["profile", "geometry", "costs"],
     )?;
 
-    let meta = doc.table("profile").expect("required above"); // lint: allow(panic-path) — check_tables guarantees presence
+    let meta = table(&doc, "profile")?;
     for e in &meta.entries {
         if !matches!(e.key.as_str(), "key" | "description" | "lsd_enabled") {
             return Err(ScenarioError::at(
@@ -317,14 +323,14 @@ pub fn parse_profile(text: &str) -> Result<UarchProfile, ScenarioError> {
     let key = get_str(meta, "key")?;
     if !is_bare_key(key) {
         return Err(ScenarioError::at(
-            meta.get("key").expect("just read").line, // lint: allow(panic-path) — key was read above
+            meta.line_of("key"),
             format!("profile key `{key}` must contain only [A-Za-z0-9_-]"),
         ));
     }
     let description = get_str(meta, "description")?.to_string();
     let lsd_enabled = get_bool(meta, "lsd_enabled")?;
 
-    let gt = doc.table("geometry").expect("required above"); // lint: allow(panic-path) — check_tables guarantees presence
+    let gt = table(&doc, "geometry")?;
     let mut geometry = FrontendGeometry::skylake();
     for e in &gt.entries {
         let v = match e.value {
@@ -362,7 +368,7 @@ pub fn parse_profile(text: &str) -> Result<UarchProfile, ScenarioError> {
         }
     }
 
-    let ct = doc.table("costs").expect("required above"); // lint: allow(panic-path) — check_tables guarantees presence
+    let ct = table(&doc, "costs")?;
     let mut costs = CostModel::skylake();
     for e in &ct.entries {
         let v = match e.value {

@@ -70,6 +70,12 @@ impl Table {
         self.entries.iter().find(|e| e.key == key)
     }
 
+    /// The line of `key`'s entry, or of the table header when absent
+    /// (for error messages about a key already read).
+    pub fn line_of(&self, key: &str) -> usize {
+        self.get(key).map_or(self.line, |e| e.line)
+    }
+
     /// Where this table is, for error messages: `at top level` or
     /// `in [name]`.
     pub fn place(&self) -> String {
@@ -100,7 +106,6 @@ impl Doc {
             entries: Vec::new(),
         };
         let mut tables: Vec<Table> = Vec::new();
-        let mut in_root = true;
         let mut lines = text.lines().enumerate();
         while let Some((idx, raw)) = lines.next() {
             let n = idx + 1;
@@ -123,7 +128,6 @@ impl Doc {
                     line: n,
                     entries: Vec::new(),
                 });
-                in_root = false;
                 continue;
             }
             let Some((k, v)) = line.split_once('=') else {
@@ -150,12 +154,8 @@ impl Doc {
                 vtext.push_str(strip_comment(next).trim());
             }
             let value = parse_value(vtext.trim(), n)?;
-            let table = if in_root {
-                &mut root
-            } else {
-                // In_root is false only after a header pushed a table.
-                tables.last_mut().expect("a table header was seen") // lint: allow(panic-path) — guarded by in_root
-            };
+            // Keys belong to the last table header, or to the root before one.
+            let table = tables.last_mut().unwrap_or(&mut root);
             if table.get(key).is_some() {
                 return Err(ScenarioError::at(
                     n,

@@ -148,7 +148,7 @@ impl SpectreV1 {
                 .enumerate()
                 .max_by_key(|&(_, v)| v)
                 .map(|(i, _)| i as u8)
-                .expect("non-empty votes"); // lint: allow(panic-path) — votes has a fixed 256 entries
+                .expect("non-empty votes");
             recovered.push(best);
         }
 

@@ -417,7 +417,7 @@ mod tests {
             }
         }
         // L1I probe fns occupy 32 distinct L1I sets.
-        let sets: std::collections::HashSet<u64> = ctx
+        let sets: std::collections::BTreeSet<u64> = ctx
             .probe_fns
             .iter()
             .map(|c| c.blocks()[0].base().l1i_set())

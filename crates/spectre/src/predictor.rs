@@ -6,7 +6,10 @@
 
 /// Prediction state of one 2-bit saturating counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[allow(clippy::enum_variant_names)] // canonical 2-bit-counter state names
+#[expect(
+    clippy::enum_variant_names,
+    reason = "canonical 2-bit-counter state names"
+)]
 enum Counter {
     StrongNotTaken,
     WeakNotTaken,

@@ -115,7 +115,7 @@ impl<W: Write> TraceSink for TextSink<W> {
 /// A [`TextSink`] that prefixes each line with wall-clock milliseconds
 /// since the sink was created.
 ///
-/// This is the **only** wall-clock consumer in the workspace: its output
+/// This is the trace layer's **only** wall-clock consumer: its output
 /// is explicitly non-deterministic and must never feed goldens, sweep
 /// documents or anything else the determinism contract covers. It exists
 /// for interactive debugging, where "when did the simulator reach this
@@ -128,10 +128,14 @@ pub struct TimedTextSink<W: Write> {
 
 impl<W: Write> TimedTextSink<W> {
     /// Wraps a writer, starting the clock now.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "debug-only wall-clock stamps; never part of a deterministic document"
+    )]
     pub fn new(writer: W) -> Self {
         TimedTextSink {
             writer,
-            start: std::time::Instant::now(), // lint: allow(wall-clock)
+            start: std::time::Instant::now(),
         }
     }
 }

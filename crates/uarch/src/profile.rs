@@ -133,7 +133,10 @@ pub struct Fnv1a(u64);
 
 impl Fnv1a {
     /// Starts an accumulator at the FNV-1a offset basis.
-    #[allow(clippy::new_without_default)]
+    #[expect(
+        clippy::new_without_default,
+        reason = "a hash accumulator starts from an explicit basis, not a default"
+    )]
     pub fn new() -> Self {
         Fnv1a(0xcbf2_9ce4_8422_2325)
     }
@@ -159,19 +162,35 @@ impl Fnv1a {
 
 /// Folds every geometry field into `h`, in declaration order.
 pub(crate) fn hash_geometry(h: &mut Fnv1a, g: &FrontendGeometry) {
+    // Destructured without `..`, so a new geometry field is a compile
+    // error (E0027) here until it joins the fingerprint.
+    let FrontendGeometry {
+        dsb_sets,
+        dsb_ways,
+        dsb_window_bytes,
+        dsb_line_uops,
+        lsd_uops,
+        lsd_windows,
+        l1i_sets,
+        l1i_ways,
+        l1i_line_bytes,
+        iq_entries,
+        decode_width,
+        idq_delivery_width,
+    } = *g;
     for v in [
-        g.dsb_sets,
-        g.dsb_ways,
-        g.dsb_window_bytes,
-        g.dsb_line_uops,
-        g.lsd_uops,
-        g.lsd_windows,
-        g.l1i_sets,
-        g.l1i_ways,
-        g.l1i_line_bytes,
-        g.iq_entries,
-        g.decode_width,
-        g.idq_delivery_width,
+        dsb_sets,
+        dsb_ways,
+        dsb_window_bytes,
+        dsb_line_uops,
+        lsd_uops,
+        lsd_windows,
+        l1i_sets,
+        l1i_ways,
+        l1i_line_bytes,
+        iq_entries,
+        decode_width,
+        idq_delivery_width,
     ] {
         h.write_u64(v as u64);
     }
@@ -179,24 +198,44 @@ pub(crate) fn hash_geometry(h: &mut Fnv1a, g: &FrontendGeometry) {
 
 /// Folds every cost-model field (bit pattern) into `h`.
 pub(crate) fn hash_costs(h: &mut Fnv1a, c: &CostModel) {
+    // Destructured without `..` (see `hash_geometry`).
+    let CostModel {
+        dsb_per_uop,
+        lsd_per_uop,
+        mite_line_base,
+        mite_per_uop,
+        dsb_to_mite_switch,
+        mite_to_dsb_switch,
+        lsd_flush,
+        lcp_stall,
+        lcp_sequential_extra,
+        mite_per_instr,
+        lcp_dsb_to_mite_switch,
+        lcp_mite_to_dsb_switch,
+        window_crossing_penalty,
+        l1i_miss,
+        loop_overhead,
+        smt_mite_factor,
+        timer_overhead,
+    } = *c;
     for v in [
-        c.dsb_per_uop,
-        c.lsd_per_uop,
-        c.mite_line_base,
-        c.mite_per_uop,
-        c.dsb_to_mite_switch,
-        c.mite_to_dsb_switch,
-        c.lsd_flush,
-        c.lcp_stall,
-        c.lcp_sequential_extra,
-        c.mite_per_instr,
-        c.lcp_dsb_to_mite_switch,
-        c.lcp_mite_to_dsb_switch,
-        c.window_crossing_penalty,
-        c.l1i_miss,
-        c.loop_overhead,
-        c.smt_mite_factor,
-        c.timer_overhead,
+        dsb_per_uop,
+        lsd_per_uop,
+        mite_line_base,
+        mite_per_uop,
+        dsb_to_mite_switch,
+        mite_to_dsb_switch,
+        lsd_flush,
+        lcp_stall,
+        lcp_sequential_extra,
+        mite_per_instr,
+        lcp_dsb_to_mite_switch,
+        lcp_mite_to_dsb_switch,
+        window_crossing_penalty,
+        l1i_miss,
+        loop_overhead,
+        smt_mite_factor,
+        timer_overhead,
     ] {
         h.write_u64(v.to_bits());
     }

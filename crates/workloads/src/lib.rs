@@ -319,7 +319,7 @@ mod tests {
     fn ten_mobile_benchmarks_with_unique_names() {
         let b = mobile::benchmarks();
         assert_eq!(b.len(), 10);
-        let names: std::collections::HashSet<&str> = b.iter().map(|w| w.name()).collect();
+        let names: std::collections::BTreeSet<&str> = b.iter().map(|w| w.name()).collect();
         assert_eq!(names.len(), 10);
     }
 
