@@ -105,6 +105,19 @@ impl CacheStats {
         }
     }
 
+    /// The delta `n` passes of `self` add up to, field by field (wrapping,
+    /// like [`SetAssocCache::add_stats`], so adding it once equals adding
+    /// `self` `n` times).
+    pub fn times(self, n: u64) -> CacheStats {
+        CacheStats {
+            accesses: self.accesses.wrapping_mul(n),
+            hits: self.hits.wrapping_mul(n),
+            misses: self.misses.wrapping_mul(n),
+            evictions: self.evictions.wrapping_mul(n),
+            flushes: self.flushes.wrapping_mul(n),
+        }
+    }
+
     /// Miss rate in `[0, 1]`, or `0` with no accesses.
     pub fn miss_rate(&self) -> f64 {
         if self.accesses == 0 {

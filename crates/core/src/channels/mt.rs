@@ -392,14 +392,23 @@ mod tests {
         // One seeded 16-bit transmission per MT configuration that
         // `channel_stream` runs: every `run_concurrent` walks its chain
         // pair's state graph. Nearly every step follows a recorded edge,
-        // and no graph outgrows its state cap.
+        // no graph outgrows its state cap, and the last entry of each row
+        // counts the lone-tail steps served in bulk.
         let pinned = [
-            (MtKind::Eviction, "skylake", [37_340, 60, 56, 60, 0]),
-            (MtKind::Misalignment, "skylake", [55_474, 26, 22, 26, 0]),
-            (MtKind::Eviction, "icelake", [37_378, 22, 21, 22, 0]),
-            (MtKind::Misalignment, "icelake", [62_980, 20, 15, 20, 0]),
+            (MtKind::Eviction, "skylake", [37_340, 60, 56, 60, 0, 14_789]),
+            (
+                MtKind::Misalignment,
+                "skylake",
+                [55_474, 26, 22, 26, 0, 5_981],
+            ),
+            (MtKind::Eviction, "icelake", [37_378, 22, 21, 22, 0, 15_690]),
+            (
+                MtKind::Misalignment,
+                "icelake",
+                [62_980, 20, 15, 20, 0, 16_834],
+            ),
         ];
-        for (kind, profile, [followed, simulated, states, edges, resets]) in pinned {
+        for (kind, profile, [followed, simulated, states, edges, resets, bulk]) in pinned {
             let profile_ref = UarchProfile::by_key(profile).unwrap();
             let mut ch = MtChannel::with_profile(
                 ProcessorModel::gold_6226(),
@@ -421,6 +430,7 @@ mod tests {
                 stats,
                 leaky_frontend::MemoStats {
                     followed,
+                    bulk,
                     simulated,
                     states: states as usize,
                     edges: edges as usize,

@@ -7,6 +7,7 @@ use leaky_frontend::{
 };
 use leaky_isa::BlockChain;
 use leaky_power::{DeliveryClass, PowerModel, Rapl};
+use leaky_stats::add_repeated;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -353,9 +354,17 @@ impl Core {
     /// cycles and energy depend only on the edge and on the SMT backend
     /// factor (the sibling's recent µops per cycle, or a trace-driven
     /// sibling's demand), so they are cached on the edge under that
-    /// factor. Each step still advances the clock, deposits its energy
-    /// and adds to its [`LoopRun`] one step at a time, in the plain
-    /// loop's order.
+    /// factor. A step advances the clock, deposits its energy and adds
+    /// to its [`LoopRun`] in the plain loop's order.
+    ///
+    /// Once one thread is done, the other's *lone tail* often reaches a
+    /// state whose edge is a self-loop with its charge noted under the
+    /// current factor. Every remaining step then follows that same edge
+    /// at the same cost, so all of them are served at once: the
+    /// remaining jitters are drawn, and the clock, the [`LoopRun`] and
+    /// the RAPL counter advance through exact repeated-addition helpers
+    /// ([`leaky_stats::add_repeated`], [`Rapl::deposit_repeated`]) that
+    /// leave every value bit-identical to the step-by-step loop.
     ///
     /// # Panics
     ///
@@ -382,21 +391,46 @@ impl Core {
         while let Some(pick) = accounts.pick(&remaining) {
             let tid = [ThreadId::T0, ThreadId::T1][pick];
             let factor = accounts.smt_factor(tid, walk.frontend().both_active());
-            let (report, note) = walk.step(tid);
-            let cost = Cost {
-                profile_key,
-                costs: &costs,
-                factor,
+            // A lone tail on a self-loop charged under this factor. The
+            // factor cannot change while only this thread runs: no
+            // thread (de)activates and the sibling's µops per cycle and
+            // demand stand still.
+            let tail = if remaining[1 - pick] == 0 && remaining[pick] > 1 {
+                walk.self_loop(tid)
+                    .flatten()
+                    .filter(|&(key, _)| key == factor.to_bits())
+            } else {
+                None
             };
-            let charge = match note {
-                Some(note) => accounts.charge_noted(&cost, tid, chains[pick], report, note),
-                None => accounts.charge_at(&cost, tid, chains[pick], 1, report),
+            let steps = match tail {
+                Some((_, [cycles, joules, upc])) => {
+                    let n = remaining[pick];
+                    let report = walk.follow_repeated(tid, n);
+                    let charge = Charge { cycles, joules };
+                    accounts.apply_repeated(pick, charge, upc, n);
+                    runs[pick].cycles = add_repeated(runs[pick].cycles, cycles, n);
+                    runs[pick].report.add_repeated(report, n);
+                    n
+                }
+                None => {
+                    let (report, note) = walk.step(tid);
+                    let cost = Cost {
+                        profile_key,
+                        costs: &costs,
+                        factor,
+                    };
+                    let charge = match note {
+                        Some(note) => accounts.charge_noted(&cost, tid, chains[pick], report, note),
+                        None => accounts.charge_at(&cost, tid, chains[pick], 1, report),
+                    };
+                    accounts.apply(pick, charge);
+                    runs[pick].cycles += charge.cycles;
+                    runs[pick].report += *report;
+                    1
+                }
             };
-            accounts.apply(pick, charge);
-            runs[pick].cycles += charge.cycles;
-            runs[pick].iterations += 1;
-            runs[pick].report += *report;
-            remaining[pick] -= 1;
+            runs[pick].iterations += steps;
+            remaining[pick] -= steps;
             if remaining[pick] == 0 {
                 walk.deactivate(tid);
             }
@@ -504,8 +538,12 @@ impl LoopRun {
 impl Accounts {
     /// Wall-clock seconds elapsed (max over thread clocks).
     fn seconds(&self) -> f64 {
-        self.model
-            .cycles_to_seconds(self.clock[0].max(self.clock[1]))
+        seconds_at(&self.model, self.clock)
+    }
+
+    /// One step's scheduling jitter, in cycles.
+    fn jitter(&mut self) -> f64 {
+        self.rng.gen_range(-2.0..2.0)
     }
 
     /// Draws the scheduling jitter and picks the thread that is behind
@@ -515,7 +553,7 @@ impl Accounts {
         if remaining == &[0, 0] {
             return None;
         }
-        let jitter: f64 = self.rng.gen_range(-2.0..2.0);
+        let jitter = self.jitter();
         Some(if remaining[0] == 0 {
             1
         } else if remaining[1] == 0 || self.clock[0] + jitter <= self.clock[1] {
@@ -649,6 +687,37 @@ impl Accounts {
         let now = self.seconds();
         self.rapl.deposit(charge.joules, now);
     }
+
+    /// `n` lone steps of thread `t` along one self-loop edge, whose note
+    /// holds `charge` and the recent µops per cycle `upc` it leaves
+    /// behind: exactly what `n` rounds of [`Accounts::pick`],
+    /// [`Accounts::charge_noted`] and [`Accounts::apply`] do, given that
+    /// the caller's `pick` drew the first jitter. The sibling's clock
+    /// stands still, so the time of the `k`-th deposit is a function of
+    /// `k` alone.
+    fn apply_repeated(&mut self, t: usize, charge: Charge, upc: f64, n: u64) {
+        for _ in 1..n {
+            self.jitter();
+        }
+        if charge.cycles > 0.0 {
+            self.recent_upc[t] = upc;
+        }
+        let start = self.clock;
+        let clock_at = |k| {
+            let mut clock = start;
+            clock[t] = add_repeated(start[t], charge.cycles, k);
+            clock
+        };
+        self.clock = clock_at(n);
+        let model = &self.model;
+        self.rapl
+            .deposit_repeated(charge.joules, n, |k| seconds_at(model, clock_at(k)));
+    }
+}
+
+/// Wall-clock seconds at thread clocks `clock` (their max).
+fn seconds_at(model: &ProcessorModel, clock: [f64; 2]) -> f64 {
+    model.cycles_to_seconds(clock[0].max(clock[1]))
 }
 
 /// Estimated mean package power for a report's delivery mix.
@@ -1078,15 +1147,23 @@ mod tests {
     }
 
     /// Everything observable that a step can change, bit for bit: both
-    /// clocks, the RAPL energy, the cumulative counters, the L1I
-    /// statistics and sets, every DSB set in MRU order, and the trace.
+    /// clocks, the recent µops per cycle, the scheduling RNG, the whole
+    /// RAPL counter (exact and visible energy, last update boundary,
+    /// jitter RNG), the cumulative counters, the L1I statistics and sets,
+    /// every DSB set in MRU order, and the trace.
     fn state_diff(fast: &Core, plain: &Core) -> Option<String> {
         let (a, b) = (&fast.accounts, &plain.accounts);
         if a.clock.map(f64::to_bits) != b.clock.map(f64::to_bits) {
             return Some(format!("clocks {:?} vs {:?}", a.clock, b.clock));
         }
-        if a.rapl.exact_uj().to_bits() != b.rapl.exact_uj().to_bits() {
-            return Some("RAPL energy".into());
+        if a.recent_upc.map(f64::to_bits) != b.recent_upc.map(f64::to_bits) {
+            return Some("recent µops per cycle".into());
+        }
+        if a.rng != b.rng {
+            return Some("scheduling RNG".into());
+        }
+        if a.rapl.exact_uj().to_bits() != b.rapl.exact_uj().to_bits() || a.rapl != b.rapl {
+            return Some(format!("RAPL {:?} vs {:?}", a.rapl, b.rapl));
         }
         let (fa, fb) = (fast.frontend(), plain.frontend());
         for tid in [ThreadId::T0, ThreadId::T1] {
@@ -1233,6 +1310,49 @@ mod tests {
                 "thrashing tails follow edges, got {stats:?}"
             );
         }
+    }
+
+    #[test]
+    fn lone_tails_are_served_in_bulk_exactly() {
+        // Lone tails of 20,000 steps of a DSB-thrashing chain (nine
+        // blocks in one 8-way set, ~64 cycles a step) span about nine
+        // 50 µs RAPL update boundaries, so serving them in bulk must
+        // reproduce each boundary's deposit and jitter draw. Receiver
+        // tails (the SGX MT shape) and sender tails, with and without the
+        // LSD, under both sharing policies.
+        let chains = [strided(RECV, 9, 1024), strided(SEND, 9, 1024)];
+        let tails = [(0, 1, 20_000, 20), (0, 1, 15, 20_000)];
+        for lsd_enabled in [false, true] {
+            for shared in [false, true] {
+                let config = config(lsd_enabled, shared);
+                let (stats, _) = differential(config, 11, &chains, &tails, |_, _| {}).unwrap();
+                assert!(
+                    stats.bulk > 39_000,
+                    "lone tails must be served in bulk, got {stats:?}"
+                );
+            }
+        }
+        let mut core = Core::with_frontend_config(
+            ProcessorModel::gold_6226(),
+            MicrocodePatch::Patch1,
+            config(false, false),
+            11,
+        );
+        core.run_concurrent(
+            ThreadWork {
+                chain: &chains[0],
+                iterations: 20_000,
+            },
+            ThreadWork {
+                chain: &chains[1],
+                iterations: 20,
+            },
+        );
+        assert!(
+            core.seconds() > 3.0 * Rapl::UPDATE_INTERVAL_S,
+            "the tail spans {} s",
+            core.seconds()
+        );
     }
 
     /// Random chains from `(base, set, blocks, kind)` specs: aligned or

@@ -115,6 +115,27 @@ impl IterationReport {
         }
     }
 
+    /// Adds `r` to `self` `n` times, bit-identical to `n` sequential
+    /// `*self += *r`: the float fields go through
+    /// [`leaky_stats::add_repeated`], the counts add `n ×` their value.
+    pub fn add_repeated(&mut self, r: &IterationReport, n: u64) {
+        use leaky_stats::add_repeated;
+        self.cycles = add_repeated(self.cycles, r.cycles, n);
+        self.lsd_uops += r.lsd_uops * n;
+        self.dsb_uops += r.dsb_uops * n;
+        self.mite_uops += r.mite_uops * n;
+        self.lcp_stall_cycles = add_repeated(self.lcp_stall_cycles, r.lcp_stall_cycles, n);
+        self.switch_penalty_cycles =
+            add_repeated(self.switch_penalty_cycles, r.switch_penalty_cycles, n);
+        self.crossing_penalty_cycles =
+            add_repeated(self.crossing_penalty_cycles, r.crossing_penalty_cycles, n);
+        self.dsb_to_mite_switches += r.dsb_to_mite_switches * n;
+        self.dsb_evictions += r.dsb_evictions * n;
+        self.lsd_flushes += r.lsd_flushes * n;
+        self.l1i_misses += r.l1i_misses * n;
+        self.l1i_accesses += r.l1i_accesses * n;
+    }
+
     /// Scales every additive quantity by `n` — used to extrapolate a
     /// steady-state iteration to a long run (e.g. Fig. 4's 800 M
     /// iterations) without simulating each one.

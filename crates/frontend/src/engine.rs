@@ -1677,6 +1677,7 @@ mod tests {
             memo.memo_stats(),
             MemoStats {
                 followed: 282,
+                bulk: 0,
                 simulated: 18,
                 states: 17,
                 edges: 18,

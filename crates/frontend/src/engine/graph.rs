@@ -52,6 +52,9 @@ const MAX_GRAPHS: usize = 8;
 pub struct MemoStats {
     /// Steps served by following a recorded edge.
     pub followed: u64,
+    /// The steps among `followed` served in bulk, by repeating a
+    /// self-loop edge ([`SmtWalk::follow_repeated`]).
+    pub bulk: u64,
     /// Steps simulated on the live frontend. Each records its edge (an
     /// untraced edge is re-recorded traced) unless interning its target
     /// cleared the graph.
@@ -387,6 +390,43 @@ impl SmtWalk<'_> {
         self.cur = edge.target;
         self.live = false;
         (&edge.report, Some(&mut edge.note))
+    }
+
+    /// The note of `tid`'s out-edge when that edge is a self-loop the
+    /// walk may repeat with [`SmtWalk::follow_repeated`]: recorded, leading
+    /// back to the current state, on an untraced walk (a traced walk
+    /// re-emits each step's events, so it steps one at a time).
+    pub fn self_loop(&self, tid: ThreadId) -> Option<EdgeNote> {
+        if self.plain || self.traced {
+            return None;
+        }
+        let edge = self.graph.states[self.cur as usize].edges[tid.index()].as_ref()?;
+        (edge.target == self.cur).then_some(edge.note)
+    }
+
+    /// Follows `tid`'s self-loop edge `n` times at once, bit-identical to
+    /// `n` calls of [`SmtWalk::step`]: the report goes into the thread's
+    /// cumulative counters through [`IterationReport::add_repeated`], the
+    /// L1I statistics get `n ×` the edge's delta, and `followed` (and
+    /// [`MemoStats::bulk`]) grow by `n`. The region does not move, so the
+    /// live frontend stays as current as it was. Returns the edge's
+    /// report.
+    ///
+    /// # Panics
+    ///
+    /// Panics if [`SmtWalk::self_loop`] finds no self-loop for `tid`.
+    pub fn follow_repeated(&mut self, tid: ThreadId, n: u64) -> &IterationReport {
+        assert!(self.self_loop(tid).is_some(), "{tid} is not on a self-loop");
+        let t = tid.index();
+        let Some(edge) = self.graph.states[self.cur as usize].edges[t].as_ref() else {
+            unreachable!("the self-loop was just found");
+        };
+        let fe = &mut *self.fe;
+        fe.cumulative[t].add_repeated(&edge.report, n);
+        fe.l1i.add_stats(edge.l1i.times(n));
+        fe.graphs.stats.followed += n;
+        fe.graphs.stats.bulk += n;
+        &edge.report
     }
 
     /// Marks `tid` idle once its work is done: materializes, applies

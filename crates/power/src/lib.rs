@@ -139,7 +139,11 @@ fn gaussian<R: Rng>(rng: &mut R) -> f64 {
 /// as of the most recent *update boundary* (every [`Rapl::UPDATE_INTERVAL_S`]),
 /// reproducing the ~20 kHz quantization that limits power-channel bandwidth
 /// (§VII). Reads also carry a small quantization jitter.
-#[derive(Debug, Clone)]
+///
+/// Two counters compare equal when their whole state does — exact and
+/// visible energy, last boundary and jitter RNG — so a test can check
+/// that two ways of depositing the same work agree on every later read.
+#[derive(Debug, Clone, PartialEq)]
 pub struct Rapl {
     /// Energy deposited so far, microjoules (exact).
     energy_uj: f64,
@@ -179,6 +183,48 @@ impl Rapl {
         self.advance(now_s);
     }
 
+    /// Deposits `joules` `n` times, exactly as `n` calls of
+    /// [`Rapl::deposit`] would, where the `k`-th call (from 1) happens at
+    /// `now_at(k)`. `now_at` must not decrease in `k`.
+    ///
+    /// The energy goes through [`leaky_stats::add_repeated`]. Between two
+    /// update boundaries nothing else changes, and whether a call crosses
+    /// one depends monotonically on its time, so each crossing is found
+    /// by binary search and served by the same `advance` the `k`-th
+    /// deposit would run: the same energy, the same boundary snap and
+    /// the same jitter draw. The cost is O(log n) evaluations of
+    /// `now_at` per boundary crossed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `joules` is negative.
+    pub fn deposit_repeated(&mut self, joules: f64, n: u64, now_at: impl Fn(u64) -> f64) {
+        assert!(joules >= 0.0, "energy cannot decrease");
+        let x = joules * 1e6;
+        let mut done = 0;
+        while done < n {
+            let last = self.last_update_s;
+            let fires = |k| Self::crosses(last, now_at(k));
+            if !fires(n) {
+                self.energy_uj = leaky_stats::add_repeated(self.energy_uj, x, n - done);
+                return;
+            }
+            // The first deposit in `done + 1..=n` that crosses a boundary.
+            let (mut lo, mut hi) = (done + 1, n);
+            while lo < hi {
+                let mid = lo + (hi - lo) / 2;
+                if fires(mid) {
+                    hi = mid;
+                } else {
+                    lo = mid + 1;
+                }
+            }
+            self.energy_uj = leaky_stats::add_repeated(self.energy_uj, x, lo - done);
+            self.advance(now_at(lo));
+            done = lo;
+        }
+    }
+
     /// Reads the counter at time `now_s`, returning quantized microjoules as
     /// the hardware MSR would.
     pub fn read(&mut self, now_s: f64) -> u64 {
@@ -191,8 +237,14 @@ impl Rapl {
         self.energy_uj
     }
 
+    /// Whether time `now_s` is at or past the update boundary after
+    /// `last_update_s`.
+    fn crosses(last_update_s: f64, now_s: f64) -> bool {
+        now_s - last_update_s >= Self::UPDATE_INTERVAL_S
+    }
+
     fn advance(&mut self, now_s: f64) {
-        if now_s - self.last_update_s >= Self::UPDATE_INTERVAL_S {
+        if Self::crosses(self.last_update_s, now_s) {
             // Snap to the boundary grid; visible value catches up with a
             // ±1 quantum sampling jitter.
             let boundaries = ((now_s - self.last_update_s) / Self::UPDATE_INTERVAL_S).floor();

@@ -11,7 +11,9 @@
 //!   channel error rates between sent and received bit strings,
 //! * the **Euclidean distance** (paper §XI) used to compare attacker IPC
 //!   traces for application fingerprinting,
-//! * threshold calibration for the timing decoder (paper §VI-B).
+//! * threshold calibration for the timing decoder (paper §VI-B),
+//! * exact repeated addition ([`add_repeated`]), which lets the simulator
+//!   serve many identical steps at once with bit-identical `f64` sums.
 //!
 //! # Examples
 //!
@@ -32,6 +34,7 @@
 
 pub mod distance;
 pub mod histogram;
+pub mod repeat;
 pub mod summary;
 pub mod threshold;
 
@@ -40,5 +43,6 @@ pub use distance::{
     DistanceError,
 };
 pub use histogram::Histogram;
+pub use repeat::add_repeated;
 pub use summary::OnlineStats;
 pub use threshold::{ThresholdDecoder, ThresholdDecoderBuilder};
