@@ -1,7 +1,7 @@
 //! `leaky_sweep`: the unified experiment-sweep CLI (DESIGN.md §7, §11).
 //!
 //! Runs registered `leaky_exp` experiments on the deterministic scoped
-//! worker pool and renders them in one of three formats. Output is
+//! worker pool and renders them as a table or as JSON. Output is
 //! byte-identical at any `--jobs N` (pinned by `tests/sweep_determinism.rs`),
 //! and — with `--store`/`--resume` — byte-identical whether cells were
 //! computed fresh or served from the on-disk result store (pinned by
@@ -14,12 +14,11 @@
 //! leaky_sweep --channels               # the covert-channel registry
 //! leaky_sweep --quick --jobs 4         # CI smoke grids on 4 workers
 //! leaky_sweep --format json            # leaky-frontends/sweep/v1 document
-//! leaky_sweep --format legacy tab3_all_channels   # pre-migration stdout
 //! leaky_sweep --store results/ --resume --quick   # crash-safe resumable sweep
 //! leaky_sweep --retries 2              # re-seeded retries for dying cells
 //! leaky_sweep --faults 'panic:k1;abort:k2'        # deterministic fault drill
 //! leaky_sweep --quick --trace --format json       # stall telemetry in the JSON
-//! leaky_sweep --trace=events --trace-dir traces/ tab3_all_channels  # per-cell CSVs
+//! leaky_sweep --trace=events --trace-dir traces/ tab3_all_channels  # per-cell event CSVs
 //! leaky_sweep --scenario scenarios/tab3_uarch.toml --jobs 4         # run a bundle file
 //! leaky_sweep --scenario s.toml --profile-dir scenarios/            # with file profiles
 //! leaky_sweep --scenario scenarios/skylake.toml --validate          # schema check only
@@ -36,8 +35,7 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use leaky_bench::sweep::{
-    default_jobs, has_legacy_rendering, render_json_document, render_legacy, render_table,
-    suggest_experiments, write_trace_files,
+    default_jobs, render_json_document, render_table, suggest_experiments, write_trace_files,
 };
 use leaky_exp::{
     run_experiment_with, standard_registry, FaultPlan, Registry, RunConfig, SweepError,
@@ -52,12 +50,11 @@ use leaky_trace::TraceMode;
 enum Format {
     Table,
     Json,
-    Legacy,
 }
 
 fn usage() -> &'static str {
     "usage: leaky_sweep [EXPERIMENT...] [--list] [--channels] [--quick] [--jobs N] \
-     [--format table|json|legacy] [--store DIR] [--resume] [--retries K] [--faults SPEC] \
+     [--format table|json] [--store DIR] [--resume] [--retries K] [--faults SPEC] \
      [--trace[=summary|events]] [--trace-dir DIR] \
      [--scenario FILE] [--profile-dir DIR] [--validate]"
 }
@@ -199,7 +196,6 @@ fn main() -> ExitCode {
                 format = match it.next().map(String::as_str) {
                     Some("table") => Format::Table,
                     Some("json") => Format::Json,
-                    Some("legacy") => Format::Legacy,
                     other => {
                         eprintln!("unknown format {other:?}\n{}", usage());
                         return ExitCode::from(2);
@@ -309,14 +305,6 @@ fn main() -> ExitCode {
     } else {
         names.iter().map(String::as_str).collect()
     };
-    if matches!(format, Format::Legacy) {
-        for name in &selected {
-            if !has_legacy_rendering(name) {
-                eprintln!("{name:?} has no legacy rendering (only the migrated paper sweeps do)");
-                return ExitCode::from(2);
-            }
-        }
-    }
 
     let faults = match faults_spec {
         Some(spec) => FaultPlan::parse(&spec),
@@ -402,12 +390,6 @@ fn main() -> ExitCode {
             }
         }
         Format::Json => print!("{}", render_json_document(&runs)),
-        Format::Legacy => {
-            for run in &runs {
-                // Renderability was validated before the runs started.
-                print!("{}", render_legacy(run).expect("validated"));
-            }
-        }
     }
     ExitCode::SUCCESS
 }

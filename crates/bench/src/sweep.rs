@@ -1,11 +1,10 @@
 //! Renderers and entry points for `leaky_exp` sweeps.
 //!
-//! Three output layers over one [`SweepRun`]:
+//! Two output formats over one [`SweepRun`]:
 //!
-//! * [`render_legacy`] — byte-identical reproductions of the migrated
-//!   figure/table binaries' stdout (the wrappers call [`run_legacy`];
-//!   golden tests in `tests/sweep_golden.rs` pin the bytes).
-//! * [`render_table`] — the unified `leaky_sweep` table format.
+//! * [`render_table`] — the `leaky_sweep` fixed-width table; the golden
+//!   test in `tests/sweep_golden.rs` pins every registered spec's full
+//!   grid in it.
 //! * [`render_json`] — the `leaky-frontends/sweep/v1` JSON document
 //!   (readable back with [`leaky_codec::json::parse`]; every string
 //!   and number goes through the `leaky_codec` writers).
@@ -40,253 +39,13 @@ pub fn default_jobs() -> usize {
         })
 }
 
-/// Runs a registered experiment's full grid and prints its legacy
-/// (pre-migration) stdout — the body of the thin wrapper binaries.
-///
-/// # Panics
-///
-/// Panics if `name` is unregistered or has no legacy rendering.
-pub fn run_legacy(name: &str) {
-    let registry = standard_registry();
-    let exp = registry
-        .get(name)
-        .unwrap_or_else(|| panic!("unregistered experiment {name:?}"));
-    let run = run_experiment(exp, false, default_jobs());
-    print!(
-        "{}",
-        render_legacy(&run).unwrap_or_else(|| panic!("no legacy rendering for {name:?}"))
-    );
-}
-
-/// The experiments with a pre-migration binary format (the migrated
-/// sweeps). Checked by the CLI *before* running anything, so a
-/// `--format legacy` selection fails fast instead of after the grids ran.
-pub fn has_legacy_rendering(name: &str) -> bool {
-    matches!(
-        name,
-        "tab3_all_channels"
-            | "tab2_mt_patterns"
-            | "fig8_d_sweep"
-            | "tab5_power_channels"
-            | "tab7_spectre_miss_rates"
-    )
-}
-
-/// Renders a sweep in its pre-migration binary's exact format, if it is
-/// one of the migrated experiments.
-///
-/// # Panics
-///
-/// Panics if `run` did not come from the named experiment's own spec:
-/// each renderer reads the metrics that spec's cells emit.
-pub fn render_legacy(run: &SweepRun) -> Option<String> {
-    match run.name {
-        "tab3_all_channels" => Some(legacy_tab3(run)),
-        "tab2_mt_patterns" => Some(legacy_tab2(run)),
-        "fig8_d_sweep" => Some(legacy_fig8(run)),
-        "tab5_power_channels" => Some(legacy_tab5(run)),
-        "tab7_spectre_miss_rates" => Some(legacy_tab7(run)),
-        _ => None,
-    }
-}
-
-/// Machine column order of Table III (Table I order).
-const TAB3_MACHINES: usize = 4;
-
-fn legacy_tab3(run: &SweepRun) -> String {
-    let labels = [
-        "Non-MT Stealthy Eviction-Based",
-        "Non-MT Stealthy Misalignment",
-        "Non-MT Fast Eviction-Based",
-        "Non-MT Fast Misalignment",
-        "MT Eviction-Based",
-        "MT Misalignment-Based",
-    ];
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Table III: covert-channel rates (Kbps) and error rates, alternating message\n"
-    );
-    let _ = write!(out, "{:<34}", "channel");
-    for m in 0..TAB3_MACHINES {
-        let _ = write!(out, " {:>17}", run.cells[m].cell.str("machine"));
-    }
-    let _ = writeln!(out, "\n{:-<110}", "");
-    for (ch, label) in labels.iter().enumerate() {
-        let _ = write!(out, "{label:<34}");
-        for m in 0..TAB3_MACHINES {
-            let result = &run.cells[ch * TAB3_MACHINES + m];
-            match (result.metric("rate_kbps"), result.metric("error_rate")) {
-                (Some(rate), Some(err)) => {
-                    let _ = write!(
-                        out,
-                        " {:>9} {:>7}",
-                        fmt(rate, 2),
-                        format!("{}%", fmt(err * 100.0, 2))
-                    );
-                }
-                _ => {
-                    let _ = write!(out, " {:>9} {:>7}", "--", "--");
-                }
-            }
-        }
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(out, "\npaper reference points (alternating message):");
-    let _ = writeln!(
-        out,
-        "  Non-MT Fast Misalignment on E-2288G: 1410.84 Kbps, 0.00% error (fastest attack)"
-    );
-    let _ = writeln!(
-        out,
-        "  Non-MT rates >> MT rates; fast >= stealthy; E-2288G has no MT columns (SMT off)"
-    );
-    out
-}
-
-fn legacy_tab2(run: &SweepRun) -> String {
-    // Machine column order of Table II (the three SMT machines).
-    const TAB2_MACHINES: usize = 3;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Table II: MT Eviction-Based channel, d = 1, by message pattern\n"
-    );
-    let _ = write!(out, "{:<14}", "pattern");
-    for m in 0..TAB2_MACHINES {
-        let _ = write!(out, " {:>18}", run.cells[m].cell.str("machine"));
-    }
-    let _ = writeln!(out, "\n{:-<72}", "");
-    let patterns = run.cells.len() / TAB2_MACHINES;
-    for p in 0..patterns {
-        let _ = write!(
-            out,
-            "{:<14}",
-            run.cells[p * TAB2_MACHINES].cell.str("pattern")
-        );
-        for m in 0..TAB2_MACHINES {
-            let result = &run.cells[p * TAB2_MACHINES + m];
-            let _ = write!(
-                out,
-                " {:>9} {:>8}",
-                fmt(result.metric("rate_kbps").expect("supported"), 2),
-                format!(
-                    "{}%",
-                    fmt(result.metric("error_rate").expect("supported") * 100.0, 2)
-                )
-            );
-        }
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(
-        out,
-        "\npaper (G-6226): all-0s 42.66 Kbps/0%, all-1s 55.28/0%, alt 50.21/2.68%, random 18.28/22.57%"
-    );
-    out
-}
-
-fn legacy_fig8(run: &SweepRun) -> String {
-    const DS: usize = 8;
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Figure 8: MT Eviction-Based channel vs receiver way number d\n"
-    );
-    let machines = run.cells.len() / DS;
-    for m in 0..machines {
-        let _ = writeln!(out, "{}:", run.cells[m * DS].cell.str("machine"));
-        let _ = writeln!(
-            out,
-            "{:>3} {:>12} {:>10} {:>14}",
-            "d", "rate Kbps", "error", "effective Kbps"
-        );
-        for di in 0..DS {
-            let result = &run.cells[m * DS + di];
-            let d = result.cell.int("d");
-            let _ = writeln!(
-                out,
-                "{d:>3} {:>12} {:>9}% {:>14}",
-                fmt(result.metric("rate_kbps").expect("supported"), 2),
-                fmt(result.metric("error_rate").expect("supported") * 100.0, 2),
-                fmt(result.metric("effective_kbps").expect("supported"), 2)
-            );
-        }
-        let _ = writeln!(out);
-    }
-    let _ = writeln!(
-        out,
-        "paper (G-6226): rate grows ~50 -> ~250 Kbps over d = 1..8; errors grow toward ~15-25%"
-    );
-    let _ = writeln!(
-        out,
-        "NOTE (documented deviation, see EXPERIMENTS.md): our protocol wall-balances sender and"
-    );
-    let _ = writeln!(
-        out,
-        "receiver, so bit slots grow with the receiver footprint and rate *falls* with d; the"
-    );
-    let _ = writeln!(
-        out,
-        "paper's slots are sender-bound (q fixed), so its rate rises. The d = 6 operating point"
-    );
-    let _ = writeln!(out, "used by Table III matches in both.");
-    out
-}
-
-fn legacy_tab5(run: &SweepRun) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Table V: non-MT power-based channels (Gold 6226), alternating message\n"
-    );
-    let _ = writeln!(out, "{:<22} {:>12} {:>10}", "channel", "rate Kbps", "error");
-    let _ = writeln!(out, "{:-<46}", "");
-    for result in &run.cells {
-        let _ = writeln!(
-            out,
-            "{:<22} {:>12} {:>9}%",
-            format!("{}-based", result.cell.str("kind")),
-            fmt(result.metric("rate_kbps").expect("supported"), 2),
-            fmt(result.metric("error_rate").expect("supported") * 100.0, 2)
-        );
-    }
-    let _ = writeln!(
-        out,
-        "\npaper: eviction 0.66 Kbps / 18.87%; misalignment 0.63 Kbps / 9.07%"
-    );
-    let _ = writeln!(
-        out,
-        "(>100 bps: high-bandwidth by the TCSEC criterion the paper cites)"
-    );
-    out
-}
-
-fn legacy_tab7(run: &SweepRun) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "Table VII: Spectre v1 L1 miss rates by disclosure channel (Gold 6226)\n"
-    );
-    let _ = writeln!(
-        out,
-        "{:<10} {:>12} {:>10} {:>12} {:>12}",
-        "channel", "L1 miss", "accuracy", "L1I misses", "L1D misses"
-    );
-    let _ = writeln!(out, "{:-<60}", "");
-    for result in &run.cells {
-        let _ = writeln!(
-            out,
-            "{:<10} {:>11}% {:>9}% {:>12} {:>12}",
-            result.cell.str("channel"),
-            fmt(result.metric("l1_miss_rate").expect("supported") * 100.0, 2),
-            fmt(result.metric("accuracy").expect("supported") * 100.0, 0),
-            result.metric("l1i_misses").expect("supported"),
-            result.metric("l1d_misses").expect("supported"),
-        );
-    }
-    let _ = writeln!(out, "\npaper:   MEM F+R 2.81%  L1D F+R 4.79%  L1D LRU 4.48%  L1I F+R 0.45%  L1I P+P 0.48%  Frontend 0.21%");
-    let _ = writeln!(out, "shape:   Frontend < L1I channels << data-cache channels; frontend displaces no cache lines");
-    out
+/// Always `None`: every sweep now has one rendering, [`render_table`]
+/// (or [`render_json`]). Kept only so the benchmark harness, whose
+/// `render` falls back to this for goldens that do not start with
+/// `== `, still builds; every committed golden starts with `== `, so
+/// nothing calls it.
+pub fn render_legacy(_run: &SweepRun) -> Option<String> {
+    None
 }
 
 /// Formats a metric value for the unified table: integers plainly,

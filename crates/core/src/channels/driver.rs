@@ -267,10 +267,6 @@ impl<M: Measure> CovertChannel for Driver<M> {
         self.sample(bit, None, None)
     }
 
-    fn debug_decoder(&mut self) -> Option<ThresholdDecoder> {
-        self.calibrated().ok()
-    }
-
     fn set_trace(&mut self, hook: TraceHook) {
         self.core.set_trace(hook);
     }

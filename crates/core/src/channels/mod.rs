@@ -63,10 +63,6 @@ pub trait CovertChannel: std::fmt::Debug {
     /// diagnostics and `perf_report`'s per-bit metrics.
     fn debug_measure(&mut self, bit: bool) -> f64;
 
-    /// Debug hook: the calibrated threshold decoder, calibrating first;
-    /// `None` when calibration fails (dead channel).
-    fn debug_decoder(&mut self) -> Option<ThresholdDecoder>;
-
     /// Installs a trace hook (DESIGN.md §12); behavior-free. The hook
     /// reaches the channel's simulated `Frontend` and also receives the
     /// driver's calibration and per-bit decode events.

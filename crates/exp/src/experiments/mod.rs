@@ -1,8 +1,9 @@
-//! Registered paper sweeps (EXPERIMENTS.md maps bins to spec names).
+//! Registered paper sweeps (EXPERIMENTS.md lists each spec's grid and
+//! pinned seed).
 //!
-//! Each migrated spec reproduces one legacy figure/table binary's grid
-//! cell-for-cell, pinning the *legacy* RNG seeds so the committed
-//! outputs stay bit-identical (the derived `JobCell::seed` streams are
+//! Each paper spec reproduces the grid of the figure/table binary it
+//! replaced cell-for-cell, pinning that binary's RNG seeds so the
+//! numbers stay bit-identical (the derived `JobCell::seed` streams are
 //! for new experiments; `rng_stream_grid` demonstrates them).
 
 mod fig8;

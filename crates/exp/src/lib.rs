@@ -28,11 +28,11 @@
 //!   [`FaultPlan`] keyed by cell content key injects panics, errors,
 //!   mid-grid aborts, and store corruption, so the recovery paths above
 //!   are exercised by tests and CI drills, not just believed in.
-//! * [`experiments`] registers the migrated paper sweeps
-//!   (`tab3_all_channels`, `fig8_d_sweep`, `tab5_power_channels`,
-//!   `tab7_spectre_miss_rates`) plus an RNG-stream demo grid; the
-//!   `leaky_sweep` binary in `leaky_bench` is the unified CLI over this
-//!   registry, and the legacy figure/table binaries are thin wrappers.
+//! * [`experiments`] registers the paper sweeps (`tab3_all_channels`,
+//!   `tab2_mt_patterns`, `fig8_d_sweep`, `tab5_power_channels`,
+//!   `tab7_spectre_miss_rates`, `tab3_uarch`) plus an RNG-stream demo
+//!   grid; the `leaky_sweep` binary in `leaky_bench` is the one CLI
+//!   over this registry.
 
 #![forbid(unsafe_code)]
 #![deny(rustdoc::broken_intra_doc_links)]

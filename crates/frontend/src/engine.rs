@@ -155,7 +155,8 @@ impl Default for FrontendConfig {
 /// [`FrontendGeometry::lsd_uops`] µops and every DSB line stores at
 /// least one µop, so a qualifying loop never spans more lines than its
 /// LSD capacity — 64 on every Table I machine; 128 leaves headroom for
-/// ablation profiles that double it.
+/// ablation profiles that double it. [`check_geometry`] caps `lsd_uops`
+/// here and [`Frontend::new`] enforces it, so a lock's lines always fit.
 const MAX_LOCK_LINES: usize = 128;
 
 /// Upper bound on tracked distinct sibling crossings: the lock collapses
@@ -170,9 +171,10 @@ const MAX_L1I_LINES: usize = 1 << 20;
 
 /// Checks that the frontend can model `geometry`: every field is
 /// positive and within the bounds the DSB, LSD and L1I models are built
-/// with. Profile files and channel specs are checked before anything is
-/// constructed, so an unsupported geometry is an error value, never a
-/// panic in a constructor.
+/// with. [`Frontend::new`] and [`Frontend::reconfigure`] panic with its
+/// message; profile files and channel specs are checked before anything
+/// is constructed, so on those paths an unsupported geometry is an
+/// error value instead.
 ///
 /// # Errors
 ///
@@ -239,6 +241,13 @@ pub fn check_geometry(geometry: &FrontendGeometry) -> Result<(), String> {
         ));
     }
     Ok(())
+}
+
+/// Panics with [`check_geometry`]'s message on an unsupported geometry.
+fn assert_supported(geometry: &FrontendGeometry) {
+    if let Err(err) = check_geometry(geometry) {
+        panic!("unsupported frontend geometry: {err}");
+    }
 }
 
 /// Longest report cycle `run_iterations` recognises as steady state.
@@ -362,8 +371,11 @@ impl Frontend {
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate cache geometry (`SetAssocCache::new`).
+    /// Panics with [`check_geometry`]'s message if the frontend cannot
+    /// model `config.geometry`. Profile files and channel specs are
+    /// checked before they reach here, so only a hand-built geometry can.
     pub fn new(config: FrontendConfig) -> Self {
+        assert_supported(&config.geometry);
         Frontend {
             dsb: Dsb::new(config.geometry, config.dsb_policy),
             l1i: SetAssocCache::new(config.l1i_config()),
@@ -387,7 +399,7 @@ impl Frontend {
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate cache geometry (`SetAssocCache::new`).
+    /// Panics if the profile's geometry fails [`check_geometry`].
     pub fn with_profile(profile: &UarchProfile) -> Self {
         Self::new(FrontendConfig::from_profile(profile))
     }
@@ -416,8 +428,10 @@ impl Frontend {
     ///
     /// # Panics
     ///
-    /// Panics on a degenerate cache geometry (`SetAssocCache::new`).
+    /// Panics with [`check_geometry`]'s message if the frontend cannot
+    /// model `config.geometry`; the frontend is then left unchanged.
     pub fn reconfigure(&mut self, config: FrontendConfig) {
+        assert_supported(&config.geometry);
         self.dsb = Dsb::new(config.geometry, config.dsb_policy);
         self.l1i = SetAssocCache::new(config.l1i_config());
         self.locks = [None, None];
@@ -973,13 +987,6 @@ impl Frontend {
         if !plan.lsd_fits[usize::from(smt)] {
             return;
         }
-        // A qualifying loop's µops bound its line count at MAX_LOCK_LINES;
-        // this is only reachable under ablation geometries that enlarge
-        // the LSD beyond anything the paper models.
-        if plan.lock_lines.len() > MAX_LOCK_LINES {
-            debug_assert!(false, "lock membership exceeds inline capacity");
-            return;
-        }
         // Every backing DSB line must be resident (DSB ⊇ LSD).
         let t = tid.index();
         for line in &plan.lines {
@@ -1032,6 +1039,14 @@ mod tests {
 
     fn aligned(base: u64, set: u8, n: usize) -> BlockChain {
         same_set_chain(base, DsbSet::new(set), n, Alignment::Aligned)
+    }
+
+    #[test]
+    #[should_panic(expected = "lsd_uops = 1728 exceeds the 128 lines a lock tracks")]
+    fn new_rejects_a_geometry_check_geometry_rejects() {
+        let mut config = FrontendConfig::default();
+        config.geometry.lsd_uops = 1728;
+        let _ = Frontend::new(config);
     }
 
     #[test]

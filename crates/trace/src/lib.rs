@@ -17,10 +17,10 @@
 //! - **Summary** ([`StallSummary`]): per-source cycle/µop totals plus
 //!   `leaky_stats::OnlineStats` stall histograms that merge
 //!   bit-identically in any deterministic fold order.
-//! - **Sinks & telemetry**: pluggable [`TraceSink`]s ([`CsvSink`],
-//!   [`TextSink`], [`TimedTextSink`]) for per-cell trace files, and a
-//!   [`Telemetry`] record (schema `leaky_codec::schema::TRACE`) that
-//!   rides along `leaky_exp::CellMeasurement` into sweep JSON.
+//! - **Sinks & telemetry**: the [`TraceSink`] trait with its
+//!   [`CsvSink`] for per-cell trace files, and a [`Telemetry`] record
+//!   (schema `leaky_codec::schema::TRACE`) that rides along
+//!   `leaky_exp::CellMeasurement` into sweep JSON.
 //!
 //! Every simulation crate links this crate, so it must not widen their
 //! build graphs: its only dependency is the dependency-free leaf
@@ -54,6 +54,6 @@ pub mod telemetry;
 pub use codec::CodecError;
 pub use event::{Source, TraceEvent, UnlockReason, CSV_HEADER};
 pub use hook::{EventBuffer, TraceHook, TraceMode};
-pub use sink::{drain, CsvSink, TextSink, TimedTextSink, TraceSink};
+pub use sink::{drain, CsvSink, TraceSink};
 pub use summary::{SourceTotals, StallSummary};
 pub use telemetry::Telemetry;

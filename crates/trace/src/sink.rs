@@ -66,91 +66,6 @@ impl<W: Write> TraceSink for CsvSink<W> {
     }
 }
 
-fn describe(event: &TraceEvent) -> String {
-    // One human-readable line per event: the CSV columns, labelled.
-    let row = event.csv_row();
-    let mut cols = row.splitn(4, ',');
-    let kind = cols.next().unwrap_or_default();
-    let thread = cols.next().unwrap_or_default();
-    let cycles = cols.next().unwrap_or_default();
-    let detail = cols.next().unwrap_or_default();
-    let mut line = format!("{kind:<18}");
-    if !thread.is_empty() {
-        line.push_str(&format!(" t{thread}"));
-    }
-    if !cycles.is_empty() {
-        line.push_str(&format!(" cycles={cycles}"));
-    }
-    if !detail.is_empty() {
-        line.push(' ');
-        line.push_str(&detail.replace(';', " "));
-    }
-    line
-}
-
-/// Writes one human-readable line per event — the sink behind the
-/// `debug_*` binaries' `--trace` output.
-#[derive(Debug)]
-pub struct TextSink<W: Write> {
-    writer: W,
-}
-
-impl<W: Write> TextSink<W> {
-    /// Wraps a writer.
-    pub fn new(writer: W) -> Self {
-        TextSink { writer }
-    }
-}
-
-impl<W: Write> TraceSink for TextSink<W> {
-    fn record(&mut self, event: &TraceEvent) -> io::Result<()> {
-        writeln!(self.writer, "{}", describe(event))
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        self.writer.flush()
-    }
-}
-
-/// A [`TextSink`] that prefixes each line with wall-clock milliseconds
-/// since the sink was created.
-///
-/// This is the trace layer's **only** wall-clock consumer: its output
-/// is explicitly non-deterministic and must never feed goldens, sweep
-/// documents or anything else the determinism contract covers. It exists
-/// for interactive debugging, where "when did the simulator reach this
-/// event" is the question being asked.
-#[derive(Debug)]
-pub struct TimedTextSink<W: Write> {
-    writer: W,
-    start: std::time::Instant,
-}
-
-impl<W: Write> TimedTextSink<W> {
-    /// Wraps a writer, starting the clock now.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "debug-only wall-clock stamps; never part of a deterministic document"
-    )]
-    pub fn new(writer: W) -> Self {
-        TimedTextSink {
-            writer,
-            start: std::time::Instant::now(),
-        }
-    }
-}
-
-impl<W: Write> TraceSink for TimedTextSink<W> {
-    fn record(&mut self, event: &TraceEvent) -> io::Result<()> {
-        let ms = self.start.elapsed().as_secs_f64() * 1e3;
-        writeln!(self.writer, "[{ms:9.3}ms] {}", describe(event))
-    }
-
-    fn finish(&mut self) -> io::Result<()> {
-        self.writer.flush()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,25 +92,5 @@ mod tests {
         assert_eq!(lines[0], CSV_HEADER);
         assert_eq!(lines[1], "source_switch,0,46,from=dsb;to=mite");
         assert_eq!(lines.len(), 3);
-    }
-
-    #[test]
-    fn text_sink_labels_columns() {
-        let mut buf = Vec::new();
-        drain(&events(), &mut TextSink::new(&mut buf)).expect("in-memory write");
-        let out = String::from_utf8(buf).expect("utf8");
-        assert!(out.contains("source_switch"));
-        assert!(out.contains("t0 cycles=46 from=dsb to=mite"));
-        assert!(out.contains("bits=8"));
-    }
-
-    #[test]
-    fn timed_sink_prefixes_milliseconds() {
-        let mut buf = Vec::new();
-        drain(&events(), &mut TimedTextSink::new(&mut buf)).expect("in-memory write");
-        let out = String::from_utf8(buf).expect("utf8");
-        assert!(out
-            .lines()
-            .all(|l| l.starts_with('[') && l.contains("ms] ")));
     }
 }
