@@ -287,6 +287,20 @@ fn measure(budget: &Budget) -> Vec<Metric> {
         push(&format!("trace_off_{metric}"), ns, budget.bit_ops);
     }
 
+    // The power channel's per-bit cost (§VII): one round walk over the
+    // warm-up rounds, then one replay of the remaining ~240 000.
+    let mut power = ChannelSpec::new("power-eviction")
+        .model(ProcessorModel::gold_6226())
+        .seed(1)
+        .build()
+        .expect("registered power channel");
+    let mut bit = false;
+    let ns = time_ns_per_op(budget.bit_ops / 4, budget.samples, budget.bit_ops, || {
+        bit = !bit;
+        black_box(power.debug_measure(bit));
+    });
+    push("bit_power_eviction", ns, budget.bit_ops);
+
     // The MT channels' per-bit cost (both SMT threads walk the chain
     // pair's state graph per measure): the eviction channel, and the
     // misalignment channel, whose steps ping-pong between the threads.

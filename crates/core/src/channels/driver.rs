@@ -10,7 +10,7 @@
 //! [`Measure`] primitive supplies the per-bit observation and the few
 //! protocol constants that differ between channels.
 
-use leaky_cpu::{Core, LoopRun, MicrocodePatch, ProcessorModel};
+use leaky_cpu::{Core, MicrocodePatch, ProcessorModel};
 use leaky_frontend::{FrontendConfig, ThreadId, UarchProfile};
 use leaky_isa::BlockChain;
 use leaky_stats::threshold::CalibrationError;
@@ -276,27 +276,14 @@ impl<M: Measure> CovertChannel for Driver<M> {
     }
 }
 
-/// One Init/Encode/Decode round on `T0`: the receiver's blocks, the
-/// sender's encoding of the bit (`None` for a silent 0), the receiver's
-/// blocks again. Returns the round's combined run.
-pub(crate) fn round(core: &mut Core, recv: &BlockChain, encode: Option<&BlockChain>) -> LoopRun {
-    let mut run = core.run_once(ThreadId::T0, recv);
-    for chain in encode.into_iter().chain([recv]) {
-        let next = core.run_once(ThreadId::T0, chain);
-        run.cycles += next.cycles;
-        run.iterations += next.iterations;
-        run.report += next.report;
-    }
-    run
-}
-
 /// Rounds simulated exactly before the steady state is fast-forwarded.
 const WARM_ROUNDS: u64 = 24;
 
-/// Runs `rounds` identical [`round`]s: the first [`WARM_ROUNDS`]
-/// simulated exactly, the rest fast-forwarded with [`Core::replay`],
-/// which advances the clock and deposits energy exactly as the
-/// simulation would (the power channels run p = 240 000 rounds per bit).
+/// Runs `rounds` identical Init/Encode/Decode rounds on `T0`: the first
+/// [`WARM_ROUNDS`] through [`Core::run_rounds`], the rest fast-forwarded
+/// with [`Core::replay`], which charges them to the clock and the RAPL
+/// counter as copies of the last simulated round (the power channels run
+/// p = 240 000 rounds per bit).
 pub(crate) fn run_rounds(
     core: &mut Core,
     recv: &BlockChain,
@@ -304,13 +291,8 @@ pub(crate) fn run_rounds(
     rounds: u64,
 ) {
     let warm = WARM_ROUNDS.min(rounds);
-    let mut last = None;
-    for _ in 0..warm {
-        last = Some(round(core, recv, encode));
-    }
-    if let Some(last) = last {
-        core.replay(ThreadId::T0, &last, rounds - warm);
-    }
+    let last = core.run_rounds(ThreadId::T0, recv, encode, warm);
+    core.replay(ThreadId::T0, &last, rounds - warm);
 }
 
 /// Cycles `work` takes on `T0`, bracketed by two `rdtscp` reads (the

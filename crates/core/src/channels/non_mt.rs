@@ -10,7 +10,7 @@ use leaky_cpu::ProcessorModel;
 use leaky_frontend::{ThreadId, UarchProfile};
 use leaky_isa::BlockChain;
 
-use crate::channels::driver::{cycles_over, round, Driver, Measure, MeasureCtx};
+use crate::channels::driver::{cycles_over, Driver, Measure, MeasureCtx};
 use crate::channels::layout;
 use crate::params::{ChannelParams, EncodeMode};
 
@@ -84,9 +84,7 @@ impl Measure for NonMt {
             self.send_zero.as_ref()
         };
         let value = cycles_over(ctx.core, |core| {
-            for _ in 0..ctx.params.p {
-                round(core, &self.recv, encode);
-            }
+            core.run_rounds(ThreadId::T0, &self.recv, encode, ctx.params.p);
         });
         let overhead = match self.mode {
             EncodeMode::Fast => FAST_OVERHEAD_CYCLES,
@@ -393,5 +391,31 @@ mod tests {
         let msg = MessagePattern::Random.generate(64, 5);
         let run = ch.transmit(&msg);
         assert!(run.error_rate() < 0.15);
+    }
+
+    #[test]
+    fn round_walk_counters_are_pinned() {
+        // One seeded 16-bit transmission: every measure runs its p = 10
+        // rounds as one round walk, so all but the first round or two of
+        // each walk follow recorded edges, and no round graph outlives
+        // its walk.
+        let mut ch = NonMtChannel::new(
+            ProcessorModel::gold_6226(),
+            NonMtKind::Eviction,
+            EncodeMode::Fast,
+            ChannelParams::eviction_defaults(),
+            5,
+        );
+        ch.transmit(&MessagePattern::Random.generate(16, 5));
+        let stats = ch.core.frontend().memo_stats();
+        assert_eq!((stats.states, stats.edges), (0, 0), "{stats:?}");
+        assert_eq!(
+            stats,
+            leaky_frontend::MemoStats {
+                followed: 1_153,
+                simulated: 227,
+                ..leaky_frontend::MemoStats::default()
+            }
+        );
     }
 }

@@ -6,9 +6,10 @@
 //! p = q = 240 000 iterations per bit (§VII), which caps the bandwidth near
 //! 0.6 Kbps (Table V).
 //!
-//! The per-bit work is simulated exactly for a warm-up prefix and then
-//! fast-forwarded with [`leaky_cpu::Core::replay`], which deposits energy
-//! identically to full simulation.
+//! The per-bit work simulates a warm-up prefix of rounds exactly, in one
+//! [`leaky_cpu::Core::run_rounds`] call, and then fast-forwards the rest
+//! with [`leaky_cpu::Core::replay`], which charges them as copies of the
+//! last simulated round.
 
 use leaky_cpu::ProcessorModel;
 use leaky_frontend::UarchProfile;
@@ -194,5 +195,30 @@ mod tests {
         ch.transmit(&MessagePattern::AllOnes.generate(4, 0));
         let after = ch.core.read_rapl();
         assert!(after > before);
+    }
+
+    #[test]
+    fn round_walk_counters_are_pinned() {
+        // One seeded 16-bit transmission: every measure simulates its
+        // warm-up rounds in one round walk (then replays the rest), so
+        // all but the first round or two of each walk follow recorded
+        // edges, and no round graph outlives its walk.
+        let mut ch = PowerChannel::new(
+            ProcessorModel::gold_6226(),
+            NonMtKind::Eviction,
+            ChannelParams::power_defaults(),
+            5,
+        );
+        ch.transmit(&MessagePattern::Random.generate(16, 5));
+        let stats = ch.core.frontend().memo_stats();
+        assert_eq!((stats.states, stats.edges), (0, 0), "{stats:?}");
+        assert_eq!(
+            stats,
+            leaky_frontend::MemoStats {
+                followed: 2_454,
+                simulated: 138,
+                ..leaky_frontend::MemoStats::default()
+            }
+        );
     }
 }

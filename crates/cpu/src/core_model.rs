@@ -396,7 +396,7 @@ impl Core {
             // thread (de)activates and the sibling's µops per cycle and
             // demand stand still.
             let tail = if remaining[1 - pick] == 0 && remaining[pick] > 1 {
-                walk.self_loop(tid)
+                walk.self_loop(pick)
                     .flatten()
                     .filter(|&(key, _)| key == factor.to_bits())
             } else {
@@ -405,7 +405,7 @@ impl Core {
             let steps = match tail {
                 Some((_, [cycles, joules, upc])) => {
                     let n = remaining[pick];
-                    let report = walk.follow_repeated(tid, n);
+                    let report = walk.follow_repeated(pick, n);
                     let charge = Charge { cycles, joules };
                     accounts.apply_repeated(pick, charge, upc, n);
                     runs[pick].cycles = add_repeated(runs[pick].cycles, cycles, n);
@@ -413,7 +413,7 @@ impl Core {
                     n
                 }
                 None => {
-                    let (report, note) = walk.step(tid);
+                    let (report, note) = walk.step(pick);
                     let cost = Cost {
                         profile_key,
                         costs: &costs,
@@ -438,6 +438,75 @@ impl Core {
         drop(walk);
         let [r0, r1] = runs;
         (r0, r1)
+    }
+
+    /// Runs `rounds` Init/Encode/Decode rounds on one thread, the per-bit
+    /// work of the single-thread channels: each round runs `recv`, then
+    /// `encode` when there is one, then `recv` again. Returns the last
+    /// round's combined run (an empty run for no rounds).
+    ///
+    /// The result and every piece of state are bit-identical to one
+    /// [`Core::run_once`] per step. The steps walk a round walk
+    /// ([`Frontend::round_walk`]) whose graph lives for this call only:
+    /// a step whose edge is recorded follows it instead of simulating,
+    /// and its cycles and energy come from the edge's note as in
+    /// [`Core::run_concurrent`]. The SMT factor stands still across the
+    /// call, since no thread (de)activates and the sibling's µops per
+    /// cycle and demand do not move. Each step is applied to the clock
+    /// and the RAPL counter, and added to the round's run, in the plain
+    /// loop's order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a negative energy deposit reaches the RAPL model
+    /// (`Rapl::deposit`); simulated costs are non-negative.
+    pub fn run_rounds(
+        &mut self,
+        tid: ThreadId,
+        recv: &BlockChain,
+        encode: Option<&BlockChain>,
+        rounds: u64,
+    ) -> LoopRun {
+        let mut last = LoopRun::empty();
+        if rounds == 0 {
+            return last;
+        }
+        let chains = [recv, encode.unwrap_or(recv)];
+        let lanes: &[usize] = if encode.is_some() {
+            &[0, 1, 0]
+        } else {
+            &[0, 0]
+        };
+        let accounts = &mut self.accounts;
+        let mut walk = self.frontend.round_walk(tid, recv, encode);
+        let costs = walk.frontend().config().costs;
+        let cost = Cost {
+            profile_key: walk.frontend().profile_key(),
+            costs: &costs,
+            factor: accounts.smt_factor(tid, walk.frontend().both_active()),
+        };
+        for _ in 0..rounds {
+            for (i, &lane) in lanes.iter().enumerate() {
+                let (report, note) = walk.step(lane);
+                let charge = match note {
+                    Some(note) => accounts.charge_noted(&cost, tid, chains[lane], report, note),
+                    None => accounts.charge_at(&cost, tid, chains[lane], 1, report),
+                };
+                accounts.apply(tid.index(), charge);
+                if i == 0 {
+                    last = LoopRun {
+                        cycles: charge.cycles,
+                        iterations: 1,
+                        report: *report,
+                    };
+                } else {
+                    last.cycles += charge.cycles;
+                    last.iterations += 1;
+                    last.report += *report;
+                }
+            }
+        }
+        last
     }
 
     /// Runs a loop repeatedly until roughly `cycle_budget` cycles elapse on
@@ -1355,6 +1424,75 @@ mod tests {
         );
     }
 
+    /// The plain reference for [`Core::run_rounds`]: one
+    /// [`Core::run_once`] per step, each round's runs summed in order.
+    fn run_rounds_plain(
+        core: &mut Core,
+        tid: ThreadId,
+        recv: &BlockChain,
+        encode: Option<&BlockChain>,
+        rounds: u64,
+    ) -> LoopRun {
+        let mut last = LoopRun::empty();
+        for _ in 0..rounds {
+            last = core.run_once(tid, recv);
+            for chain in encode.into_iter().chain([recv]) {
+                let next = core.run_once(tid, chain);
+                last.cycles += next.cycles;
+                last.iterations += next.iterations;
+                last.report += next.report;
+            }
+        }
+        last
+    }
+
+    /// Runs `schedule` (receiver, encoding, rounds per [`Core::run_rounds`]
+    /// call) on `tid` of a round-walking core and a plain one, comparing
+    /// the runs, the LSD locks on every chain and the whole observable
+    /// state after each call. With `smt` the sibling first runs one
+    /// iteration and both threads stay active, so the steps are charged
+    /// under an SMT factor. `before(i, core)` runs on both cores ahead of
+    /// call `i`. Returns the walking core's graph counters.
+    fn rounds_differential(
+        config: FrontendConfig,
+        seed: u64,
+        (tid, smt): (ThreadId, bool),
+        chains: &[BlockChain],
+        schedule: &[(usize, Option<usize>, u64)],
+        mut before: impl FnMut(usize, &mut Core),
+    ) -> Result<leaky_frontend::MemoStats, String> {
+        let model = ProcessorModel::gold_6226();
+        let mut fast = Core::with_frontend_config(model, MicrocodePatch::Patch1, config, seed);
+        if smt {
+            fast.run_once(tid.other(), &chains[chains.len() - 1]);
+            fast.set_active(ThreadId::T0, true);
+            fast.set_active(ThreadId::T1, true);
+        }
+        let mut plain = fast.clone();
+        for (i, &(r, e, rounds)) in schedule.iter().enumerate() {
+            before(i, &mut fast);
+            before(i, &mut plain);
+            let recv = &chains[r % chains.len()];
+            let encode = e.map(|e| &chains[e % chains.len()]);
+            let run = fast.run_rounds(tid, recv, encode, rounds);
+            let expected = run_rounds_plain(&mut plain, tid, recv, encode, rounds);
+            if run_bits(&run) != run_bits(&expected) {
+                return Err(format!("call {i}: {run:?} vs {expected:?}"));
+            }
+            if let Some(diff) = state_diff(&fast, &plain) {
+                return Err(format!("call {i}: {diff} diverged"));
+            }
+            for c in chains {
+                for tid in [ThreadId::T0, ThreadId::T1] {
+                    if fast.frontend().lsd_locked(tid, c) != plain.frontend().lsd_locked(tid, c) {
+                        return Err(format!("call {i}: {tid} LSD lock diverged"));
+                    }
+                }
+            }
+        }
+        Ok(fast.frontend().memo_stats())
+    }
+
     /// Random chains from `(base, set, blocks, kind)` specs: aligned or
     /// misaligned same-set chains, or mix blocks 4 KiB apart.
     fn chains_from(specs: &[(u64, u8, usize, u8)]) -> Vec<BlockChain> {
@@ -1498,6 +1636,47 @@ mod tests {
             proptest::prop_assert!(outcome.is_ok(), "{}", outcome.as_ref().unwrap_err());
             let (stats, _) = outcome.unwrap();
             proptest::prop_assert!(stats.resets > 0, "no reset: {:?}", stats);
+        }
+
+        /// `run_rounds` is bit-identical to the plain `run_once` round
+        /// loop over random aligned (eviction), misaligned and
+        /// L1I-thrashing layouts, with and without an encoding, on either
+        /// thread, alone or beside an active sibling, with the LSD on and
+        /// off, and with a trace hook installed before the last call.
+        #[test]
+        fn run_rounds_matches_the_plain_round_loop(
+            specs in proptest::collection::vec((0u64..3, 0u8..4, 1usize..12, 0u8..3), 2..5),
+            calls in proptest::collection::vec((0usize..5, 0usize..6, 0u64..40), 1..4),
+            thread in (proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
+            hook in (proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
+            lsd_enabled in proptest::prelude::any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            let chains = chains_from(&specs);
+            // An encoding index past the chains is a silent 0.
+            let schedule: Vec<_> = calls
+                .iter()
+                .map(|&(r, e, rounds)| (r, (e < chains.len()).then_some(e), rounds))
+                .collect();
+            let tid = if thread.0 { ThreadId::T1 } else { ThreadId::T0 };
+            let (traced, events) = hook;
+            let mode = if events { TraceMode::Events } else { TraceMode::Summary };
+            let late = schedule.len() - 1;
+            let outcome = rounds_differential(
+                config(lsd_enabled, false),
+                seed,
+                (tid, thread.1),
+                &chains,
+                &schedule,
+                |i, core| {
+                    if traced && i == late {
+                        core.set_trace(TraceHook::new(mode));
+                    }
+                },
+            );
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.as_ref().unwrap_err());
+            let stats = outcome.unwrap();
+            proptest::prop_assert!(stats.states == 0 && stats.edges == 0, "{:?}", stats);
         }
     }
 }

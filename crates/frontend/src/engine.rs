@@ -1649,7 +1649,7 @@ mod tests {
 
     /// One step of `tid` as a one-step walk over `pair`.
     fn walk_step(fe: &mut Frontend, pair: [&BlockChain; 2], tid: ThreadId) -> IterationReport {
-        *fe.smt_walk(pair).step(tid).0
+        *fe.smt_walk(pair).step(tid.index()).0
     }
 
     #[test]

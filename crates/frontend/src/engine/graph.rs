@@ -1,13 +1,17 @@
-//! The whole-run state graph behind [`Frontend::smt_walk`] (DESIGN.md §6).
+//! The state graphs behind [`Frontend::smt_walk`] and
+//! [`Frontend::round_walk`] (DESIGN.md §6).
 //!
-//! Two threads interleaving a pair of loops revisit the same few frontend
-//! states over and over: one MT covert-channel transmission takes
-//! hundreds of thousands of steps over a few dozen distinct states. A
-//! walk interns the *run region* of its chain pair — everything a step
-//! of either loop can read or write — as a state, and records each
-//! simulated step as an *edge* from its pre-state to its post-state.
-//! Each state has one out-edge per thread, so the interleaving is a walk
-//! on a digraph of out-degree two; a step whose edge is known follows it
+//! A walk has two *lanes*, each a (hardware thread, chain) pair. An SMT
+//! walk runs one chain on each thread: two threads interleaving a pair
+//! of loops revisit the same few frontend states over and over, and one
+//! MT covert-channel transmission takes hundreds of thousands of steps
+//! over a few dozen distinct states. A round walk runs a receiver and an
+//! encoding chain on one thread, the Init/Encode/Decode rounds of the
+//! single-thread channels. A walk interns the *run region* of its lanes
+//! — everything a step of either lane can read or write — as a state,
+//! and records each simulated step as an *edge* from its pre-state to its
+//! post-state. Each state has one out-edge per lane, so the walk runs on
+//! a digraph of out-degree two; a step whose edge is known follows it
 //! instead of simulating.
 //!
 //! The region is encoded as flat `u64` words:
@@ -15,8 +19,8 @@
 //! * the activity bits and both threads' external MITE pressure;
 //! * per thread: the LSD streak, the pending flush, `last_source` and
 //!   the lock with its sibling crossings;
-//! * the DSB sets of both plans' set masks, each MRU first;
-//! * the L1I sets of both plans' cache lines, each MRU first.
+//! * the DSB sets of both lanes' set masks, each MRU first;
+//! * the L1I sets of both lanes' cache lines, each MRU first.
 //!
 //! An edge holds what a step changes outside the region: its report
 //! (added to the thread's cumulative counters), its L1I statistics delta
@@ -47,7 +51,10 @@ const MAX_STATES: usize = 512;
 const MAX_GRAPHS: usize = 8;
 
 /// Deterministic work counters of a frontend's state graphs (see
-/// [`Frontend::memo_stats`]).
+/// [`Frontend::memo_stats`]). `followed`, `bulk` and `simulated` count
+/// the steps of every walk, round walks included; `states` and `edges`
+/// count only the stored SMT graphs, since a round walk's graph is
+/// dropped with its walk.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Steps served by following a recorded edge.
@@ -90,18 +97,18 @@ struct Edge {
 #[derive(Debug, Clone)]
 struct State {
     code: Rc<[u64]>,
-    /// Out-edge per thread.
+    /// Out-edge per lane.
     edges: [Option<Edge>; 2],
 }
 
-/// Which DSB and L1I sets a chain pair's steps touch.
+/// Which DSB and L1I sets a walk's steps touch.
 #[derive(Debug, Clone, Default)]
 struct Region {
     dsb_mask: u64,
     l1i_sets: Box<[usize]>,
 }
 
-/// The interned states and edges of one chain pair.
+/// The interned states and edges of one walk's lanes.
 #[derive(Debug, Clone, Default)]
 struct StateGraph {
     region: Region,
@@ -118,8 +125,8 @@ impl StateGraph {
     }
 }
 
-/// A frontend's graphs, keyed by the (T0, T1) chain-key pair, plus the
-/// encoding scratch buffer and the counters.
+/// A frontend's SMT graphs, keyed by the (T0, T1) chain-key pair, plus
+/// the encoding scratch buffer and the counters.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Graphs {
     by_pair: BTreeMap<(u64, u64), StateGraph>,
@@ -133,26 +140,23 @@ impl Graphs {
         self.by_pair.clear();
     }
 
-    /// Takes the pair's graph out of the map for a walk, creating it
-    /// (after dropping every graph when the map is full).
-    fn take(&mut self, pair: (u64, u64), region: impl FnOnce() -> Region) -> StateGraph {
-        self.by_pair.remove(&pair).unwrap_or_else(|| {
-            if self.by_pair.len() >= MAX_GRAPHS {
-                self.by_pair.clear();
-            }
-            StateGraph {
-                region: region(),
-                ..StateGraph::default()
-            }
-        })
+    /// Takes the pair's graph out of the map for a walk; `None` when
+    /// the pair has none (after dropping every graph when the map is
+    /// full, so the walk's graph fits when it is handed back).
+    fn take(&mut self, pair: (u64, u64)) -> Option<StateGraph> {
+        let graph = self.by_pair.remove(&pair);
+        if graph.is_none() && self.by_pair.len() >= MAX_GRAPHS {
+            self.by_pair.clear();
+        }
+        graph
     }
 }
 
-/// A walk of two threads over one chain pair through the pair's state
-/// graph (see the module docs), created by [`Frontend::smt_walk`].
+/// A walk of two lanes through their state graph (see the module docs),
+/// created by [`Frontend::smt_walk`] or [`Frontend::round_walk`].
 ///
 /// Every step is bit-identical to [`Frontend::run_iteration`] on the
-/// same thread and chain: the report, the cumulative counters, the L1I
+/// lane's thread and chain: the report, the cumulative counters, the L1I
 /// statistics, the emitted trace events and — once materialized — every
 /// piece of frontend state. The live frontend is materialized before a
 /// missing edge is simulated, in [`SmtWalk::deactivate`], and when the
@@ -160,8 +164,11 @@ impl Graphs {
 #[derive(Debug)]
 pub struct SmtWalk<'f> {
     fe: &'f mut Frontend,
-    plans: [Rc<DeliveryPlan>; 2],
-    pair: (u64, u64),
+    /// Lane `i`'s hardware thread and its chain's plan.
+    lanes: [(ThreadId, Rc<DeliveryPlan>); 2],
+    /// The key the graph is stored under when the walk ends; `None` for
+    /// a round walk, whose graph is dropped with it.
+    stored: Option<(u64, u64)>,
     /// Whether every step runs the plain path: LCP-bearing chains and
     /// the `SetPartitioned` ablation policy. `graph` then stays empty.
     plain: bool,
@@ -173,6 +180,9 @@ pub struct SmtWalk<'f> {
     traced: bool,
     /// The report of the last step served without an edge.
     last: IterationReport,
+    /// The region-encoding buffer: the frontend's, handed back with an
+    /// SMT walk's graph; a round walk's own, dropped with it.
+    scratch: Vec<u64>,
 }
 
 const fn source_code(source: UopSource) -> u64 {
@@ -203,52 +213,87 @@ fn sets_of(mut mask: u64) -> impl Iterator<Item = usize> {
 }
 
 impl Frontend {
-    /// Starts a walk of `chains[0]` on T0 and `chains[1]` on T1 through
-    /// the pair's whole-run state graph (see [`SmtWalk`]). The graph
-    /// persists across walks of the same pair; [`Frontend::reconfigure`]
-    /// clears it, and every other mutator is covered because a walk
-    /// interns its entry state from live state.
+    /// Starts a walk of `chains[0]` on T0 (lane 0) and `chains[1]` on T1
+    /// (lane 1) through the pair's whole-run state graph (see
+    /// [`SmtWalk`]). The graph persists across walks of the same pair;
+    /// [`Frontend::reconfigure`] clears it, and every other mutator is
+    /// covered because a walk interns its entry state from live state.
     ///
     /// # Panics
     ///
     /// Panics if the geometry's µops-per-line is zero
     /// (`Block::line_slots_for`).
     pub fn smt_walk(&mut self, chains: [&BlockChain; 2]) -> SmtWalk<'_> {
-        let plans = chains.map(|chain| {
-            self.plans
-                .get_or_build(chain, &self.config.geometry, self.config_key)
+        self.walk([(ThreadId::T0, chains[0]), (ThreadId::T1, chains[1])], true)
+    }
+
+    /// Starts a walk of one thread's Init/Encode/Decode rounds: lane 0
+    /// runs `recv` and lane 1 `encode` (`recv` again when there is no
+    /// encoding), both on `tid`. The graph lives only as long as the
+    /// walk: a round walk is cheap to rebuild, while a stored graph per
+    /// channel would grow the frontend by kilobytes (DESIGN.md §6).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry's µops-per-line is zero
+    /// (`Block::line_slots_for`).
+    pub fn round_walk(
+        &mut self,
+        tid: ThreadId,
+        recv: &BlockChain,
+        encode: Option<&BlockChain>,
+    ) -> SmtWalk<'_> {
+        self.walk([(tid, recv), (tid, encode.unwrap_or(recv))], false)
+    }
+
+    /// Starts a walk of `lanes`, on the pair's stored graph when `store`.
+    fn walk(&mut self, lanes: [(ThreadId, &BlockChain); 2], store: bool) -> SmtWalk<'_> {
+        let lanes = lanes.map(|(tid, chain)| {
+            let plan = self
+                .plans
+                .get_or_build(chain, &self.config.geometry, self.config_key);
+            (tid, plan)
         });
-        let pair = (plans[0].key, plans[1].key);
-        let plain = plans.iter().any(|p| p.has_lcp)
+        let plain = lanes.iter().any(|(_, p)| p.has_lcp)
             || self.config.dsb_policy == SmtDsbPolicy::SetPartitioned;
-        let graph = if plain {
-            StateGraph::default()
-        } else {
-            let l1i = self.l1i.config();
-            self.graphs.take(pair, || {
-                let mut l1i_sets: Vec<usize> = plans
+        let stored = (store && !plain).then(|| (lanes[0].1.key, lanes[1].1.key));
+        let graph = match stored.and_then(|pair| self.graphs.take(pair)) {
+            Some(graph) => graph,
+            None if plain => StateGraph::default(),
+            None => {
+                let l1i = self.l1i.config();
+                let mut l1i_sets: Vec<usize> = lanes
                     .iter()
-                    .flat_map(|p| p.cache_lines.iter().map(|&line| l1i.set_of_line(line)))
+                    .flat_map(|(_, p)| p.cache_lines.iter().map(|&line| l1i.set_of_line(line)))
                     .collect();
                 l1i_sets.sort_unstable();
                 l1i_sets.dedup();
-                Region {
-                    dsb_mask: plans[0].set_mask | plans[1].set_mask,
-                    l1i_sets: l1i_sets.into(),
+                StateGraph {
+                    region: Region {
+                        dsb_mask: lanes[0].1.set_mask | lanes[1].1.set_mask,
+                        l1i_sets: l1i_sets.into(),
+                    },
+                    ..StateGraph::default()
                 }
-            })
+            }
         };
         let traced = !self.trace.is_off();
+        let scratch = if stored.is_some() {
+            std::mem::take(&mut self.graphs.scratch)
+        } else {
+            Vec::new()
+        };
         let mut walk = SmtWalk {
             fe: self,
-            plans,
-            pair,
+            lanes,
+            stored,
             plain,
             graph,
             cur: 0,
             live: true,
             traced,
             last: IterationReport::new(),
+            scratch,
         };
         walk.intern_live();
         walk
@@ -304,16 +349,22 @@ impl Frontend {
 
     /// Writes an encoded region back. The activity bits and pressures
     /// are skipped: nothing inside a walk changes them. A lock on one of
-    /// the pair's chains is rebuilt from its plan when the live lock
-    /// differs; any other lock in `code` is the live one (a step can
-    /// only drop such a lock or add crossings to it).
-    fn load_region(&mut self, plans: &[Rc<DeliveryPlan>; 2], region: &Region, code: &[u64]) {
+    /// the lanes' chains is rebuilt from whichever lane's plan carries
+    /// its key when the live lock differs; any other lock in `code` is
+    /// the live one (a step can only drop such a lock or add crossings
+    /// to it).
+    fn load_region(
+        &mut self,
+        lanes: &[(ThreadId, Rc<DeliveryPlan>); 2],
+        region: &Region,
+        code: &[u64],
+    ) {
         debug_assert_eq!(
             code[0],
             self.active[0] as u64 | (self.active[1] as u64) << 1
         );
         let mut at = 3;
-        for (u, plan) in plans.iter().enumerate() {
+        for u in 0..2 {
             let word = code[at + 1];
             self.lock_streak[u] = (code[at], word as u32);
             self.pending_lsd_flush[u] = word >> 32 & 1 != 0;
@@ -325,7 +376,9 @@ impl Frontend {
                 let lock = match &mut self.locks[u] {
                     Some(lock) if lock.key == key => lock,
                     slot => {
-                        debug_assert_eq!(plan.key, key, "a foreign lock must be live");
+                        let Some((_, plan)) = lanes.iter().find(|(_, p)| p.key == key) else {
+                            unreachable!("a foreign lock must be live");
+                        };
                         slot.insert(LoopLock::from_plan(plan))
                     }
                 };
@@ -357,29 +410,30 @@ impl SmtWalk<'_> {
         self.fe
     }
 
-    /// One iteration of `tid`'s chain: follows the state's edge for
-    /// `tid` when one is recorded (and was captured traced, if tracing
-    /// is on), else materializes, simulates and records it. Returns the
-    /// step's report and, for a step on the graph, its edge's note.
-    pub fn step(&mut self, tid: ThreadId) -> (&IterationReport, Option<&mut EdgeNote>) {
-        let t = tid.index();
+    /// One iteration of `lane`'s chain on its thread: follows the
+    /// state's edge for `lane` when one is recorded (and was captured
+    /// traced, if tracing is on), else materializes, simulates and
+    /// records it. Returns the step's report and, for a step on the
+    /// graph, its edge's note.
+    pub fn step(&mut self, lane: usize) -> (&IterationReport, Option<&mut EdgeNote>) {
         if self.plain {
-            self.last = self.fe.run_iteration_plan(tid, &self.plans[t]);
+            let (tid, plan) = &self.lanes[lane];
+            self.last = self.fe.run_iteration_plan(*tid, plan);
             return (&self.last, None);
         }
         let traced = self.traced;
         let cur = self.cur as usize;
-        let known = self.graph.states[cur].edges[t]
+        let known = self.graph.states[cur].edges[lane]
             .as_ref()
             .is_some_and(|edge| edge.traced || !traced);
         if !known {
-            return self.simulate(tid);
+            return self.simulate(lane);
         }
-        let Some(edge) = self.graph.states[cur].edges[t].as_mut() else {
+        let Some(edge) = self.graph.states[cur].edges[lane].as_mut() else {
             unreachable!("the edge was just found");
         };
         let fe = &mut *self.fe;
-        fe.cumulative[t] += edge.report;
+        fe.cumulative[self.lanes[lane].0.index()] += edge.report;
         fe.l1i.add_stats(edge.l1i);
         if traced {
             for event in &edge.events {
@@ -392,37 +446,39 @@ impl SmtWalk<'_> {
         (&edge.report, Some(&mut edge.note))
     }
 
-    /// The note of `tid`'s out-edge when that edge is a self-loop the
+    /// The note of `lane`'s out-edge when that edge is a self-loop the
     /// walk may repeat with [`SmtWalk::follow_repeated`]: recorded, leading
     /// back to the current state, on an untraced walk (a traced walk
     /// re-emits each step's events, so it steps one at a time).
-    pub fn self_loop(&self, tid: ThreadId) -> Option<EdgeNote> {
+    pub fn self_loop(&self, lane: usize) -> Option<EdgeNote> {
         if self.plain || self.traced {
             return None;
         }
-        let edge = self.graph.states[self.cur as usize].edges[tid.index()].as_ref()?;
+        let edge = self.graph.states[self.cur as usize].edges[lane].as_ref()?;
         (edge.target == self.cur).then_some(edge.note)
     }
 
-    /// Follows `tid`'s self-loop edge `n` times at once, bit-identical to
-    /// `n` calls of [`SmtWalk::step`]: the report goes into the thread's
-    /// cumulative counters through [`IterationReport::add_repeated`], the
-    /// L1I statistics get `n ×` the edge's delta, and `followed` (and
-    /// [`MemoStats::bulk`]) grow by `n`. The region does not move, so the
-    /// live frontend stays as current as it was. Returns the edge's
-    /// report.
+    /// Follows `lane`'s self-loop edge `n` times at once, bit-identical
+    /// to `n` calls of [`SmtWalk::step`]: the report goes into the lane
+    /// thread's cumulative counters through
+    /// [`IterationReport::add_repeated`], the L1I statistics get `n ×`
+    /// the edge's delta, and `followed` (and [`MemoStats::bulk`]) grow
+    /// by `n`. The region does not move, so the live frontend stays as
+    /// current as it was. Returns the edge's report.
     ///
     /// # Panics
     ///
-    /// Panics if [`SmtWalk::self_loop`] finds no self-loop for `tid`.
-    pub fn follow_repeated(&mut self, tid: ThreadId, n: u64) -> &IterationReport {
-        assert!(self.self_loop(tid).is_some(), "{tid} is not on a self-loop");
-        let t = tid.index();
-        let Some(edge) = self.graph.states[self.cur as usize].edges[t].as_ref() else {
+    /// Panics if [`SmtWalk::self_loop`] finds no self-loop for `lane`.
+    pub fn follow_repeated(&mut self, lane: usize, n: u64) -> &IterationReport {
+        assert!(
+            self.self_loop(lane).is_some(),
+            "lane {lane} is not on a self-loop"
+        );
+        let Some(edge) = self.graph.states[self.cur as usize].edges[lane].as_ref() else {
             unreachable!("the self-loop was just found");
         };
         let fe = &mut *self.fe;
-        fe.cumulative[t].add_repeated(&edge.report, n);
+        fe.cumulative[self.lanes[lane].0.index()].add_repeated(&edge.report, n);
         fe.l1i.add_stats(edge.l1i.times(n));
         fe.graphs.stats.followed += n;
         fe.graphs.stats.bulk += n;
@@ -437,17 +493,17 @@ impl SmtWalk<'_> {
         self.intern_live();
     }
 
-    /// Simulates `tid`'s step on the materialized frontend (capturing
+    /// Simulates `lane`'s step on the materialized frontend (capturing
     /// its events when traced) and records the edge.
-    fn simulate(&mut self, tid: ThreadId) -> (&IterationReport, Option<&mut EdgeNote>) {
-        let t = tid.index();
+    fn simulate(&mut self, lane: usize) -> (&IterationReport, Option<&mut EdgeNote>) {
         self.materialize();
         let fe = &mut *self.fe;
         let before = fe.l1i.stats();
         let outer = self
             .traced
             .then(|| std::mem::replace(&mut fe.trace, TraceHook::new(TraceMode::Events)));
-        let report = fe.run_iteration_plan(tid, &self.plans[t]);
+        let (tid, plan) = &self.lanes[lane];
+        let report = fe.run_iteration_plan(*tid, plan);
         let mut events = Vec::new();
         if let Some(outer) = outer {
             if let TraceHook::Events(buffer) = std::mem::replace(&mut fe.trace, outer) {
@@ -465,7 +521,7 @@ impl SmtWalk<'_> {
             self.last = report;
             return (&self.last, None);
         }
-        let slot = &mut self.graph.states[from].edges[t];
+        let slot = &mut self.graph.states[from].edges[lane];
         if slot.is_none() {
             self.graph.edges += 1;
         }
@@ -484,7 +540,7 @@ impl SmtWalk<'_> {
     fn materialize(&mut self) {
         if !self.live {
             let code = &self.graph.states[self.cur as usize].code;
-            self.fe.load_region(&self.plans, &self.graph.region, code);
+            self.fe.load_region(&self.lanes, &self.graph.region, code);
             self.live = true;
         }
     }
@@ -496,8 +552,8 @@ impl SmtWalk<'_> {
             return false;
         }
         let graph = &mut self.graph;
-        let mut code = std::mem::take(&mut self.fe.graphs.scratch);
-        self.fe.encode_region(&graph.region, &mut code);
+        let code = &mut self.scratch;
+        self.fe.encode_region(&graph.region, code);
         let mut reset = false;
         self.cur = match graph.ids.get(&code[..]) {
             Some(&id) => id,
@@ -517,20 +573,20 @@ impl SmtWalk<'_> {
                 id
             }
         };
-        self.fe.graphs.scratch = code;
         self.live = true;
         reset
     }
 }
 
 impl Drop for SmtWalk<'_> {
-    /// Materializes the walk's final state and hands the graph back to
-    /// the frontend.
+    /// Materializes the walk's final state and hands an SMT walk's graph
+    /// back to the frontend.
     fn drop(&mut self) {
         self.materialize();
-        if !self.plain {
+        if let Some(pair) = self.stored {
             let graph = std::mem::take(&mut self.graph);
-            self.fe.graphs.by_pair.insert(self.pair, graph);
+            self.fe.graphs.by_pair.insert(pair, graph);
+            self.fe.graphs.scratch = std::mem::take(&mut self.scratch);
         }
     }
 }

@@ -148,7 +148,7 @@ impl Engines {
     /// One iteration on all three engines: identical reports and locks.
     fn iterate(&mut self, tid: ThreadId, chain: &BlockChain) -> Result<(), TestCaseError> {
         let fast_report = self.fast.run_iteration(tid, chain);
-        let memo_report = *self.memo.smt_walk([chain, chain]).step(tid).0;
+        let memo_report = *self.memo.smt_walk([chain, chain]).step(tid.index()).0;
         let naive_report = self.naive.run_iteration(tid, chain);
         prop_assert_eq!(fast_report, naive_report, "iteration reports diverged");
         prop_assert_eq!(memo_report, naive_report, "memoized report diverged");

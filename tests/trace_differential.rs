@@ -120,10 +120,10 @@ proptest! {
             let ch = &chains[ci % chains.len()];
             let [ps, ms, pe, me] = &mut all;
             let a = ps.run_iteration(tid, ch);
-            let walked = *ms.smt_walk([ch, ch]).step(tid).0;
+            let walked = *ms.smt_walk([ch, ch]).step(tid.index()).0;
             prop_assert_eq!(a, walked, "memoized report diverged");
             prop_assert_eq!(a, pe.run_iteration(tid, ch), "events-traced report diverged");
-            let walked = *me.smt_walk([ch, ch]).step(tid).0;
+            let walked = *me.smt_walk([ch, ch]).step(tid.index()).0;
             prop_assert_eq!(a, walked, "memoized report diverged");
         }
         prop_assert_eq!(
