@@ -1,7 +1,8 @@
 //! Golden tests: every registered sweep spec's full grid, rendered by
-//! `leaky_sweep --format table`, and the stdout of the two table
-//! binaries that are not specs (`tab4_slow_switch`, `tab6_sgx`) must
-//! match the committed `tests/golden/*.txt` captures byte for byte.
+//! `leaky_sweep --format table`, and the stdout of the three binaries
+//! that are not specs (`tab4_slow_switch`, `tab6_sgx`,
+//! `ablation_report`) must match the committed `tests/golden/*.txt`
+//! captures byte for byte.
 //!
 //! `LEAKY_SWEEP_JOBS=3` forces the parallel pool path, so these tests
 //! also pin full-grid determinism, not just rendering.
@@ -14,9 +15,10 @@ const TRACE_GOLDEN: &str =
     "tab3_all_channels_profile=quick_channel=non-mt-fast-eviction_machine=Xeon_E-2288G.csv";
 
 /// Committed goldens that are not a registered spec's table: the
-/// RISC-V scenario bundle (`tests/sweep_scenario.rs`), the two table
+/// RISC-V scenario bundle (`tests/sweep_scenario.rs`), the three
 /// binaries pinned below and the trace CSV.
-const NON_SPEC_GOLDENS: [&str; 4] = [
+const NON_SPEC_GOLDENS: [&str; 5] = [
+    "ablation_report.txt",
     "tab3_riscv.txt",
     "tab4_slow_switch.txt",
     "tab6_sgx.txt",
@@ -147,6 +149,13 @@ fn tab6_sgx_matches_committed_output() {
     // The SGX channels are not registry rows, so this binary is their
     // only determinism pin.
     golden_matches(env!("CARGO_BIN_EXE_tab6_sgx"), "tab6_sgx.txt");
+}
+
+#[test]
+fn ablation_report_matches_committed_output() {
+    // The only run of an MT channel under a frontend-config override, so
+    // this pins the override core's fixed seed as well as the ablations.
+    golden_matches(env!("CARGO_BIN_EXE_ablation_report"), "ablation_report.txt");
 }
 
 #[test]

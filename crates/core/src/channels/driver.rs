@@ -63,10 +63,10 @@ pub struct MeasureCtx<'a> {
 
 /// A covert channel: the shared protocol over a [`Measure`] primitive.
 ///
-/// The concrete channels are aliases of this type
-/// ([`NonMtChannel`](crate::channels::non_mt::NonMtChannel),
-/// [`SgxMtChannel`](crate::sgx::SgxMtChannel), …) with their own
-/// constructors.
+/// The concrete channels are aliases of this type: the registry's are
+/// built by [`ChannelSpec::build`](crate::channels::ChannelSpec::build),
+/// the §VIII SGX channels ([`SgxMtChannel`](crate::sgx::SgxMtChannel), …)
+/// by their own constructors.
 #[derive(Debug, Clone)]
 pub struct Driver<M> {
     pub(crate) core: Core,
@@ -98,17 +98,27 @@ impl<M: Measure> Driver<M> {
         }
     }
 
-    /// Rebuilds the core on an explicit frontend configuration (the §XII
-    /// defense and ablation hook) and forgets the calibration.
+    /// A channel on a fresh core for `model` built straight from an
+    /// explicit frontend configuration (the §XII defense and ablation
+    /// hook), under the profile key `"custom"`.
     ///
     /// # Panics
     ///
     /// Panics on a degenerate cache geometry (`SetAssocCache::new`).
-    pub(crate) fn reset_frontend(&mut self, config: FrontendConfig, seed: u64) {
-        self.core =
-            Core::with_frontend_config(*self.core.model(), self.core.microcode(), config, seed);
-        self.decoder = None;
-        self.profile_key = "custom";
+    pub(crate) fn on_config(
+        model: ProcessorModel,
+        config: FrontendConfig,
+        params: ChannelParams,
+        seed: u64,
+        primitive: M,
+    ) -> Self {
+        Driver {
+            core: Core::with_frontend_config(model, MicrocodePatch::Patch1, config, seed),
+            params,
+            profile_key: "custom",
+            decoder: None,
+            primitive,
+        }
     }
 
     /// One measurement through the primitive, traced.

@@ -29,8 +29,7 @@ pub use registry::{channel_info, channel_names, BuildError, ChannelInfo, Channel
 ///
 /// Implemented once, by [`driver::Driver`], so every channel — the
 /// registry's and the §VIII SGX channels in [`crate::sgx`] — calibrates,
-/// decodes and traces the same way; the concrete constructors
-/// ([`non_mt::NonMtChannel::new`], …) remain available as thin shims.
+/// decodes and traces the same way.
 pub trait CovertChannel: std::fmt::Debug {
     /// The channel's stable registry name (e.g. `"mt-eviction"`; see
     /// [`registry::REGISTRY`]).
@@ -117,8 +116,8 @@ pub(crate) fn check_layout(
 ///
 /// # Panics
 ///
-/// Panics if [`check_layout`] rejects the layout. A channel built through
-/// the registry never gets here, as `ChannelSpec::build` checks first.
+/// Panics if [`check_layout`] rejects the layout. A registry channel never
+/// gets here, as `ChannelSpec::build` checks first.
 pub(crate) fn layout(
     kind: NonMtKind,
     params: &ChannelParams,

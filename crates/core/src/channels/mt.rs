@@ -12,34 +12,14 @@
 //! early bit declaration once the signal is decisive, which is why all-1s
 //! messages transmit faster than all-0s (Table II).
 
-use leaky_cpu::{Core, ProcessorModel, ThreadWork};
-use leaky_frontend::{ThreadId, UarchProfile};
+use leaky_cpu::{Core, ThreadWork};
+use leaky_frontend::ThreadId;
 use leaky_isa::BlockChain;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::channels::driver::{Driver, Measure, MeasureCtx};
-use crate::channels::layout;
 use crate::channels::non_mt::NonMtKind;
-use crate::params::ChannelParams;
-
-/// Which frontend primitive the MT channel modulates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MtKind {
-    /// Cross-thread DSB way evictions (§V-A).
-    Eviction,
-    /// Cross-thread LSD misalignment collisions (§V-B).
-    Misalignment,
-}
-
-impl std::fmt::Display for MtKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MtKind::Eviction => f.write_str("eviction"),
-            MtKind::Misalignment => f.write_str("misalignment"),
-        }
-    }
-}
 
 /// Environmental-noise model for the MT setting. Two hyper-threads sharing
 /// a core in a real system suffer scheduling jitter and interference that
@@ -90,18 +70,19 @@ const PER_BIT_SYNC_CYCLES: f64 = 1_500.0;
 /// Absolute per-iteration margin (cycles) required for early declaration.
 const NOISE_FLOOR_CYCLES: f64 = 2.5;
 
-/// A multi-threaded covert channel (§V-A / §V-B).
-pub type MtChannel = Driver<Mt>;
+/// A multi-threaded covert channel: cross-thread DSB way evictions
+/// (§V-A) or LSD misalignment collisions (§V-B).
+pub(crate) type MtChannel = Driver<Mt>;
 
 /// The MT receiver: it times its own `d`-block loop on `T0` while the
 /// sender encodes on `T1`, under the environmental-noise model.
 #[derive(Debug, Clone)]
-pub struct Mt {
-    kind: MtKind,
-    noise: MtNoise,
-    recv: BlockChain,
-    send_one: BlockChain,
-    rng: StdRng,
+pub(crate) struct Mt {
+    pub(crate) kind: NonMtKind,
+    pub(crate) noise: MtNoise,
+    pub(crate) recv: BlockChain,
+    pub(crate) send_one: BlockChain,
+    pub(crate) rng: StdRng,
 }
 
 impl Mt {
@@ -134,8 +115,8 @@ impl Measure for Mt {
 
     fn name(&self) -> &'static str {
         match self.kind {
-            MtKind::Eviction => "mt-eviction",
-            MtKind::Misalignment => "mt-misalignment",
+            NonMtKind::Eviction => "mt-eviction",
+            NonMtKind::Misalignment => "mt-misalignment",
         }
     }
 
@@ -229,155 +210,50 @@ impl Measure for Mt {
     }
 }
 
-impl MtChannel {
-    /// Builds the channel on a fresh core.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MtUnsupported`] if the processor model has hyper-threading
-    /// disabled (the Azure E-2288G — Table III's missing MT column).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel parameters violate the §V constraints
-    /// (`ChannelParams::validate`).
-    pub fn new(
-        model: ProcessorModel,
-        kind: MtKind,
-        params: ChannelParams,
-        seed: u64,
-    ) -> Result<Self, MtUnsupported> {
-        Self::with_profile(model, kind, params, &UarchProfile::skylake(), seed)
-    }
-
-    /// Builds the channel under an explicit microarchitecture profile
-    /// (layout geometry and cost model from the profile; see
-    /// [`NonMtChannel::with_profile`](crate::channels::non_mt::NonMtChannel::with_profile)).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MtUnsupported`] if the processor model has hyper-threading
-    /// disabled.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel parameters violate the §V constraints under
-    /// the profile's geometry, or the geometry lacks a DSB set the layout
-    /// uses (see [`validate_params`](crate::channels::registry::validate_params)).
-    pub fn with_profile(
-        model: ProcessorModel,
-        kind: MtKind,
-        params: ChannelParams,
-        profile: &UarchProfile,
-        seed: u64,
-    ) -> Result<Self, MtUnsupported> {
-        if !model.smt_enabled {
-            return Err(MtUnsupported { model: model.name });
-        }
-        let layout_kind = match kind {
-            MtKind::Eviction => NonMtKind::Eviction,
-            MtKind::Misalignment => NonMtKind::Misalignment,
-        };
-        let (recv, send_one, _) = layout(layout_kind, &params, &profile.geometry);
-        let primitive = Mt {
-            kind,
-            noise: MtNoise::default(),
-            recv,
-            send_one,
-            rng: StdRng::seed_from_u64(seed ^ 0xc0ff_ee00),
-        };
-        Ok(Driver::on_profile(model, profile, params, seed, primitive))
-    }
-
-    /// Overrides the environmental-noise model (for ablations; the default
-    /// reproduces the paper's MT error regime).
-    pub fn set_noise(&mut self, noise: MtNoise) {
-        self.primitive.noise = noise;
-    }
-
-    /// Rebuilds the channel's core with an explicit frontend configuration
-    /// (defense evaluation and DSB-policy ablations). Resets calibration.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate cache geometry (`SetAssocCache::new`).
-    pub fn set_frontend_config(&mut self, config: leaky_frontend::FrontendConfig) {
-        self.reset_frontend(config, 0xab1a7e);
-    }
-
-    /// The channel variant.
-    pub fn kind(&self) -> MtKind {
-        self.primitive.kind
-    }
-}
-
-/// Error: the processor model cannot host MT attacks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MtUnsupported {
-    /// The offending model.
-    pub model: &'static str,
-}
-
-impl std::fmt::Display for MtUnsupported {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{} has hyper-threading disabled", self.model)
-    }
-}
-
-impl std::error::Error for MtUnsupported {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::MessagePattern;
+    use crate::channels::{BuildError, ChannelSpec, CovertChannel};
+    use crate::params::{ChannelParams, MessagePattern};
+    use leaky_cpu::ProcessorModel;
+    use leaky_frontend::UarchProfile;
 
-    fn eviction_channel(seed: u64) -> MtChannel {
-        MtChannel::new(
-            ProcessorModel::gold_6226(),
-            MtKind::Eviction,
-            ChannelParams::mt_defaults(),
-            seed,
-        )
-        .expect("6226 supports SMT")
+    fn eviction_channel(seed: u64) -> Box<dyn CovertChannel> {
+        ChannelSpec::new("mt-eviction")
+            .seed(seed)
+            .build()
+            .expect("6226 supports SMT")
     }
 
     #[test]
     fn profile_construction_matches_default_and_respects_smt() {
-        // skylake profile == legacy construction, bit for bit.
+        // The skylake profile is the default, bit for bit.
         let msg = MessagePattern::Alternating.generate(16, 0);
         let mut a = eviction_channel(7);
-        let mut b = MtChannel::with_profile(
-            ProcessorModel::gold_6226(),
-            MtKind::Eviction,
-            ChannelParams::mt_defaults(),
-            &UarchProfile::skylake(),
-            7,
-        )
-        .unwrap();
+        let mut b = ChannelSpec::new("mt-eviction")
+            .profile(UarchProfile::skylake())
+            .seed(7)
+            .build()
+            .unwrap();
         assert_eq!(a.transmit(&msg).received(), b.transmit(&msg).received());
         // SMT-less machines stay unsupported on every profile.
-        assert!(MtChannel::with_profile(
-            ProcessorModel::xeon_e2288g(),
-            MtKind::Eviction,
-            ChannelParams::mt_defaults(),
-            &UarchProfile::icelake(),
-            7,
-        )
-        .is_err());
+        assert!(ChannelSpec::new("mt-eviction")
+            .model(ProcessorModel::xeon_e2288g())
+            .profile(UarchProfile::icelake())
+            .seed(7)
+            .build()
+            .is_err());
     }
 
     #[test]
     fn icelake_profile_eviction_channel_still_works() {
         // No LSD on the profile: the eviction channel leaks through DSB
         // way contention alone; try_calibrate must succeed.
-        let mut ch = MtChannel::with_profile(
-            ProcessorModel::gold_6226(),
-            MtKind::Eviction,
-            ChannelParams::mt_defaults(),
-            &UarchProfile::icelake(),
-            11,
-        )
-        .unwrap();
+        let mut ch = ChannelSpec::new("mt-eviction")
+            .profile(UarchProfile::icelake())
+            .seed(11)
+            .build()
+            .unwrap();
         ch.try_calibrate().expect("DSB contention is calibratable");
         let run = ch.transmit(&MessagePattern::Alternating.generate(24, 0));
         assert!(
@@ -395,29 +271,32 @@ mod tests {
         // no graph outgrows its state cap, and the last entry of each row
         // counts the lone-tail steps served in bulk.
         let pinned = [
-            (MtKind::Eviction, "skylake", [37_340, 60, 56, 60, 0, 14_789]),
             (
-                MtKind::Misalignment,
+                NonMtKind::Eviction,
+                "skylake",
+                [37_340, 60, 56, 60, 0, 14_789],
+            ),
+            (
+                NonMtKind::Misalignment,
                 "skylake",
                 [55_474, 26, 22, 26, 0, 5_981],
             ),
-            (MtKind::Eviction, "icelake", [37_378, 22, 21, 22, 0, 15_690]),
             (
-                MtKind::Misalignment,
+                NonMtKind::Eviction,
+                "icelake",
+                [37_378, 22, 21, 22, 0, 15_690],
+            ),
+            (
+                NonMtKind::Misalignment,
                 "icelake",
                 [62_980, 20, 15, 20, 0, 16_834],
             ),
         ];
         for (kind, profile, [followed, simulated, states, edges, resets, bulk]) in pinned {
-            let profile_ref = UarchProfile::by_key(profile).unwrap();
-            let mut ch = MtChannel::with_profile(
-                ProcessorModel::gold_6226(),
-                kind,
-                ChannelParams::mt_defaults(),
-                &profile_ref,
-                5,
-            )
-            .unwrap();
+            let mut ch = ChannelSpec::new(format!("mt-{kind}"))
+                .profile(UarchProfile::by_key(profile).unwrap())
+                .seed(5)
+                .mt(kind, ChannelParams::mt_defaults());
             ch.transmit(&MessagePattern::Random.generate(16, 5));
             let stats = ch.core.frontend().memo_stats();
             let label = format!("{kind:?}@{profile}");
@@ -443,13 +322,17 @@ mod tests {
 
     #[test]
     fn smt_disabled_machine_is_rejected() {
-        let err = MtChannel::new(
-            ProcessorModel::xeon_e2288g(),
-            MtKind::Eviction,
-            ChannelParams::mt_defaults(),
-            1,
-        )
-        .unwrap_err();
+        let err = ChannelSpec::new("mt-eviction")
+            .model(ProcessorModel::xeon_e2288g())
+            .seed(1)
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            BuildError::SmtUnavailable {
+                model: "Xeon E-2288G"
+            }
+        );
         assert!(err.to_string().contains("E-2288G"));
     }
 
@@ -473,13 +356,10 @@ mod tests {
 
     #[test]
     fn mt_misalignment_transmits() {
-        let mut ch = MtChannel::new(
-            ProcessorModel::gold_6226(),
-            MtKind::Misalignment,
-            ChannelParams::mt_misalignment_defaults(),
-            13,
-        )
-        .unwrap();
+        let mut ch = ChannelSpec::new("mt-misalignment")
+            .seed(13)
+            .build()
+            .unwrap();
         let msg = MessagePattern::Alternating.generate(32, 0);
         let run = ch.transmit(&msg);
         assert!(
@@ -491,13 +371,16 @@ mod tests {
 
     #[test]
     fn noiseless_mt_channel_is_error_free() {
-        let mut ch = eviction_channel(17);
-        ch.set_noise(MtNoise {
-            burst_probability: 0.0,
-            burst_relative: 0.0,
-            desync_probability: 0.0,
-            phase_slip_probability: 0.0,
-        });
+        let mut ch = ChannelSpec::new("mt-eviction")
+            .noise(MtNoise {
+                burst_probability: 0.0,
+                burst_relative: 0.0,
+                desync_probability: 0.0,
+                phase_slip_probability: 0.0,
+            })
+            .seed(17)
+            .build()
+            .unwrap();
         let msg = MessagePattern::Alternating.generate(32, 0);
         let run = ch.transmit(&msg);
         assert_eq!(

@@ -6,15 +6,14 @@
 //! frontend path of the blocks that the Init and Decode steps execute,
 //! while the 0-encoding (silent or decoy-set) leaves them alone.
 
-use leaky_cpu::ProcessorModel;
-use leaky_frontend::{ThreadId, UarchProfile};
+use leaky_frontend::ThreadId;
 use leaky_isa::BlockChain;
 
 use crate::channels::driver::{cycles_over, Driver, Measure, MeasureCtx};
-use crate::channels::layout;
-use crate::params::{ChannelParams, EncodeMode};
+use crate::params::EncodeMode;
 
-/// Which frontend primitive the channel modulates.
+/// Which frontend primitive the channel modulates. The MT, power and SGX
+/// channels lay out the same two primitives and share this type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NonMtKind {
     /// DSB set-collision evictions (§V-C): the 1-encoding pushes the set
@@ -43,19 +42,17 @@ const STEALTHY_OVERHEAD_CYCLES: f64 = 2_600.0;
 
 /// A non-MT covert channel (§V-C eviction or §V-D misalignment variant, in
 /// stealthy or fast mode).
-///
-/// See the [crate-level documentation](crate) for an end-to-end example.
-pub type NonMtChannel = Driver<NonMt>;
+pub(crate) type NonMtChannel = Driver<NonMt>;
 
 /// The non-MT receiver: it times `p` whole Init-Encode-Decode rounds.
 #[derive(Debug, Clone)]
-pub struct NonMt {
-    kind: NonMtKind,
-    mode: EncodeMode,
-    recv: BlockChain,
-    send_one: BlockChain,
+pub(crate) struct NonMt {
+    pub(crate) kind: NonMtKind,
+    pub(crate) mode: EncodeMode,
+    pub(crate) recv: BlockChain,
+    pub(crate) send_one: BlockChain,
     /// The stealthy decoy encoding of a 0 (`None`: silent, fast mode).
-    send_zero: Option<BlockChain>,
+    pub(crate) send_zero: Option<BlockChain>,
 }
 
 impl Measure for NonMt {
@@ -95,94 +92,22 @@ impl Measure for NonMt {
     }
 }
 
-impl NonMtChannel {
-    /// Builds the channel on a fresh core for `model`, under the default
-    /// (`skylake`) microarchitecture profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `params` violate the §V constraints (see
-    /// [`ChannelParams::validate`]).
-    pub fn new(
-        model: ProcessorModel,
-        kind: NonMtKind,
-        mode: EncodeMode,
-        params: ChannelParams,
-        seed: u64,
-    ) -> Self {
-        Self::with_profile(model, kind, mode, params, &UarchProfile::skylake(), seed)
-    }
-
-    /// Builds the channel for an explicit microarchitecture profile: the
-    /// code layout is derived from the profile's geometry (sender block
-    /// counts follow its DSB way count) and the core runs the profile's
-    /// cost model, with loop streaming gated by both the profile and the
-    /// machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel parameters violate the §V constraints under
-    /// the profile's geometry, or the geometry lacks a DSB set the layout
-    /// uses (see [`validate_params`](crate::channels::registry::validate_params)).
-    pub fn with_profile(
-        model: ProcessorModel,
-        kind: NonMtKind,
-        mode: EncodeMode,
-        params: ChannelParams,
-        profile: &UarchProfile,
-        seed: u64,
-    ) -> Self {
-        let (recv, send_one, send_zero) = layout(kind, &params, &profile.geometry);
-        let send_zero = (mode == EncodeMode::Stealthy).then_some(send_zero);
-        let primitive = NonMt {
-            kind,
-            mode,
-            recv,
-            send_one,
-            send_zero,
-        };
-        Driver::on_profile(model, profile, params, seed, primitive)
-    }
-
-    /// Replaces the channel's core with one built from an explicit frontend
-    /// configuration — used by the §XII defense evaluation to attack a
-    /// hardened (e.g. constant-time) frontend.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate cache geometry (`SetAssocCache::new`).
-    pub fn with_frontend_config(
-        mut self,
-        config: leaky_frontend::FrontendConfig,
-        seed: u64,
-    ) -> Self {
-        self.reset_frontend(config, seed);
-        self
-    }
-
-    /// The channel variant.
-    pub fn kind(&self) -> NonMtKind {
-        self.primitive.kind
-    }
-
-    /// The zero-encoding mode.
-    pub fn mode(&self) -> EncodeMode {
-        self.primitive.mode
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channels::CovertChannel;
-    use crate::params::MessagePattern;
+    use crate::channels::{ChannelSpec, CovertChannel};
+    use crate::params::{ChannelParams, MessagePattern};
+    use leaky_cpu::ProcessorModel;
+    use leaky_frontend::UarchProfile;
 
-    fn channel(model: ProcessorModel, kind: NonMtKind, mode: EncodeMode) -> NonMtChannel {
-        let params = match kind {
-            NonMtKind::Eviction => ChannelParams::eviction_defaults(),
-            NonMtKind::Misalignment => ChannelParams::misalignment_defaults(),
-        };
-        NonMtChannel::new(model, kind, mode, params, 42)
+    fn spec(model: ProcessorModel, kind: NonMtKind, mode: EncodeMode) -> ChannelSpec {
+        ChannelSpec::new(format!("non-mt-{mode}-{kind}"))
+            .model(model)
+            .seed(42)
+    }
+
+    fn channel(model: ProcessorModel, kind: NonMtKind, mode: EncodeMode) -> Box<dyn CovertChannel> {
+        spec(model, kind, mode).build().expect("registered channel")
     }
 
     #[test]
@@ -285,14 +210,14 @@ mod tests {
     fn icelake_profile_still_leaks_through_the_dsb() {
         // The Ice-Lake-class profile has no LSD, but eviction channels work
         // through pure DSB/MITE transitions (like the LSD-less E-2174G).
-        let mut ch = NonMtChannel::with_profile(
+        let mut ch = spec(
             ProcessorModel::xeon_e2288g(),
             NonMtKind::Eviction,
             EncodeMode::Fast,
-            ChannelParams::eviction_defaults(),
-            &UarchProfile::icelake(),
-            42,
-        );
+        )
+        .profile(UarchProfile::icelake())
+        .build()
+        .unwrap();
         let msg = MessagePattern::Alternating.generate(48, 0);
         let run = ch.transmit(&msg);
         assert!(
@@ -306,14 +231,15 @@ mod tests {
     fn constant_time_profile_kills_the_channel() {
         // The registered defense profile reproduces the §XII result without
         // hand-building a FrontendConfig.
-        let mut ch = NonMtChannel::with_profile(
+        let mut ch = spec(
             ProcessorModel::xeon_e2288g(),
             NonMtKind::Eviction,
             EncodeMode::Stealthy,
-            ChannelParams::eviction_defaults(),
-            &UarchProfile::constant_time(),
-            5,
-        );
+        )
+        .profile(UarchProfile::constant_time())
+        .seed(5)
+        .build()
+        .unwrap();
         match ch.try_calibrate() {
             Err(_) => {} // indistinguishable classes: perfect defense
             Ok(()) => {
@@ -329,21 +255,22 @@ mod tests {
 
     #[test]
     fn skylake_profile_is_the_default_construction() {
-        // `new` and `with_profile(skylake)` must be byte-equivalent runs.
+        // A spec without a profile and one naming `skylake` must be
+        // byte-equivalent runs.
         let msg = MessagePattern::Alternating.generate(32, 0);
         let mut a = channel(
             ProcessorModel::gold_6226(),
             NonMtKind::Eviction,
             EncodeMode::Fast,
         );
-        let mut b = NonMtChannel::with_profile(
+        let mut b = spec(
             ProcessorModel::gold_6226(),
             NonMtKind::Eviction,
             EncodeMode::Fast,
-            ChannelParams::eviction_defaults(),
-            &UarchProfile::skylake(),
-            42,
-        );
+        )
+        .profile(UarchProfile::skylake())
+        .build()
+        .unwrap();
         let ra = a.transmit(&msg);
         let rb = b.transmit(&msg);
         assert_eq!(ra.received(), rb.received());
@@ -399,12 +326,16 @@ mod tests {
         // rounds as one round walk, so all but the first round or two of
         // each walk follow recorded edges, and no round graph outlives
         // its walk.
-        let mut ch = NonMtChannel::new(
+        let mut ch = spec(
             ProcessorModel::gold_6226(),
             NonMtKind::Eviction,
             EncodeMode::Fast,
+        )
+        .seed(5)
+        .non_mt(
+            NonMtKind::Eviction,
+            EncodeMode::Fast,
             ChannelParams::eviction_defaults(),
-            5,
         );
         ch.transmit(&MessagePattern::Random.generate(16, 5));
         let stats = ch.core.frontend().memo_stats();

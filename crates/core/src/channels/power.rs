@@ -9,18 +9,15 @@
 //! The per-bit work simulates a warm-up prefix of rounds exactly, in one
 //! [`leaky_cpu::Core::run_rounds`] call, and then fast-forwards the rest
 //! with [`leaky_cpu::Core::replay`], which charges them as copies of the
-//! last simulated round.
+//! last simulated round. That fast-forward is an approximation, not an
+//! exact shortcut: see `Core::replay` for what it moves.
 
-use leaky_cpu::ProcessorModel;
-use leaky_frontend::UarchProfile;
 use leaky_isa::BlockChain;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 
 use crate::channels::driver::{run_rounds, watts_over, Driver, Measure, MeasureCtx};
-use crate::channels::layout;
 use crate::channels::non_mt::NonMtKind;
-use crate::params::ChannelParams;
 
 /// System power noise on a per-bit watts estimate (σ, watts): co-running
 /// package activity that RAPL cannot separate from the attack (§VII's
@@ -32,32 +29,25 @@ const WATTS_NOISE_SIGMA: f64 = 1.8;
 /// # Examples
 ///
 /// ```
-/// use leaky_cpu::ProcessorModel;
-/// use leaky_frontends::channels::non_mt::NonMtKind;
-/// use leaky_frontends::channels::power::PowerChannel;
-/// use leaky_frontends::params::{ChannelParams, MessagePattern};
+/// use leaky_frontends::channels::ChannelSpec;
+/// use leaky_frontends::params::MessagePattern;
 ///
-/// let mut ch = PowerChannel::new(
-///     ProcessorModel::gold_6226(),
-///     NonMtKind::Eviction,
-///     ChannelParams::power_defaults(),
-///     3,
-/// );
+/// let mut ch = ChannelSpec::new("power-eviction").seed(3).build().unwrap();
 /// let msg = MessagePattern::Alternating.generate(8, 0);
 /// let run = ch.transmit(&msg);
 /// assert!(run.rate_kbps() < 10.0, "power channels are slow");
 /// ```
-pub type PowerChannel = Driver<Power>;
+pub(crate) type PowerChannel = Driver<Power>;
 
 /// The power receiver: average package watts over `p` Init/Encode/Decode
 /// rounds (stealthy zero-encoding), plus system power noise.
 #[derive(Debug, Clone)]
-pub struct Power {
-    kind: NonMtKind,
-    recv: BlockChain,
-    send_one: BlockChain,
-    send_zero: BlockChain,
-    rng: StdRng,
+pub(crate) struct Power {
+    pub(crate) kind: NonMtKind,
+    pub(crate) recv: BlockChain,
+    pub(crate) send_one: BlockChain,
+    pub(crate) send_zero: BlockChain,
+    pub(crate) rng: StdRng,
 }
 
 impl Measure for Power {
@@ -86,63 +76,15 @@ impl Measure for Power {
     }
 }
 
-impl PowerChannel {
-    /// Builds the channel (stealthy zero-encoding, as in the paper's power
-    /// evaluation) under the default (`skylake`) profile.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel parameters violate the §V constraints
-    /// (`ChannelParams::validate`).
-    pub fn new(model: ProcessorModel, kind: NonMtKind, params: ChannelParams, seed: u64) -> Self {
-        Self::with_profile(model, kind, params, &UarchProfile::skylake(), seed)
-    }
-
-    /// Builds the channel under an explicit microarchitecture profile
-    /// (layout geometry and cost model from the profile).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the channel parameters violate the §V constraints under
-    /// the profile's geometry, or the geometry lacks a DSB set the layout
-    /// uses (see [`validate_params`](crate::channels::registry::validate_params)).
-    pub fn with_profile(
-        model: ProcessorModel,
-        kind: NonMtKind,
-        params: ChannelParams,
-        profile: &UarchProfile,
-        seed: u64,
-    ) -> Self {
-        let (recv, send_one, send_zero) = layout(kind, &params, &profile.geometry);
-        let primitive = Power {
-            kind,
-            recv,
-            send_one,
-            send_zero,
-            rng: StdRng::seed_from_u64(seed ^ 0x70f_f4e7),
-        };
-        Driver::on_profile(model, profile, params, seed, primitive)
-    }
-
-    /// The underlying frontend primitive.
-    pub fn kind(&self) -> NonMtKind {
-        self.primitive.kind
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::MessagePattern;
+    use crate::channels::ChannelSpec;
+    use crate::params::{ChannelParams, MessagePattern};
 
     #[test]
     fn power_eviction_channel_is_slow_but_works() {
-        let mut ch = PowerChannel::new(
-            ProcessorModel::gold_6226(),
-            NonMtKind::Eviction,
-            ChannelParams::power_defaults(),
-            21,
-        );
+        let mut ch = ChannelSpec::new("power-eviction").seed(21).build().unwrap();
         let msg = MessagePattern::Alternating.generate(24, 0);
         let run = ch.transmit(&msg);
         // Table V: ~0.66 Kbps, 18.87% error. Require the same regime.
@@ -165,15 +107,13 @@ mod tests {
 
     #[test]
     fn power_misalignment_channel_works() {
-        let mut ch = PowerChannel::new(
-            ProcessorModel::gold_6226(),
-            NonMtKind::Misalignment,
-            ChannelParams {
-                d: 5,
-                ..ChannelParams::power_defaults()
-            },
-            22,
-        );
+        // The registry default for this channel is the power operating
+        // point at d = 5.
+        let mut ch = ChannelSpec::new("power-misalignment")
+            .seed(22)
+            .build()
+            .unwrap();
+        assert_eq!(ch.params().d, 5);
         let msg = MessagePattern::Alternating.generate(24, 0);
         let run = ch.transmit(&msg);
         assert!(
@@ -183,14 +123,15 @@ mod tests {
         );
     }
 
+    fn eviction_channel(seed: u64) -> PowerChannel {
+        ChannelSpec::new("power-eviction")
+            .seed(seed)
+            .power(NonMtKind::Eviction, ChannelParams::power_defaults())
+    }
+
     #[test]
     fn rapl_energy_grows_during_transmission() {
-        let mut ch = PowerChannel::new(
-            ProcessorModel::gold_6226(),
-            NonMtKind::Eviction,
-            ChannelParams::power_defaults(),
-            23,
-        );
+        let mut ch = eviction_channel(23);
         let before = ch.core.read_rapl();
         ch.transmit(&MessagePattern::AllOnes.generate(4, 0));
         let after = ch.core.read_rapl();
@@ -203,12 +144,7 @@ mod tests {
         // warm-up rounds in one round walk (then replays the rest), so
         // all but the first round or two of each walk follow recorded
         // edges, and no round graph outlives its walk.
-        let mut ch = PowerChannel::new(
-            ProcessorModel::gold_6226(),
-            NonMtKind::Eviction,
-            ChannelParams::power_defaults(),
-            5,
-        );
+        let mut ch = eviction_channel(5);
         ch.transmit(&MessagePattern::Random.generate(16, 5));
         let stats = ch.core.frontend().memo_stats();
         assert_eq!((stats.states, stats.edges), (0, 0), "{stats:?}");

@@ -29,13 +29,16 @@
 
 use leaky_cpu::ProcessorModel;
 use leaky_frontend::{check_geometry, FrontendConfig, UarchProfile};
-use leaky_isa::FrontendGeometry;
+use leaky_isa::{BlockChain, CodeRegion, FrontendGeometry, LcpPattern};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
-use crate::channels::mt::{MtChannel, MtKind, MtNoise, MtUnsupported};
-use crate::channels::non_mt::{NonMtChannel, NonMtKind};
-use crate::channels::power::PowerChannel;
-use crate::channels::slow_switch::SlowSwitchChannel;
-use crate::channels::{check_layout, CovertChannel};
+use crate::channels::driver::Driver;
+use crate::channels::mt::{Mt, MtChannel, MtNoise};
+use crate::channels::non_mt::{NonMt, NonMtChannel, NonMtKind};
+use crate::channels::power::{Power, PowerChannel};
+use crate::channels::slow_switch::{SlowSwitch, SlowSwitchChannel};
+use crate::channels::{check_layout, layout, CovertChannel, SENDER_REGION};
 use crate::params::{ChannelParams, EncodeMode, ParamsError};
 
 /// One registry row: a channel variant under its stable name.
@@ -173,7 +176,8 @@ pub fn default_params(name: &str) -> Option<ChannelParams> {
 /// out same-set chains, plus `d < M ≤ N` for the misalignment channels,
 /// and room in the DSB for the sets the layout collides in
 /// ([`ParamsError::DsbSet`]).
-/// Slow-switch builds an LCP chain instead and takes any parameters.
+/// Slow-switch builds an LCP block of `2r` adds instead and needs only
+/// `r > 0`.
 ///
 /// # Errors
 ///
@@ -184,7 +188,11 @@ pub fn validate_params(
     geometry: &FrontendGeometry,
 ) -> Result<(), ParamsError> {
     if name == "slow-switch" {
-        return Ok(());
+        return if params.r == 0 {
+            Err(ParamsError::R)
+        } else {
+            Ok(())
+        };
     }
     let kind = if name.ends_with("misalignment") {
         NonMtKind::Misalignment
@@ -200,7 +208,10 @@ pub enum BuildError {
     /// The requested name is not in [`REGISTRY`].
     UnknownChannel(String),
     /// The channel needs SMT and the processor model has it disabled.
-    SmtUnavailable(MtUnsupported),
+    SmtUnavailable {
+        /// The offending model's name.
+        model: &'static str,
+    },
     /// A noise model was supplied but the channel has no environmental
     /// noise knob (only the MT channels do).
     NoiseUnsupported(&'static str),
@@ -220,7 +231,9 @@ impl std::fmt::Display for BuildError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             BuildError::UnknownChannel(name) => write!(f, "unknown channel {name:?}"),
-            BuildError::SmtUnavailable(e) => write!(f, "{e}"),
+            BuildError::SmtUnavailable { model } => {
+                write!(f, "{model} has hyper-threading disabled")
+            }
             BuildError::NoiseUnsupported(name) => {
                 write!(f, "{name} has no environmental-noise model")
             }
@@ -235,10 +248,15 @@ impl std::fmt::Display for BuildError {
 
 impl std::error::Error for BuildError {}
 
+/// The core seed of an MT channel under a frontend override: a fixed
+/// constant, not the override's seed (which applies to the non-MT
+/// channels only), so the committed ablation outputs stay put.
+const MT_OVERRIDE_SEED: u64 = 0xab1a7e;
+
 /// A declarative channel configuration: registry name plus everything a
-/// build needs. Unset options fall back to the paper's operating point
-/// (Gold 6226, `skylake` profile, per-channel default parameters,
-/// default noise, seed 0).
+/// build needs, and the one way to construct a registered channel. Unset
+/// options fall back to the paper's operating point (Gold 6226, `skylake`
+/// profile, per-channel default parameters, default noise, seed 0).
 #[derive(Debug, Clone)]
 pub struct ChannelSpec {
     kind: String,
@@ -264,13 +282,6 @@ impl ChannelSpec {
             frontend: None,
             seed: 0,
         }
-    }
-
-    /// Selects another registered channel (same validation as
-    /// [`ChannelSpec::new`]).
-    pub fn kind(mut self, kind: impl Into<String>) -> Self {
-        self.kind = kind.into();
-        self
     }
 
     /// The Table I machine to run on (default: Gold 6226, the paper's
@@ -304,11 +315,9 @@ impl ChannelSpec {
     /// configuration (the §XII defense-evaluation and ablation hook;
     /// only channels with `supports_frontend_override` accept it).
     ///
-    /// `seed` re-seeds the rebuilt core exactly as the concrete
-    /// channels' legacy override methods do — which means it applies to
-    /// the non-MT channels only: `MtChannel::set_frontend_config`
-    /// re-seeds with a fixed internal constant, a legacy semantic kept
-    /// so the committed ablation outputs stay byte-identical.
+    /// `seed` seeds the core built from `config` for the non-MT channels
+    /// only: an MT channel's override core takes a fixed internal seed,
+    /// which the committed ablation outputs depend on.
     pub fn frontend_config(mut self, config: FrontendConfig, seed: u64) -> Self {
         self.frontend = Some((config, seed));
         self
@@ -331,7 +340,7 @@ impl ChannelSpec {
     /// no hook on the selected channel; [`BuildError::UnsupportedGeometry`]
     /// for a geometry the frontend cannot model; [`BuildError::InvalidParams`]
     /// when the parameters violate the §V constraints under the
-    /// profile's geometry (the concrete constructors panic instead).
+    /// profile's geometry.
     pub fn build(&self) -> Result<Box<dyn CovertChannel>, BuildError> {
         let info = channel_info(&self.kind)
             .ok_or_else(|| BuildError::UnknownChannel(self.kind.clone()))?;
@@ -347,9 +356,9 @@ impl ChannelSpec {
             return Err(BuildError::FrontendOverrideUnsupported(info.name));
         }
         if info.requires_smt && !self.model.smt_enabled {
-            return Err(BuildError::SmtUnavailable(MtUnsupported {
+            return Err(BuildError::SmtUnavailable {
                 model: self.model.name,
-            }));
+            });
         }
         let geometries = std::iter::once(&self.profile.geometry)
             .chain(self.frontend.as_ref().map(|(config, _)| &config.geometry));
@@ -358,62 +367,87 @@ impl ChannelSpec {
         }
         validate_params(info.name, &params, &self.profile.geometry)
             .map_err(BuildError::InvalidParams)?;
-        let non_mt = |kind, mode| {
-            let mut ch = NonMtChannel::with_profile(
-                self.model,
-                kind,
-                mode,
-                params,
-                &self.profile,
-                self.seed,
-            );
-            if let Some((config, fseed)) = &self.frontend {
-                ch = ch.with_frontend_config(*config, *fseed);
-            }
-            Box::new(ch) as Box<dyn CovertChannel>
-        };
-        let mt = |kind| -> Result<Box<dyn CovertChannel>, BuildError> {
-            let mut ch =
-                MtChannel::with_profile(self.model, kind, params, &self.profile, self.seed)
-                    .map_err(BuildError::SmtUnavailable)?;
-            if let Some(noise) = self.noise {
-                ch.set_noise(noise);
-            }
-            if let Some((config, _)) = &self.frontend {
-                // MtChannel's legacy hook re-seeds internally.
-                ch.set_frontend_config(*config);
-            }
-            Ok(Box::new(ch))
-        };
+        use EncodeMode::{Fast, Stealthy};
+        use NonMtKind::{Eviction, Misalignment};
         Ok(match info.name {
-            "mt-eviction" => mt(MtKind::Eviction)?,
-            "mt-misalignment" => mt(MtKind::Misalignment)?,
-            "non-mt-stealthy-eviction" => non_mt(NonMtKind::Eviction, EncodeMode::Stealthy),
-            "non-mt-fast-eviction" => non_mt(NonMtKind::Eviction, EncodeMode::Fast),
-            "non-mt-stealthy-misalignment" => non_mt(NonMtKind::Misalignment, EncodeMode::Stealthy),
-            "non-mt-fast-misalignment" => non_mt(NonMtKind::Misalignment, EncodeMode::Fast),
-            "slow-switch" => Box::new(SlowSwitchChannel::with_profile(
-                self.model,
-                params,
-                &self.profile,
-                self.seed,
-            )),
-            "power-eviction" => Box::new(PowerChannel::with_profile(
-                self.model,
-                NonMtKind::Eviction,
-                params,
-                &self.profile,
-                self.seed,
-            )),
-            "power-misalignment" => Box::new(PowerChannel::with_profile(
-                self.model,
-                NonMtKind::Misalignment,
-                params,
-                &self.profile,
-                self.seed,
-            )),
+            "mt-eviction" => Box::new(self.mt(Eviction, params)),
+            "mt-misalignment" => Box::new(self.mt(Misalignment, params)),
+            "non-mt-stealthy-eviction" => Box::new(self.non_mt(Eviction, Stealthy, params)),
+            "non-mt-fast-eviction" => Box::new(self.non_mt(Eviction, Fast, params)),
+            "non-mt-stealthy-misalignment" => Box::new(self.non_mt(Misalignment, Stealthy, params)),
+            "non-mt-fast-misalignment" => Box::new(self.non_mt(Misalignment, Fast, params)),
+            "slow-switch" => Box::new(self.slow_switch(params)),
+            "power-eviction" => Box::new(self.power(Eviction, params)),
+            "power-misalignment" => Box::new(self.power(Misalignment, params)),
             other => unreachable!("registered but unbuilt channel {other:?}"),
         })
+    }
+
+    // The typed builders behind `build`'s arms, which have checked the
+    // spec first; crate tests call them directly to read a channel's core.
+
+    /// A §V-C/§V-D non-MT channel.
+    pub(crate) fn non_mt(
+        &self,
+        kind: NonMtKind,
+        mode: EncodeMode,
+        params: ChannelParams,
+    ) -> NonMtChannel {
+        let (recv, send_one, send_zero) = layout(kind, &params, &self.profile.geometry);
+        let primitive = NonMt {
+            kind,
+            mode,
+            recv,
+            send_one,
+            send_zero: (mode == EncodeMode::Stealthy).then_some(send_zero),
+        };
+        match self.frontend {
+            Some((config, seed)) => Driver::on_config(self.model, config, params, seed, primitive),
+            None => Driver::on_profile(self.model, &self.profile, params, self.seed, primitive),
+        }
+    }
+
+    /// A §V-A/§V-B MT channel.
+    pub(crate) fn mt(&self, kind: NonMtKind, params: ChannelParams) -> MtChannel {
+        let (recv, send_one, _) = layout(kind, &params, &self.profile.geometry);
+        let primitive = Mt {
+            kind,
+            noise: self.noise.unwrap_or_default(),
+            recv,
+            send_one,
+            rng: StdRng::seed_from_u64(self.seed ^ 0xc0ff_ee00),
+        };
+        match self.frontend {
+            Some((config, _)) => {
+                Driver::on_config(self.model, config, params, MT_OVERRIDE_SEED, primitive)
+            }
+            None => Driver::on_profile(self.model, &self.profile, params, self.seed, primitive),
+        }
+    }
+
+    /// A §VII power channel (stealthy zero-encoding, as in the paper's
+    /// power evaluation).
+    pub(crate) fn power(&self, kind: NonMtKind, params: ChannelParams) -> PowerChannel {
+        let (recv, send_one, send_zero) = layout(kind, &params, &self.profile.geometry);
+        let primitive = Power {
+            kind,
+            recv,
+            send_one,
+            send_zero,
+            rng: StdRng::seed_from_u64(self.seed ^ 0x70f_f4e7),
+        };
+        Driver::on_profile(self.model, &self.profile, params, self.seed, primitive)
+    }
+
+    /// The §V-E slow-switch channel: two loop bodies of `2r` adds each
+    /// (mixed and ordered interleavings) in a geometry-aware code region;
+    /// the LCP stall and path-switch penalties come from the profile.
+    pub(crate) fn slow_switch(&self, params: ChannelParams) -> SlowSwitchChannel {
+        let mut region = CodeRegion::with_geometry(SENDER_REGION, self.profile.geometry);
+        let mixed = BlockChain::new(vec![region.lcp_block(LcpPattern::Mixed, params.r)]);
+        let ordered = BlockChain::new(vec![region.lcp_block(LcpPattern::Ordered, params.r)]);
+        let primitive = SlowSwitch { mixed, ordered };
+        Driver::on_profile(self.model, &self.profile, params, self.seed, primitive)
     }
 }
 
@@ -483,7 +517,37 @@ mod tests {
             .params(ChannelParams::mt_misalignment_defaults().with_d(8))
             .build()
             .unwrap_err();
-        assert!(matches!(err, BuildError::SmtUnavailable(_)));
+        assert!(matches!(err, BuildError::SmtUnavailable { .. }));
+        // One input per remaining family, each a value where a panicking
+        // constructor once sat: d beyond the N = 8 ways (non-MT), no
+        // rounds per bit (power), and an empty LCP block (slow-switch).
+        let cases = [
+            (
+                "non-mt-fast-eviction",
+                ChannelParams::eviction_defaults().with_d(9),
+                ParamsError::D { d: 9, ways: 8 },
+            ),
+            (
+                "power-eviction",
+                ChannelParams {
+                    p: 0,
+                    ..ChannelParams::power_defaults()
+                },
+                ParamsError::Iterations,
+            ),
+            (
+                "slow-switch",
+                ChannelParams {
+                    r: 0,
+                    ..ChannelParams::slow_switch_defaults()
+                },
+                ParamsError::R,
+            ),
+        ];
+        for (name, params, expected) in cases {
+            let err = ChannelSpec::new(name).params(params).build().unwrap_err();
+            assert_eq!(err, BuildError::InvalidParams(expected), "{name}");
+        }
     }
 
     #[test]
@@ -554,7 +618,7 @@ mod tests {
                 .build();
             if info.requires_smt {
                 assert!(
-                    matches!(built, Err(BuildError::SmtUnavailable(_))),
+                    matches!(built, Err(BuildError::SmtUnavailable { .. })),
                     "{} must fail on the SMT-less E-2288G",
                     info.name
                 );
@@ -588,48 +652,9 @@ mod tests {
     }
 
     #[test]
-    fn spec_build_matches_legacy_constructors_bit_for_bit() {
-        // The registry is a relabeling, not a re-implementation: a spec
-        // build and the concrete constructor produce identical runs.
-        let msg = MessagePattern::Alternating.generate(32, 0);
-        let mut legacy = NonMtChannel::new(
-            ProcessorModel::xeon_e2288g(),
-            NonMtKind::Eviction,
-            EncodeMode::Fast,
-            ChannelParams::eviction_defaults(),
-            42,
-        );
-        let mut spec = ChannelSpec::new("non-mt-fast-eviction")
-            .model(ProcessorModel::xeon_e2288g())
-            .seed(42)
-            .build()
-            .unwrap();
-        let a = legacy.transmit(&msg);
-        let b = spec.transmit(&msg);
-        assert_eq!(a.received(), b.received());
-        assert_eq!(a.cycles(), b.cycles());
-
-        let mut legacy = SlowSwitchChannel::new(
-            ProcessorModel::xeon_e2288g(),
-            ChannelParams::slow_switch_defaults(),
-            77,
-        );
-        let mut spec = ChannelSpec::new("slow-switch")
-            .model(ProcessorModel::xeon_e2288g())
-            .seed(77)
-            .build()
-            .unwrap();
-        let a = legacy.transmit(&msg);
-        let b = spec.transmit(&msg);
-        assert_eq!(a.received(), b.received());
-        assert_eq!(a.cycles(), b.cycles());
-    }
-
-    #[test]
     fn frontend_override_reaches_the_built_channel() {
         use leaky_frontend::CostModel;
-        // A constant-time frontend kills the stealthy channel through the
-        // spec exactly as through the concrete hook (§XII).
+        // A constant-time frontend kills the stealthy channel (§XII).
         let config = FrontendConfig {
             costs: CostModel::constant_time(),
             ..FrontendConfig::default()

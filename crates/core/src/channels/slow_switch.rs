@@ -8,12 +8,10 @@
 //! instruction-count monitoring — only the *interleaving* differs (§IV-H,
 //! Fig. 4).
 
-use leaky_cpu::ProcessorModel;
-use leaky_frontend::{ThreadId, UarchProfile};
-use leaky_isa::{BlockChain, CodeRegion, LcpPattern};
+use leaky_frontend::ThreadId;
+use leaky_isa::BlockChain;
 
 use crate::channels::driver::{cycles_over, Driver, Measure, MeasureCtx};
-use crate::params::ChannelParams;
 
 /// Per-bit protocol overhead (cycles), calibrated alongside the non-MT
 /// channels.
@@ -25,26 +23,26 @@ const PER_BIT_OVERHEAD_CYCLES: f64 = 2_200.0;
 ///
 /// ```
 /// use leaky_cpu::ProcessorModel;
-/// use leaky_frontends::channels::slow_switch::SlowSwitchChannel;
-/// use leaky_frontends::params::{ChannelParams, MessagePattern};
+/// use leaky_frontends::channels::ChannelSpec;
+/// use leaky_frontends::params::MessagePattern;
 ///
-/// let mut ch = SlowSwitchChannel::new(
-///     ProcessorModel::xeon_e2288g(),
-///     ChannelParams::slow_switch_defaults(),
-///     3,
-/// );
+/// let mut ch = ChannelSpec::new("slow-switch")
+///     .model(ProcessorModel::xeon_e2288g())
+///     .seed(3)
+///     .build()
+///     .unwrap();
 /// let msg = MessagePattern::Alternating.generate(16, 0);
 /// let run = ch.transmit(&msg);
 /// assert!(run.error_rate() < 0.2);
 /// ```
-pub type SlowSwitchChannel = Driver<SlowSwitch>;
+pub(crate) type SlowSwitchChannel = Driver<SlowSwitch>;
 
 /// The slow-switch receiver: it times `p` iterations of the mixed (1) or
 /// ordered (0) loop body.
 #[derive(Debug, Clone)]
-pub struct SlowSwitch {
-    mixed: BlockChain,
-    ordered: BlockChain,
+pub(crate) struct SlowSwitch {
+    pub(crate) mixed: BlockChain,
+    pub(crate) ordered: BlockChain,
 }
 
 impl Measure for SlowSwitch {
@@ -72,52 +70,22 @@ impl Measure for SlowSwitch {
     }
 }
 
-impl SlowSwitchChannel {
-    /// Builds the channel under the default (`skylake`) profile: two loop
-    /// bodies of `2r` adds each (mixed and ordered interleavings) in
-    /// disjoint code regions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the derived block chain is empty (`BlockChain::new`).
-    pub fn new(model: ProcessorModel, params: ChannelParams, seed: u64) -> Self {
-        Self::with_profile(model, params, &UarchProfile::skylake(), seed)
-    }
-
-    /// Builds the channel under an explicit microarchitecture profile:
-    /// the loop bodies live in a geometry-aware code region and the core
-    /// runs the profile's cost model — the LCP stall and path-switch
-    /// penalties the channel rides on come from the profile (§V-E works,
-    /// or dies, per microarchitecture).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the derived block chain is empty (`BlockChain::new`).
-    pub fn with_profile(
-        model: ProcessorModel,
-        params: ChannelParams,
-        profile: &UarchProfile,
-        seed: u64,
-    ) -> Self {
-        assert!(params.r > 0, "r must be positive");
-        let mut region =
-            CodeRegion::with_geometry(crate::channels::SENDER_REGION, profile.geometry);
-        let mixed = BlockChain::new(vec![region.lcp_block(LcpPattern::Mixed, params.r)]);
-        let ordered = BlockChain::new(vec![region.lcp_block(LcpPattern::Ordered, params.r)]);
-        Driver::on_profile(model, profile, params, seed, SlowSwitch { mixed, ordered })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::params::MessagePattern;
+    use crate::channels::ChannelSpec;
+    use crate::params::{ChannelParams, MessagePattern};
+    use leaky_cpu::ProcessorModel;
 
     #[test]
     fn transmits_on_table4_machines() {
         // Table IV evaluates the Gold 6226 and E-2288G.
         for model in [ProcessorModel::gold_6226(), ProcessorModel::xeon_e2288g()] {
-            let mut ch = SlowSwitchChannel::new(model, ChannelParams::slow_switch_defaults(), 9);
+            let mut ch = ChannelSpec::new("slow-switch")
+                .model(model)
+                .seed(9)
+                .build()
+                .unwrap();
             let msg = MessagePattern::Alternating.generate(48, 0);
             let run = ch.transmit(&msg);
             assert!(
@@ -137,11 +105,9 @@ mod tests {
 
     #[test]
     fn mixed_and_ordered_have_identical_instruction_multisets() {
-        let ch = SlowSwitchChannel::new(
-            ProcessorModel::gold_6226(),
-            ChannelParams::slow_switch_defaults(),
-            1,
-        );
+        let ch = ChannelSpec::new("slow-switch")
+            .seed(1)
+            .slow_switch(ChannelParams::slow_switch_defaults());
         let count = |c: &BlockChain, lcp: bool| {
             c.blocks()[0]
                 .instructions()
@@ -161,11 +127,11 @@ mod tests {
 
     #[test]
     fn random_message_roundtrip() {
-        let mut ch = SlowSwitchChannel::new(
-            ProcessorModel::xeon_e2288g(),
-            ChannelParams::slow_switch_defaults(),
-            5,
-        );
+        let mut ch = ChannelSpec::new("slow-switch")
+            .model(ProcessorModel::xeon_e2288g())
+            .seed(5)
+            .build()
+            .unwrap();
         let msg = MessagePattern::Random.generate(64, 77);
         let run = ch.transmit(&msg);
         assert!(run.error_rate() < 0.15);

@@ -34,8 +34,7 @@
 //!
 //! # Examples
 //!
-//! Build a registered channel and transmit (the concrete constructors
-//! remain available as shims):
+//! Build a registered channel and transmit:
 //!
 //! ```
 //! use leaky_frontends::channels::ChannelSpec;

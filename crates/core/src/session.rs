@@ -160,26 +160,24 @@ impl SessionRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::channels::non_mt::{NonMtChannel, NonMtKind};
+    use crate::channels::ChannelSpec;
     use crate::coding::{Hamming74, Repetition, Uncoded};
-    use crate::params::{ChannelParams, EncodeMode, MessagePattern};
+    use crate::params::MessagePattern;
     use leaky_cpu::ProcessorModel;
 
-    fn quiet_channel(seed: u64) -> NonMtChannel {
-        NonMtChannel::new(
-            ProcessorModel::xeon_e2288g(),
-            NonMtKind::Eviction,
-            EncodeMode::Fast,
-            ChannelParams::eviction_defaults(),
-            seed,
-        )
+    fn quiet_channel(seed: u64) -> Box<dyn CovertChannel> {
+        ChannelSpec::new("non-mt-fast-eviction")
+            .model(ProcessorModel::xeon_e2288g())
+            .seed(seed)
+            .build()
+            .unwrap()
     }
 
     #[test]
     fn framed_bytes_roundtrip_on_a_quiet_channel() {
         let mut ch = quiet_channel(7);
         let payload = b"leaky";
-        let run = Session::new(&mut ch, Repetition::new(3)).send_bytes(payload);
+        let run = Session::new(ch.as_mut(), Repetition::new(3)).send_bytes(payload);
         assert_eq!(run.payload(), Some(&payload[..]));
         assert_eq!(run.code(), "repetition-3");
         assert_eq!(run.data().error_rate(), 0.0);
@@ -195,7 +193,7 @@ mod tests {
         // Evaluation accounting of the redundancy overhead).
         let mut ch = quiet_channel(8);
         let data = MessagePattern::Random.generate(40, 2);
-        let run = Session::new(&mut ch, Repetition::new(5)).send_bits(&data);
+        let run = Session::new(ch.as_mut(), Repetition::new(5)).send_bits(&data);
         assert_eq!(run.raw().sent().len(), data.len() * 5);
         let expected = run.raw().rate_kbps() * run.code_rate();
         assert!(
@@ -212,7 +210,7 @@ mod tests {
     fn unframed_bits_truncate_block_padding() {
         let mut ch = quiet_channel(9);
         let data = MessagePattern::Random.generate(10, 4); // not a multiple of 4
-        let run = Session::new(&mut ch, Hamming74).send_bits(&data);
+        let run = Session::new(ch.as_mut(), Hamming74).send_bits(&data);
         assert_eq!(run.data().sent(), &data[..]);
         assert_eq!(run.data().received().len(), data.len());
         assert_eq!(run.payload(), None);
@@ -222,7 +220,7 @@ mod tests {
     fn uncoded_session_is_the_identity_layer() {
         let mut ch = quiet_channel(11);
         let data = MessagePattern::Alternating.generate(24, 0);
-        let run = Session::new(&mut ch, Uncoded).send_bits(&data);
+        let run = Session::new(ch.as_mut(), Uncoded).send_bits(&data);
         assert_eq!(run.raw().sent(), run.data().sent());
         assert_eq!(run.code_rate(), 1.0);
         assert_eq!(run.data().rate_kbps(), run.raw().rate_kbps());
@@ -231,7 +229,7 @@ mod tests {
     #[test]
     fn provenance_flows_to_both_layers() {
         let mut ch = quiet_channel(13);
-        let run = Session::new(&mut ch, Repetition::new(3)).send_bytes(&[0xa5]);
+        let run = Session::new(ch.as_mut(), Repetition::new(3)).send_bytes(&[0xa5]);
         for layer in [run.raw(), run.data()] {
             let p = layer.provenance().expect("provenance attached");
             assert_eq!(p.channel, "non-mt-fast-eviction");
@@ -258,7 +256,7 @@ mod tests {
             }
         }
         let mut ch = quiet_channel(17);
-        let run = Session::new(&mut ch, Truncating).send_bytes(&[0x5a]);
+        let run = Session::new(ch.as_mut(), Truncating).send_bytes(&[0x5a]);
         assert_eq!(run.payload(), Some(&[][..]));
         assert_eq!(run.code(), "custom");
     }
@@ -268,6 +266,6 @@ mod tests {
     fn oversized_payloads_are_rejected() {
         let mut ch = quiet_channel(15);
         let big = vec![0u8; 70_000];
-        let _ = Session::new(&mut ch, Uncoded).send_bytes(&big);
+        let _ = Session::new(ch.as_mut(), Uncoded).send_bytes(&big);
     }
 }

@@ -17,7 +17,9 @@
 use leaky_cpu::{ProcessorModel, ThreadWork};
 use leaky_frontend::{ThreadId, UarchProfile};
 use leaky_isa::BlockChain;
-use leaky_sgx::Enclave;
+
+mod enclave;
+pub use enclave::{Enclave, EnclaveConfig, SgxError};
 
 use crate::channels::driver::{cycles_over, run_rounds, watts_over, Driver, Measure, MeasureCtx};
 use crate::channels::layout;
@@ -478,15 +480,13 @@ mod tests {
     fn sgx_slower_than_direct_channel() {
         // Table VI vs Table III: SGX rates are roughly 1/25 – 1/30 of the
         // direct non-MT rates.
-        use crate::channels::non_mt::NonMtChannel;
+        use crate::channels::ChannelSpec;
         let msg = MessagePattern::Alternating.generate(24, 0);
-        let mut direct = NonMtChannel::new(
-            ProcessorModel::xeon_e2288g(),
-            NonMtKind::Eviction,
-            EncodeMode::Fast,
-            ChannelParams::eviction_defaults(),
-            41,
-        );
+        let mut direct = ChannelSpec::new("non-mt-fast-eviction")
+            .model(ProcessorModel::xeon_e2288g())
+            .seed(41)
+            .build()
+            .unwrap();
         let mut sgx = SgxNonMtChannel::new(
             ProcessorModel::xeon_e2288g(),
             NonMtKind::Eviction,

@@ -1,4 +1,4 @@
-//! SGX enclave execution contexts for the frontend attacks (paper §VIII).
+//! The SGX enclave execution context the §VIII channels run their sender in.
 //!
 //! The paper's SGX attacks need only two properties of SGX, both modeled
 //! here:
@@ -11,30 +11,6 @@
 //!   non-enclave code on the same core, so a sender inside the enclave can
 //!   modulate frontend paths that a receiver outside (same thread, non-MT)
 //!   or on the sibling thread (MT) observes.
-//!
-//! # Examples
-//!
-//! ```
-//! use leaky_cpu::{Core, ProcessorModel};
-//! use leaky_frontend::ThreadId;
-//! use leaky_isa::{same_set_chain, Alignment, DsbSet};
-//! use leaky_sgx::Enclave;
-//!
-//! let mut core = Core::new(ProcessorModel::xeon_e2174g(), 7);
-//! let enclave = Enclave::default();
-//! let chain = same_set_chain(0x0041_8000, DsbSet::new(0), 6, Alignment::Aligned);
-//!
-//! let t0 = core.rdtscp(ThreadId::T0);
-//! enclave.call(&mut core, ThreadId::T0, |core, tid| {
-//!     core.run_loop(tid, &chain, 100);
-//! });
-//! let t1 = core.rdtscp(ThreadId::T0);
-//! assert!(t1 - t0 > Enclave::default().round_trip_cycles());
-//! ```
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-#![deny(rustdoc::broken_intra_doc_links)]
 
 use leaky_cpu::Core;
 use leaky_frontend::ThreadId;
@@ -72,6 +48,26 @@ impl Default for EnclaveConfig {
 
 /// A simulated SGX enclave: a context whose body runs with transition costs
 /// and frontend flushes applied around it.
+///
+/// # Examples
+///
+/// ```
+/// use leaky_cpu::{Core, ProcessorModel};
+/// use leaky_frontend::ThreadId;
+/// use leaky_isa::{same_set_chain, Alignment, DsbSet};
+/// use leaky_frontends::sgx::Enclave;
+///
+/// let mut core = Core::new(ProcessorModel::xeon_e2174g(), 7);
+/// let enclave = Enclave::default();
+/// let chain = same_set_chain(0x0041_8000, DsbSet::new(0), 6, Alignment::Aligned);
+///
+/// let t0 = core.rdtscp(ThreadId::T0);
+/// enclave.call(&mut core, ThreadId::T0, |core, tid| {
+///     core.run_loop(tid, &chain, 100);
+/// });
+/// let t1 = core.rdtscp(ThreadId::T0);
+/// assert!(t1 - t0 > Enclave::default().round_trip_cycles());
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Enclave {
     config: EnclaveConfig,

@@ -543,10 +543,19 @@ impl Core {
     }
 
     /// Fast-forwards a thread through `times` repetitions of an
-    /// already-measured steady-state round: advances the clock and deposits
-    /// energy exactly as if the work had been simulated, without re-running
-    /// the frontend. Used by the power channels, whose p = q = 240 000
-    /// iterations per bit (§VII) would otherwise dominate simulation time.
+    /// already-measured steady-state round, without re-running the
+    /// frontend: one clock advance of `round.cycles × times` and one
+    /// energy deposit at the round's mean power. Used by the power
+    /// channels, whose p = q = 240 000 iterations per bit (§VII) would
+    /// otherwise dominate simulation time.
+    ///
+    /// This is an approximation, not a shortcut with the same result.
+    /// The clock matches stepping every round, but the energy does not:
+    /// one deposit crosses all of a bit's RAPL update boundaries at once,
+    /// so the watts read through RAPL differ from stepping by up to
+    /// 1.4 W, and stepping instead moves Table V's error rates from 0 to
+    /// 1.56% (eviction) and from 7.81% to 17.19% (misalignment). See
+    /// ROADMAP.md, "Exact fast-forward".
     ///
     /// # Panics
     ///

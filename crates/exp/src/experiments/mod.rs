@@ -114,7 +114,7 @@ pub fn channel_cell_traced(
 ) -> Option<CellMeasurement> {
     let mut ch = match spec.build() {
         Ok(ch) => ch,
-        Err(BuildError::SmtUnavailable(_)) => return None,
+        Err(BuildError::SmtUnavailable { .. }) => return None,
         Err(e) => panic!("channel spec invalid: {e}"),
     };
     ch.set_trace(leaky_trace::TraceHook::new(trace));

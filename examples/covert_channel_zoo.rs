@@ -7,11 +7,8 @@
 //!
 //! Run with: `cargo run --release --example covert_channel_zoo`
 
-use leaky_frontends_repro::attacks::channels::mt::{MtChannel, MtKind};
-use leaky_frontends_repro::attacks::channels::non_mt::{NonMtChannel, NonMtKind};
-use leaky_frontends_repro::attacks::channels::power::PowerChannel;
-use leaky_frontends_repro::attacks::channels::slow_switch::SlowSwitchChannel;
-use leaky_frontends_repro::attacks::params::{ChannelParams, EncodeMode, MessagePattern};
+use leaky_frontends_repro::attacks::channels::ChannelSpec;
+use leaky_frontends_repro::attacks::params::{EncodeMode, MessagePattern};
 use leaky_frontends_repro::attacks::run::ChannelRun;
 use leaky_frontends_repro::cpu::ProcessorModel;
 
@@ -31,50 +28,44 @@ fn main() {
         "-".repeat(72)
     );
 
-    for (kind, params) in [
-        (NonMtKind::Eviction, ChannelParams::eviction_defaults()),
-        (
-            NonMtKind::Misalignment,
-            ChannelParams::misalignment_defaults(),
-        ),
-    ] {
+    // Every channel at its registry default parameters, seed 7.
+    let run = |name: &str, model: ProcessorModel, msg: &[bool]| {
+        ChannelSpec::new(name)
+            .model(model)
+            .seed(7)
+            .build()
+            .expect("registered channel on a supporting machine")
+            .transmit(msg)
+    };
+
+    for kind in ["eviction", "misalignment"] {
         for mode in [EncodeMode::Stealthy, EncodeMode::Fast] {
-            let mut ch = NonMtChannel::new(ProcessorModel::xeon_e2288g(), kind, mode, params, 7);
+            let name = format!("non-mt-{mode}-{kind}");
             report(
                 &format!("non-MT {mode} {kind} (E-2288G)"),
-                &ch.transmit(&msg),
+                &run(&name, ProcessorModel::xeon_e2288g(), &msg),
             );
         }
     }
 
-    for (kind, params) in [
-        (MtKind::Eviction, ChannelParams::mt_defaults()),
-        (
-            MtKind::Misalignment,
-            ChannelParams::mt_misalignment_defaults(),
-        ),
-    ] {
-        let mut ch = MtChannel::new(ProcessorModel::gold_6226(), kind, params, 7)
-            .expect("Gold 6226 has SMT");
-        report(&format!("MT {kind} (Gold 6226)"), &ch.transmit(&msg));
+    for kind in ["eviction", "misalignment"] {
+        let name = format!("mt-{kind}");
+        report(
+            &format!("MT {kind} (Gold 6226)"),
+            &run(&name, ProcessorModel::gold_6226(), &msg),
+        );
     }
 
-    let mut slow = SlowSwitchChannel::new(
-        ProcessorModel::xeon_e2288g(),
-        ChannelParams::slow_switch_defaults(),
-        7,
+    report(
+        "non-MT slow-switch / LCP (E-2288G)",
+        &run("slow-switch", ProcessorModel::xeon_e2288g(), &msg),
     );
-    report("non-MT slow-switch / LCP (E-2288G)", &slow.transmit(&msg));
 
-    for kind in [NonMtKind::Eviction, NonMtKind::Misalignment] {
-        let params = ChannelParams {
-            d: if kind == NonMtKind::Eviction { 6 } else { 5 },
-            ..ChannelParams::power_defaults()
-        };
-        let mut ch = PowerChannel::new(ProcessorModel::gold_6226(), kind, params, 7);
+    for kind in ["eviction", "misalignment"] {
+        let name = format!("power-{kind}");
         report(
             &format!("non-MT power {kind} via RAPL (Gold 6226)"),
-            &ch.transmit(&power_msg),
+            &run(&name, ProcessorModel::gold_6226(), &power_msg),
         );
     }
 

@@ -7,23 +7,19 @@
 //!
 //! Run with: `cargo run --release --example quickstart`
 
-use leaky_frontends_repro::attacks::channels::non_mt::{NonMtChannel, NonMtKind};
-use leaky_frontends_repro::attacks::params::{
-    bits_to_bytes, bytes_to_bits, ChannelParams, EncodeMode,
-};
+use leaky_frontends_repro::attacks::channels::ChannelSpec;
+use leaky_frontends_repro::attacks::params::{bits_to_bytes, bytes_to_bits};
 use leaky_frontends_repro::cpu::ProcessorModel;
 
 fn main() {
     let message = "The DSB never forgets.";
     println!("sending:  {message:?}");
 
-    let mut channel = NonMtChannel::new(
-        ProcessorModel::xeon_e2288g(),
-        NonMtKind::Misalignment,
-        EncodeMode::Fast,
-        ChannelParams::misalignment_defaults(),
-        42,
-    );
+    let mut channel = ChannelSpec::new("non-mt-fast-misalignment")
+        .model(ProcessorModel::xeon_e2288g())
+        .seed(42)
+        .build()
+        .expect("registered channel");
 
     let sent_bits = bytes_to_bits(message.as_bytes());
     let run = channel.transmit(&sent_bits);

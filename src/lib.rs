@@ -10,7 +10,6 @@
 //! * [`cache`] — L1I / L1D cache models and attack helpers
 //! * [`power`] — RAPL-style energy counter
 //! * [`cpu`] — composed SMT core with Table I processor presets
-//! * [`sgx`] — SGX enclave execution contexts
 //! * [`attacks`] — the paper's covert channels, side channels and
 //!   fingerprinting attacks
 //! * [`spectre`] — Spectre v1 variants over six covert channels
@@ -34,7 +33,6 @@ pub use leaky_frontends as attacks;
 pub use leaky_isa as isa;
 pub use leaky_power as power;
 pub use leaky_scenario as scenario;
-pub use leaky_sgx as sgx;
 pub use leaky_spectre as spectre;
 pub use leaky_stats as stats;
 pub use leaky_store as store;

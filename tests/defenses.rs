@@ -7,9 +7,9 @@
 //! the channel — at the cost of the multi-path design's entire benefit.
 //! These tests demonstrate all three claims against the simulator.
 
-use leaky_frontends_repro::attacks::channels::mt::{MtChannel, MtKind};
-use leaky_frontends_repro::attacks::channels::non_mt::{NonMtChannel, NonMtKind};
-use leaky_frontends_repro::attacks::params::{ChannelParams, EncodeMode, MessagePattern};
+use leaky_frontends_repro::attacks::channels::non_mt::NonMtKind;
+use leaky_frontends_repro::attacks::channels::ChannelSpec;
+use leaky_frontends_repro::attacks::params::MessagePattern;
 use leaky_frontends_repro::cpu::ProcessorModel;
 use leaky_frontends_repro::frontend::{CostModel, FrontendConfig, SmtDsbPolicy};
 use leaky_frontends_repro::stats::threshold::CalibrationError;
@@ -19,15 +19,17 @@ fn disabling_smt_stops_mt_but_not_non_mt_attacks() {
     // §XII: "the SMT can always be disabled ... which would eliminate the
     // MT attacks. Even with SMT disabled, the non-MT attacks are possible."
     let no_smt = ProcessorModel::xeon_e2288g();
-    assert!(MtChannel::new(no_smt, MtKind::Eviction, ChannelParams::mt_defaults(), 1).is_err());
+    assert!(ChannelSpec::new("mt-eviction")
+        .model(no_smt)
+        .seed(1)
+        .build()
+        .is_err());
 
-    let mut non_mt = NonMtChannel::new(
-        no_smt,
-        NonMtKind::Eviction,
-        EncodeMode::Fast,
-        ChannelParams::eviction_defaults(),
-        1,
-    );
+    let mut non_mt = ChannelSpec::new("non-mt-fast-eviction")
+        .model(no_smt)
+        .seed(1)
+        .build()
+        .unwrap();
     let run = non_mt.transmit(&MessagePattern::Alternating.generate(48, 0));
     assert!(
         run.error_rate() < 0.05,
@@ -41,17 +43,16 @@ fn set_partitioning_does_not_stop_the_mt_channel() {
     // provide a full protection as all our attacks work despite the
     // partitioning." Under the strict set-partitioned policy the partition
     // *transition* (activity detection) still carries the bit.
-    let mut ch = MtChannel::new(
-        ProcessorModel::gold_6226(),
-        MtKind::Eviction,
-        ChannelParams::mt_defaults(),
-        3,
-    )
-    .unwrap();
-    ch.set_frontend_config(FrontendConfig {
+    let config = FrontendConfig {
         dsb_policy: SmtDsbPolicy::SetPartitioned,
         ..FrontendConfig::default()
-    });
+    };
+    let mut ch = ChannelSpec::new("mt-eviction")
+        .model(ProcessorModel::gold_6226())
+        .frontend_config(config, 3)
+        .seed(3)
+        .build()
+        .unwrap();
     let run = ch.transmit(&MessagePattern::Alternating.generate(48, 0));
     assert!(
         run.error_rate() < 0.30,
@@ -65,24 +66,17 @@ fn constant_time_frontend_kills_the_non_mt_channels() {
     // §XII: equalising the paths removes the signal. The attacker either
     // fails to calibrate (identical class means) or decodes noise.
     for kind in [NonMtKind::Eviction, NonMtKind::Misalignment] {
-        let params = match kind {
-            NonMtKind::Eviction => ChannelParams::eviction_defaults(),
-            NonMtKind::Misalignment => ChannelParams::misalignment_defaults(),
+        let config = FrontendConfig {
+            costs: CostModel::constant_time(),
+            ..FrontendConfig::default()
         };
-        let mut ch = NonMtChannel::new(
-            ProcessorModel::xeon_e2288g(),
-            kind,
-            EncodeMode::Stealthy, // the stealthier variant: equal dummy work
-            params,
-            5,
-        )
-        .with_frontend_config(
-            FrontendConfig {
-                costs: CostModel::constant_time(),
-                ..FrontendConfig::default()
-            },
-            5,
-        );
+        // The stealthier variant: equal dummy work.
+        let mut ch = ChannelSpec::new(format!("non-mt-stealthy-{kind}"))
+            .model(ProcessorModel::xeon_e2288g())
+            .frontend_config(config, 5)
+            .seed(5)
+            .build()
+            .unwrap();
         match ch.try_calibrate() {
             Err(CalibrationError::DegenerateClasses) => {} // perfect defense
             Err(CalibrationError::EmptyClass) => panic!("harness bug"),

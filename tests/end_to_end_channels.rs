@@ -2,20 +2,20 @@
 //! ISA layout → frontend simulation → core timing → channel protocol →
 //! threshold decoding (paper §V-§VII).
 
-use leaky_frontends_repro::attacks::channels::mt::{MtChannel, MtKind};
-use leaky_frontends_repro::attacks::channels::non_mt::{NonMtChannel, NonMtKind};
-use leaky_frontends_repro::attacks::channels::power::PowerChannel;
-use leaky_frontends_repro::attacks::channels::slow_switch::SlowSwitchChannel;
+use leaky_frontends_repro::attacks::channels::non_mt::NonMtKind;
+use leaky_frontends_repro::attacks::channels::{ChannelSpec, CovertChannel};
 use leaky_frontends_repro::attacks::params::{
-    bits_to_bytes, bytes_to_bits, ChannelParams, EncodeMode, MessagePattern,
+    bits_to_bytes, bytes_to_bits, EncodeMode, MessagePattern,
 };
 use leaky_frontends_repro::cpu::ProcessorModel;
 
-fn params_for(kind: NonMtKind) -> ChannelParams {
-    match kind {
-        NonMtKind::Eviction => ChannelParams::eviction_defaults(),
-        NonMtKind::Misalignment => ChannelParams::misalignment_defaults(),
-    }
+/// A registered channel at its default §V parameters.
+fn channel(name: &str, model: ProcessorModel, seed: u64) -> Box<dyn CovertChannel> {
+    ChannelSpec::new(name)
+        .model(model)
+        .seed(seed)
+        .build()
+        .expect("registered channel on a supporting machine")
 }
 
 #[test]
@@ -24,7 +24,7 @@ fn every_non_mt_variant_works_on_every_machine() {
     for model in ProcessorModel::all() {
         for kind in [NonMtKind::Eviction, NonMtKind::Misalignment] {
             for mode in [EncodeMode::Stealthy, EncodeMode::Fast] {
-                let mut ch = NonMtChannel::new(model, kind, mode, params_for(kind), 5);
+                let mut ch = channel(&format!("non-mt-{mode}-{kind}"), model, 5);
                 let run = ch.transmit(&msg);
                 assert!(
                     run.error_rate() < 0.30,
@@ -45,13 +45,7 @@ fn every_non_mt_variant_works_on_every_machine() {
 
 #[test]
 fn ascii_text_survives_the_fastest_channel() {
-    let mut ch = NonMtChannel::new(
-        ProcessorModel::xeon_e2288g(),
-        NonMtKind::Misalignment,
-        EncodeMode::Fast,
-        ChannelParams::misalignment_defaults(),
-        9,
-    );
+    let mut ch = channel("non-mt-fast-misalignment", ProcessorModel::xeon_e2288g(), 9);
     let text = b"attack at dawn";
     let run = ch.transmit(&bytes_to_bits(text));
     assert_eq!(bits_to_bytes(run.received()), text);
@@ -65,50 +59,30 @@ fn mt_channels_work_on_smt_machines_and_not_on_2288g() {
         ProcessorModel::xeon_e2174g(),
         ProcessorModel::xeon_e2286g(),
     ] {
-        for (kind, params) in [
-            (MtKind::Eviction, ChannelParams::mt_defaults()),
-            (
-                MtKind::Misalignment,
-                ChannelParams::mt_misalignment_defaults(),
-            ),
-        ] {
-            let mut ch = MtChannel::new(model, kind, params, 5).expect("SMT available");
+        for name in ["mt-eviction", "mt-misalignment"] {
+            let mut ch = channel(name, model, 5);
             let run = ch.transmit(&msg);
             assert!(
                 run.error_rate() < 0.30,
-                "{} MT {kind}: {:.1}%",
+                "{} {name}: {:.1}%",
                 model.name,
                 run.error_rate() * 100.0
             );
         }
     }
-    assert!(MtChannel::new(
-        ProcessorModel::xeon_e2288g(),
-        MtKind::Eviction,
-        ChannelParams::mt_defaults(),
-        5
-    )
-    .is_err());
+    assert!(ChannelSpec::new("mt-eviction")
+        .model(ProcessorModel::xeon_e2288g())
+        .seed(5)
+        .build()
+        .is_err());
 }
 
 #[test]
 fn non_mt_is_roughly_an_order_faster_than_mt() {
     // Table III's central comparison.
     let msg = MessagePattern::Alternating.generate(64, 0);
-    let mut non_mt = NonMtChannel::new(
-        ProcessorModel::gold_6226(),
-        NonMtKind::Eviction,
-        EncodeMode::Fast,
-        ChannelParams::eviction_defaults(),
-        5,
-    );
-    let mut mt = MtChannel::new(
-        ProcessorModel::gold_6226(),
-        MtKind::Eviction,
-        ChannelParams::mt_defaults(),
-        5,
-    )
-    .unwrap();
+    let mut non_mt = channel("non-mt-fast-eviction", ProcessorModel::gold_6226(), 5);
+    let mut mt = channel("mt-eviction", ProcessorModel::gold_6226(), 5);
     let r_non_mt = non_mt.transmit(&msg);
     let r_mt = mt.transmit(&msg);
     let ratio = r_non_mt.rate_kbps() / r_mt.rate_kbps();
@@ -127,7 +101,7 @@ fn slow_switch_matches_table4_regime() {
         (ProcessorModel::gold_6226(), 0.15),
         (ProcessorModel::xeon_e2288g(), 0.05),
     ] {
-        let mut ch = SlowSwitchChannel::new(model, ChannelParams::slow_switch_defaults(), 5);
+        let mut ch = channel("slow-switch", model, 5);
         let run = ch.transmit(&msg);
         assert!(
             run.error_rate() <= max_err,
@@ -148,12 +122,7 @@ fn slow_switch_matches_table4_regime() {
 fn power_channels_are_rapl_limited() {
     // Table V: three orders of magnitude below the timing channels.
     let msg = MessagePattern::Alternating.generate(16, 0);
-    let mut ch = PowerChannel::new(
-        ProcessorModel::gold_6226(),
-        NonMtKind::Eviction,
-        ChannelParams::power_defaults(),
-        5,
-    );
+    let mut ch = channel("power-eviction", ProcessorModel::gold_6226(), 5);
     let run = ch.transmit(&msg);
     assert!(run.rate_kbps() < 5.0);
     assert!(run.rate_kbps() > 0.05);
@@ -166,14 +135,9 @@ fn rates_scale_with_clock_frequency() {
     // the 2.7 GHz Gold 6226 in absolute rate.
     let msg = MessagePattern::Alternating.generate(64, 0);
     let rate = |model| {
-        let mut ch = NonMtChannel::new(
-            model,
-            NonMtKind::Eviction,
-            EncodeMode::Fast,
-            ChannelParams::eviction_defaults(),
-            5,
-        );
-        ch.transmit(&msg).rate_kbps()
+        channel("non-mt-fast-eviction", model, 5)
+            .transmit(&msg)
+            .rate_kbps()
     };
     assert!(rate(ProcessorModel::xeon_e2286g()) > rate(ProcessorModel::gold_6226()));
 }
@@ -182,14 +146,7 @@ fn rates_scale_with_clock_frequency() {
 fn transmissions_are_reproducible_by_seed() {
     let msg = MessagePattern::Random.generate(48, 3);
     let run = |seed| {
-        let mut ch = NonMtChannel::new(
-            ProcessorModel::gold_6226(),
-            NonMtKind::Eviction,
-            EncodeMode::Fast,
-            ChannelParams::eviction_defaults(),
-            seed,
-        );
-        let r = ch.transmit(&msg);
+        let r = channel("non-mt-fast-eviction", ProcessorModel::gold_6226(), seed).transmit(&msg);
         (r.received().to_vec(), r.cycles())
     };
     assert_eq!(run(77), run(77));

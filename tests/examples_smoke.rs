@@ -2,23 +2,23 @@
 //! cannot silently rot: same channel, same processor preset, same
 //! parameters — but asserting on the outcome instead of printing it.
 
-use leaky_frontends_repro::attacks::channels::non_mt::{NonMtChannel, NonMtKind};
-use leaky_frontends_repro::attacks::params::{
-    bits_to_bytes, bytes_to_bits, ChannelParams, EncodeMode,
-};
+use leaky_frontends_repro::attacks::channels::{ChannelSpec, CovertChannel};
+use leaky_frontends_repro::attacks::params::{bits_to_bytes, bytes_to_bits};
 use leaky_frontends_repro::cpu::ProcessorModel;
+
+fn quickstart_channel() -> Box<dyn CovertChannel> {
+    ChannelSpec::new("non-mt-fast-misalignment")
+        .model(ProcessorModel::xeon_e2288g())
+        .seed(42)
+        .build()
+        .expect("registered channel")
+}
 
 #[test]
 fn quickstart_flow_roundtrips_a_message() {
     let message = "The DSB never forgets.";
 
-    let mut channel = NonMtChannel::new(
-        ProcessorModel::xeon_e2288g(),
-        NonMtKind::Misalignment,
-        EncodeMode::Fast,
-        ChannelParams::misalignment_defaults(),
-        42,
-    );
+    let mut channel = quickstart_channel();
 
     let sent_bits = bytes_to_bits(message.as_bytes());
     let run = channel.transmit(&sent_bits);
@@ -44,16 +44,7 @@ fn quickstart_flow_roundtrips_a_message() {
 
 #[test]
 fn quickstart_is_deterministic_across_runs() {
-    let transmit = || {
-        let mut ch = NonMtChannel::new(
-            ProcessorModel::xeon_e2288g(),
-            NonMtKind::Misalignment,
-            EncodeMode::Fast,
-            ChannelParams::misalignment_defaults(),
-            42,
-        );
-        ch.transmit(&bytes_to_bits(b"determinism"))
-    };
+    let transmit = || quickstart_channel().transmit(&bytes_to_bits(b"determinism"));
     let a = transmit();
     let b = transmit();
     assert_eq!(a.received(), b.received());
