@@ -177,7 +177,9 @@ impl<M: Measure> Driver<M> {
     /// Attempts calibration, reporting failure instead of panicking: a
     /// hardened frontend may present no difference between the bit
     /// classes, which is the §XII defense succeeding rather than a
-    /// harness error. Idempotent once calibrated.
+    /// harness error. Idempotent once calibrated. Like
+    /// [`Driver::transmit`], it returns with the core's state graphs
+    /// released ([`Core::release_graphs`]).
     ///
     /// # Errors
     ///
@@ -189,12 +191,17 @@ impl<M: Measure> Driver<M> {
     /// Panics if a negative cost reaches the simulated core
     /// (`Core::idle`); simulated costs are non-negative.
     pub fn try_calibrate(&mut self) -> Result<(), CalibrationError> {
-        self.calibrated().map(drop)
+        let calibrated = self.calibrated().map(drop);
+        self.core.release_graphs();
+        calibrated
     }
 
     /// Transmits a message, returning sent/received bits and timing.
     /// Calibration (if not yet done) happens first and is excluded from
     /// the reported transmission time, matching the paper's methodology.
+    /// The core's state graphs live through the whole call, calibration
+    /// included, and are released when it returns, so a channel at rest
+    /// holds none (DESIGN.md §6).
     ///
     /// # Panics
     ///
@@ -238,6 +245,7 @@ impl<M: Measure> Driver<M> {
             bits: message.len() as u64,
             errors,
         });
+        self.core.release_graphs();
         ChannelRun::new(
             message.to_vec(),
             received,

@@ -268,31 +268,16 @@ mod tests {
         // One seeded 16-bit transmission per MT configuration that
         // `channel_stream` runs: every `run_concurrent` walks its chain
         // pair's state graph. Nearly every step follows a recorded edge,
-        // no graph outgrows its state cap, and the last entry of each row
-        // counts the lone-tail steps served in bulk.
+        // no graph outgrows its state cap, the last entry of each row
+        // counts the lone-tail steps served in bulk, and `transmit`
+        // releases the graph.
         let pinned = [
-            (
-                NonMtKind::Eviction,
-                "skylake",
-                [37_340, 60, 56, 60, 0, 14_789],
-            ),
-            (
-                NonMtKind::Misalignment,
-                "skylake",
-                [55_474, 26, 22, 26, 0, 5_981],
-            ),
-            (
-                NonMtKind::Eviction,
-                "icelake",
-                [37_378, 22, 21, 22, 0, 15_690],
-            ),
-            (
-                NonMtKind::Misalignment,
-                "icelake",
-                [62_980, 20, 15, 20, 0, 16_834],
-            ),
+            (NonMtKind::Eviction, "skylake", [37_340, 60, 14_789]),
+            (NonMtKind::Misalignment, "skylake", [55_474, 26, 5_981]),
+            (NonMtKind::Eviction, "icelake", [37_378, 22, 15_690]),
+            (NonMtKind::Misalignment, "icelake", [62_980, 20, 16_834]),
         ];
-        for (kind, profile, [followed, simulated, states, edges, resets, bulk]) in pinned {
+        for (kind, profile, [followed, simulated, bulk]) in pinned {
             let mut ch = ChannelSpec::new(format!("mt-{kind}"))
                 .profile(UarchProfile::by_key(profile).unwrap())
                 .seed(5)
@@ -304,16 +289,13 @@ mod tests {
                 100 * stats.followed >= 99 * (stats.followed + stats.simulated),
                 "{label}: {stats:?}"
             );
-            assert_eq!(stats.resets, 0, "{label}");
             assert_eq!(
                 stats,
                 leaky_frontend::MemoStats {
                     followed,
                     bulk,
                     simulated,
-                    states: states as usize,
-                    edges: edges as usize,
-                    resets,
+                    ..leaky_frontend::MemoStats::default()
                 },
                 "{label}"
             );

@@ -323,9 +323,9 @@ mod tests {
     #[test]
     fn round_walk_counters_are_pinned() {
         // One seeded 16-bit transmission: every measure runs its p = 10
-        // rounds as one round walk, so all but the first round or two of
-        // each walk follow recorded edges, and no round graph outlives
-        // its walk.
+        // rounds as one round walk on the graphs stored for the whole
+        // call, calibration included, so only the first walks of each
+        // encoding simulate, and `transmit` releases the graphs.
         let mut ch = spec(
             ProcessorModel::gold_6226(),
             NonMtKind::Eviction,
@@ -343,8 +343,8 @@ mod tests {
         assert_eq!(
             stats,
             leaky_frontend::MemoStats {
-                followed: 1_153,
-                simulated: 227,
+                followed: 1_364,
+                simulated: 16,
                 ..leaky_frontend::MemoStats::default()
             }
         );

@@ -140,10 +140,11 @@ mod tests {
 
     #[test]
     fn round_walk_counters_are_pinned() {
-        // One seeded 16-bit transmission: every measure simulates its
-        // warm-up rounds in one round walk (then replays the rest), so
-        // all but the first round or two of each walk follow recorded
-        // edges, and no round graph outlives its walk.
+        // One seeded 16-bit transmission: every measure walks its
+        // warm-up rounds (then replays the rest) on the graphs stored
+        // for the whole call, calibration included, so only the first
+        // walks of each encoding simulate, and `transmit` releases the
+        // graphs.
         let mut ch = eviction_channel(5);
         ch.transmit(&MessagePattern::Random.generate(16, 5));
         let stats = ch.core.frontend().memo_stats();
@@ -151,8 +152,8 @@ mod tests {
         assert_eq!(
             stats,
             leaky_frontend::MemoStats {
-                followed: 2_454,
-                simulated: 138,
+                followed: 2_576,
+                simulated: 16,
                 ..leaky_frontend::MemoStats::default()
             }
         );

@@ -176,8 +176,8 @@ pub fn default_params(name: &str) -> Option<ChannelParams> {
 /// out same-set chains, plus `d < M ≤ N` for the misalignment channels,
 /// and room in the DSB for the sets the layout collides in
 /// ([`ParamsError::DsbSet`]).
-/// Slow-switch builds an LCP block of `2r` adds instead and needs only
-/// `r > 0`.
+/// Slow-switch builds an LCP block of `2r` adds instead and times `p`
+/// iterations of it per bit, so it needs only `p > 0` and `r > 0`.
 ///
 /// # Errors
 ///
@@ -188,10 +188,10 @@ pub fn validate_params(
     geometry: &FrontendGeometry,
 ) -> Result<(), ParamsError> {
     if name == "slow-switch" {
-        return if params.r == 0 {
-            Err(ParamsError::R)
-        } else {
-            Ok(())
+        return match (params.p, params.r) {
+            (0, _) => Err(ParamsError::P),
+            (_, 0) => Err(ParamsError::R),
+            _ => Ok(()),
         };
     }
     let kind = if name.ends_with("misalignment") {
@@ -520,7 +520,9 @@ mod tests {
         assert!(matches!(err, BuildError::SmtUnavailable { .. }));
         // One input per remaining family, each a value where a panicking
         // constructor once sat: d beyond the N = 8 ways (non-MT), no
-        // rounds per bit (power), and an empty LCP block (slow-switch).
+        // rounds per bit (power), and an empty LCP block (slow-switch);
+        // plus a slow-switch bit with no timed iterations, which would
+        // calibrate on timer noise alone.
         let cases = [
             (
                 "non-mt-fast-eviction",
@@ -542,6 +544,14 @@ mod tests {
                     ..ChannelParams::slow_switch_defaults()
                 },
                 ParamsError::R,
+            ),
+            (
+                "slow-switch",
+                ChannelParams {
+                    p: 0,
+                    ..ChannelParams::slow_switch_defaults()
+                },
+                ParamsError::P,
             ),
         ];
         for (name, params, expected) in cases {
@@ -681,6 +691,67 @@ mod tests {
             err.unwrap_err(),
             BuildError::FrontendOverrideUnsupported("power-eviction")
         );
+    }
+
+    /// Calibrates `ch`, then transmits on it, checking that neither call
+    /// leaves a state graph behind and that the walks ran at all.
+    fn holds_no_graph_at_rest<M: crate::channels::driver::Measure>(mut ch: Driver<M>) {
+        let name = ch.primitive.name();
+        ch.try_calibrate().expect("default parameters calibrate");
+        let stats = ch.core.frontend().memo_stats();
+        assert_eq!((stats.states, stats.edges), (0, 0), "{name}: {stats:?}");
+        ch.transmit(&MessagePattern::Alternating.generate(4, 0));
+        let stats = ch.core.frontend().memo_stats();
+        assert_eq!((stats.states, stats.edges), (0, 0), "{name}: {stats:?}");
+        // Slow-switch runs LCP chains, which never walk a graph.
+        assert!(
+            stats.followed > 0 || name == "slow-switch",
+            "{name}: {stats:?}"
+        );
+    }
+
+    #[test]
+    fn channels_at_rest_hold_no_state_graph() {
+        use crate::sgx::{SgxMtChannel, SgxNonMtChannel, SgxPowerChannel};
+        use EncodeMode::{Fast, Stealthy};
+        use NonMtKind::{Eviction, Misalignment};
+        for info in &REGISTRY {
+            let spec = ChannelSpec::new(info.name).seed(3);
+            let params = default_params(info.name).unwrap();
+            match info.name {
+                "mt-eviction" => holds_no_graph_at_rest(spec.mt(Eviction, params)),
+                "mt-misalignment" => holds_no_graph_at_rest(spec.mt(Misalignment, params)),
+                "non-mt-stealthy-eviction" => {
+                    holds_no_graph_at_rest(spec.non_mt(Eviction, Stealthy, params));
+                }
+                "non-mt-fast-eviction" => {
+                    holds_no_graph_at_rest(spec.non_mt(Eviction, Fast, params));
+                }
+                "non-mt-stealthy-misalignment" => {
+                    holds_no_graph_at_rest(spec.non_mt(Misalignment, Stealthy, params));
+                }
+                "non-mt-fast-misalignment" => {
+                    holds_no_graph_at_rest(spec.non_mt(Misalignment, Fast, params));
+                }
+                "slow-switch" => holds_no_graph_at_rest(spec.slow_switch(params)),
+                "power-eviction" => holds_no_graph_at_rest(spec.power(Eviction, params)),
+                "power-misalignment" => holds_no_graph_at_rest(spec.power(Misalignment, params)),
+                other => panic!("no typed builder for {other:?}"),
+            }
+        }
+        for kind in [Eviction, Misalignment] {
+            let sgx = ProcessorModel::xeon_e2174g();
+            holds_no_graph_at_rest(
+                SgxNonMtChannel::new(sgx, kind, Fast, ChannelParams::sgx_non_mt_defaults(), 3)
+                    .unwrap(),
+            );
+            holds_no_graph_at_rest(
+                SgxPowerChannel::new(sgx, kind, ChannelParams::power_defaults(), 3).unwrap(),
+            );
+            holds_no_graph_at_rest(
+                SgxMtChannel::new(sgx, kind, ChannelParams::sgx_mt_defaults(), 3).unwrap(),
+            );
+        }
     }
 
     #[test]

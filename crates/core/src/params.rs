@@ -183,6 +183,8 @@ pub enum ParamsError {
     },
     /// `p` or `q` is zero.
     Iterations,
+    /// The slow-switch channel's `p` (loop iterations per bit) is zero.
+    P,
     /// `r` is zero.
     R,
     /// The channel's code layout collides in DSB set `set`, which a
@@ -206,6 +208,7 @@ impl fmt::Display for ParamsError {
                 )
             }
             ParamsError::Iterations => f.write_str("iteration counts p and q must be positive"),
+            ParamsError::P => f.write_str("p must be positive"),
             ParamsError::R => f.write_str("r must be positive"),
             ParamsError::DsbSet { set, sets } => {
                 write!(f, "the layout uses DSB set {set}, beyond a {sets}-set DSB")

@@ -19,7 +19,7 @@ use leaky_frontend::{ThreadId, UarchProfile};
 use leaky_isa::BlockChain;
 
 mod enclave;
-pub use enclave::{Enclave, EnclaveConfig, SgxError};
+pub use enclave::Enclave;
 
 use crate::channels::driver::{cycles_over, run_rounds, watts_over, Driver, Measure, MeasureCtx};
 use crate::channels::layout;
@@ -402,15 +402,12 @@ mod tests {
         // rest of its tail (~8,700–9,900 steps) in bulk. The misaligned
         // receiver runs ~1,300 steps beside the sender against the
         // evicted one's ~100, so less of its work is lone tail.
+        // `transmit` releases the graph.
         let pinned = [
-            (NonMtKind::Eviction, [175_982, 18, 16, 18, 0, 158_162], 85),
-            (
-                NonMtKind::Misalignment,
-                [175_978, 22, 17, 22, 0, 139_273],
-                75,
-            ),
+            (NonMtKind::Eviction, [175_982, 18, 158_162], 85),
+            (NonMtKind::Misalignment, [175_978, 22, 139_273], 75),
         ];
-        for (kind, [followed, simulated, states, edges, resets, bulk], bulk_pct) in pinned {
+        for (kind, [followed, simulated, bulk], bulk_pct) in pinned {
             let mut ch = SgxMtChannel::new(
                 ProcessorModel::xeon_e2174g(),
                 kind,
@@ -428,16 +425,13 @@ mod tests {
                 100 * stats.bulk >= bulk_pct * (stats.followed + stats.simulated),
                 "{kind:?}: {stats:?}"
             );
-            assert_eq!(stats.resets, 0, "{kind:?}");
             assert_eq!(
                 stats,
                 leaky_frontend::MemoStats {
                     followed,
                     bulk,
                     simulated,
-                    states: states as usize,
-                    edges: edges as usize,
-                    resets,
+                    ..leaky_frontend::MemoStats::default()
                 },
                 "{kind:?}"
             );

@@ -17,7 +17,7 @@ use leaky_frontend::ThreadId;
 
 /// Transition-cost configuration for a simulated enclave.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EnclaveConfig {
+pub(crate) struct EnclaveConfig {
     /// Cycles consumed by `EENTER` (ring transition, TLB work, checks).
     pub eenter_cycles: f64,
     /// Cycles consumed by `EEXIT`.
@@ -74,16 +74,6 @@ pub struct Enclave {
 }
 
 impl Enclave {
-    /// Creates an enclave with explicit transition costs.
-    pub fn new(config: EnclaveConfig) -> Self {
-        Enclave { config }
-    }
-
-    /// The transition-cost configuration.
-    pub fn config(&self) -> EnclaveConfig {
-        self.config
-    }
-
     /// Total EENTER + EEXIT cycles for one call.
     pub fn round_trip_cycles(&self) -> f64 {
         self.config.eenter_cycles + self.config.eexit_cycles
@@ -93,26 +83,20 @@ impl Enclave {
     /// frontend state if configured, runs the body, flushes again and pays
     /// `EEXIT`. Returns the body's result.
     ///
-    /// # Errors
-    ///
-    /// Returns [`SgxError::NotSupported`] if the core's processor model has
-    /// no SGX support (the Gold 6226 in Table I).
-    ///
     /// # Panics
     ///
-    /// Panics if a negative energy deposit reaches the RAPL model
+    /// Panics if the core's processor model has no SGX support (the Gold
+    /// 6226 in Table I; the SGX channels reject such a machine before
+    /// any call), or if a negative energy deposit reaches the RAPL model
     /// (`Rapl::deposit`); simulated costs are non-negative.
-    pub fn try_call<R>(
+    pub fn call<R>(
         &self,
         core: &mut Core,
         tid: ThreadId,
         body: impl FnOnce(&mut Core, ThreadId) -> R,
-    ) -> Result<R, SgxError> {
-        if !core.model().sgx {
-            return Err(SgxError::NotSupported {
-                model: core.model().name,
-            });
-        }
+    ) -> R {
+        let model = core.model();
+        assert!(model.sgx, "processor {} does not support SGX", model.name);
         core.idle(tid, self.config.eenter_cycles);
         if self.config.flush_frontend_on_transition {
             core.frontend_mut().flush_thread_state(tid);
@@ -122,48 +106,9 @@ impl Enclave {
             core.frontend_mut().flush_thread_state(tid);
         }
         core.idle(tid, self.config.eexit_cycles);
-        Ok(result)
-    }
-
-    /// Like [`Enclave::try_call`] but panics on unsupported hardware —
-    /// convenient for experiment drivers that already checked
-    /// [`leaky_cpu::ProcessorModel::sgx`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the processor model does not support SGX.
-    pub fn call<R>(
-        &self,
-        core: &mut Core,
-        tid: ThreadId,
-        body: impl FnOnce(&mut Core, ThreadId) -> R,
-    ) -> R {
-        self.try_call(core, tid, body)
-            .unwrap_or_else(|e| panic!("{e}"))
+        result
     }
 }
-
-/// Errors from enclave operations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SgxError {
-    /// The processor model has no SGX support.
-    NotSupported {
-        /// The offending model name.
-        model: &'static str,
-    },
-}
-
-impl std::fmt::Display for SgxError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SgxError::NotSupported { model } => {
-                write!(f, "processor {model} does not support SGX")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SgxError {}
 
 #[cfg(test)]
 mod tests {
@@ -208,11 +153,17 @@ mod tests {
     #[test]
     fn non_sgx_machine_is_rejected() {
         let mut core = Core::new(ProcessorModel::gold_6226(), 1);
-        let err = Enclave::default()
-            .try_call(&mut core, ThreadId::T0, |_, _| ())
-            .unwrap_err();
-        assert_eq!(err, SgxError::NotSupported { model: "Gold 6226" });
-        assert!(err.to_string().contains("Gold 6226"));
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            Enclave::default().call(&mut core, ThreadId::T0, |_, _| ())
+        }))
+        .unwrap_err();
+        let msg = panic
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| panic.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert_eq!(msg, "processor Gold 6226 does not support SGX");
+        assert_eq!(core.clock(ThreadId::T0), 0.0, "rejected before EENTER");
     }
 
     #[test]
@@ -220,10 +171,12 @@ mod tests {
         let mut core = Core::new(ProcessorModel::xeon_e2288g(), 1);
         let c = chain();
         core.run_loop(ThreadId::T0, &c, 3);
-        let enclave = Enclave::new(EnclaveConfig {
-            flush_frontend_on_transition: false,
-            ..EnclaveConfig::sgx1()
-        });
+        let enclave = Enclave {
+            config: EnclaveConfig {
+                flush_frontend_on_transition: false,
+                ..EnclaveConfig::sgx1()
+            },
+        };
         enclave.call(&mut core, ThreadId::T0, |core, tid| {
             let run = core.run_once(tid, &c);
             assert_eq!(run.report.mite_uops, 0, "state must survive entry");

@@ -248,6 +248,13 @@ impl Core {
         self.frontend.reconfigure(config);
     }
 
+    /// Drops the frontend's state graphs (see
+    /// [`Frontend::release_graphs`]); the walks of later calls rebuild
+    /// them. Behavior-free: every result stays bit-identical.
+    pub fn release_graphs(&mut self) {
+        self.frontend.release_graphs();
+    }
+
     /// The backend model.
     pub fn backend(&self) -> &Backend {
         &self.accounts.backend
@@ -447,14 +454,16 @@ impl Core {
     ///
     /// The result and every piece of state are bit-identical to one
     /// [`Core::run_once`] per step. The steps walk a round walk
-    /// ([`Frontend::round_walk`]) whose graph lives for this call only:
-    /// a step whose edge is recorded follows it instead of simulating,
-    /// and its cycles and energy come from the edge's note as in
+    /// ([`Frontend::round_walk`]) on the lanes' stored graph, which
+    /// later calls reuse until [`Core::release_graphs`]: a step whose
+    /// edge is recorded follows it instead of simulating, and its cycles
+    /// and energy come from the edge's note as in
     /// [`Core::run_concurrent`]. The SMT factor stands still across the
     /// call, since no thread (de)activates and the sibling's µops per
-    /// cycle and demand do not move. Each step is applied to the clock
-    /// and the RAPL counter, and added to the round's run, in the plain
-    /// loop's order.
+    /// cycle and demand do not move; a note taken under another call's
+    /// factor is re-keyed. Each step is applied to the clock and the
+    /// RAPL counter, and added to the round's run, in the plain loop's
+    /// order.
     ///
     /// # Panics
     ///
@@ -1455,34 +1464,40 @@ mod tests {
         last
     }
 
-    /// Runs `schedule` (receiver, encoding, rounds per [`Core::run_rounds`]
-    /// call) on `tid` of a round-walking core and a plain one, comparing
-    /// the runs, the LSD locks on every chain and the whole observable
-    /// state after each call. With `smt` the sibling first runs one
-    /// iteration and both threads stay active, so the steps are charged
-    /// under an SMT factor. `before(i, core)` runs on both cores ahead of
-    /// call `i`. Returns the walking core's graph counters.
+    /// Runs `schedule` (receiver, encoding, rounds and thread per
+    /// [`Core::run_rounds`] call) on a round-walking core and a plain one,
+    /// comparing the runs, the LSD locks on every chain and the whole
+    /// observable state after each call. The walking core keeps its
+    /// graphs across the calls; a third core releases them before each
+    /// call. With `smt` T1 first runs one iteration and both threads
+    /// stay active, so the steps are charged under an SMT factor.
+    /// `before(i, core)` runs on every core ahead of call `i`. Returns
+    /// the graph counters of the keeping core and of the releasing one.
     fn rounds_differential(
         config: FrontendConfig,
         seed: u64,
-        (tid, smt): (ThreadId, bool),
+        smt: bool,
         chains: &[BlockChain],
-        schedule: &[(usize, Option<usize>, u64)],
+        schedule: &[(usize, Option<usize>, u64, ThreadId)],
         mut before: impl FnMut(usize, &mut Core),
-    ) -> Result<leaky_frontend::MemoStats, String> {
+    ) -> Result<[leaky_frontend::MemoStats; 2], String> {
         let model = ProcessorModel::gold_6226();
         let mut fast = Core::with_frontend_config(model, MicrocodePatch::Patch1, config, seed);
         if smt {
-            fast.run_once(tid.other(), &chains[chains.len() - 1]);
+            fast.run_once(ThreadId::T1, &chains[chains.len() - 1]);
             fast.set_active(ThreadId::T0, true);
             fast.set_active(ThreadId::T1, true);
         }
         let mut plain = fast.clone();
-        for (i, &(r, e, rounds)) in schedule.iter().enumerate() {
+        let mut releasing = fast.clone();
+        for (i, &(r, e, rounds, tid)) in schedule.iter().enumerate() {
             before(i, &mut fast);
             before(i, &mut plain);
+            before(i, &mut releasing);
             let recv = &chains[r % chains.len()];
             let encode = e.map(|e| &chains[e % chains.len()]);
+            releasing.release_graphs();
+            releasing.run_rounds(tid, recv, encode, rounds);
             let run = fast.run_rounds(tid, recv, encode, rounds);
             let expected = run_rounds_plain(&mut plain, tid, recv, encode, rounds);
             if run_bits(&run) != run_bits(&expected) {
@@ -1499,7 +1514,10 @@ mod tests {
                 }
             }
         }
-        Ok(fast.frontend().memo_stats())
+        Ok([
+            fast.frontend().memo_stats(),
+            releasing.frontend().memo_stats(),
+        ])
     }
 
     /// Random chains from `(base, set, blocks, kind)` specs: aligned or
@@ -1649,14 +1667,22 @@ mod tests {
 
         /// `run_rounds` is bit-identical to the plain `run_once` round
         /// loop over random aligned (eviction), misaligned and
-        /// L1I-thrashing layouts, with and without an encoding, on either
-        /// thread, alone or beside an active sibling, with the LSD on and
-        /// off, and with a trace hook installed before the last call.
+        /// L1I-thrashing layouts, with and without an encoding, each call
+        /// on either thread, alone or beside an active sibling, with the
+        /// LSD on and off. The calls run twice in a row on graphs kept
+        /// across calls: the second pass walks the first pass's graphs,
+        /// the two threads' walks over the same chains keep graphs of
+        /// their own, and a trace hook installed before the last call
+        /// makes a traced walk run on an untraced call's graph. The kept
+        /// graphs walk the same steps as graphs released before every
+        /// call, simulating no more of them.
         #[test]
         fn run_rounds_matches_the_plain_round_loop(
             specs in proptest::collection::vec((0u64..3, 0u8..4, 1usize..12, 0u8..3), 2..5),
-            calls in proptest::collection::vec((0usize..5, 0usize..6, 0u64..40), 1..4),
-            thread in (proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
+            calls in proptest::collection::vec(
+                (0usize..5, 0usize..6, 0u64..40, proptest::prelude::any::<bool>()),
+                1..4),
+            smt in proptest::prelude::any::<bool>(),
             hook in (proptest::prelude::any::<bool>(), proptest::prelude::any::<bool>()),
             lsd_enabled in proptest::prelude::any::<bool>(),
             seed in 0u64..1_000,
@@ -1665,16 +1691,19 @@ mod tests {
             // An encoding index past the chains is a silent 0.
             let schedule: Vec<_> = calls
                 .iter()
-                .map(|&(r, e, rounds)| (r, (e < chains.len()).then_some(e), rounds))
+                .chain(&calls)
+                .map(|&(r, e, rounds, t1)| {
+                    let tid = if t1 { ThreadId::T1 } else { ThreadId::T0 };
+                    (r, (e < chains.len()).then_some(e), rounds, tid)
+                })
                 .collect();
-            let tid = if thread.0 { ThreadId::T1 } else { ThreadId::T0 };
             let (traced, events) = hook;
             let mode = if events { TraceMode::Events } else { TraceMode::Summary };
             let late = schedule.len() - 1;
             let outcome = rounds_differential(
                 config(lsd_enabled, false),
                 seed,
-                (tid, thread.1),
+                smt,
                 &chains,
                 &schedule,
                 |i, core| {
@@ -1684,8 +1713,19 @@ mod tests {
                 },
             );
             proptest::prop_assert!(outcome.is_ok(), "{}", outcome.as_ref().unwrap_err());
-            let stats = outcome.unwrap();
-            proptest::prop_assert!(stats.states == 0 && stats.edges == 0, "{:?}", stats);
+            let [kept, released] = outcome.unwrap();
+            let walked = calls.iter().any(|&(_, _, rounds, _)| rounds > 0);
+            proptest::prop_assert_eq!(kept.states > 0, walked, "{:?}", kept);
+            proptest::prop_assert_eq!(
+                kept.followed + kept.simulated,
+                released.followed + released.simulated
+            );
+            proptest::prop_assert!(
+                kept.simulated <= released.simulated,
+                "{:?} vs {:?}",
+                kept,
+                released
+            );
         }
     }
 }

@@ -25,7 +25,7 @@ mod graph;
 pub use graph::{EdgeNote, MemoStats, SmtWalk};
 
 /// One of the two hardware threads sharing the physical core.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ThreadId {
     /// Hardware thread 0.
     T0,
@@ -351,8 +351,9 @@ pub struct Frontend {
     /// [`FrontendConfig`]: tracing must never reach the profile key, the
     /// plan cache, or any other behavior-bearing state.
     trace: TraceHook,
-    /// Whole-run state graphs behind [`Frontend::smt_walk`], one per
-    /// walked chain pair (a few at most); empty until the first walk.
+    /// State graphs behind [`Frontend::smt_walk`] and
+    /// [`Frontend::round_walk`], one per walked lane pair (a few at
+    /// most), kept until [`Frontend::release_graphs`].
     graphs: graph::Graphs,
 }
 

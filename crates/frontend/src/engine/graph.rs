@@ -46,15 +46,14 @@ use crate::plan::DeliveryPlan;
 /// walks at most a few dozen states.
 const MAX_STATES: usize = 512;
 
-/// Chain pairs whose graphs a frontend keeps; a new pair beyond this
-/// drops them all. A channel walks one pair.
+/// Lane pairs whose graphs a frontend keeps; a new pair beyond this
+/// drops them all. A channel walks one or two pairs.
 const MAX_GRAPHS: usize = 8;
 
 /// Deterministic work counters of a frontend's state graphs (see
 /// [`Frontend::memo_stats`]). `followed`, `bulk` and `simulated` count
-/// the steps of every walk, round walks included; `states` and `edges`
-/// count only the stored SMT graphs, since a round walk's graph is
-/// dropped with its walk.
+/// the steps of every walk; `states` and `edges` count the graphs the
+/// frontend holds, which [`Frontend::release_graphs`] drops.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
     /// Steps served by following a recorded edge.
@@ -125,28 +124,34 @@ impl StateGraph {
     }
 }
 
-/// A frontend's SMT graphs, keyed by the (T0, T1) chain-key pair, plus
-/// the encoding scratch buffer and the counters.
+/// A graph's key: each lane's thread and plan key. The threads keep a
+/// round walk's `[(T0, recv), (T0, encode)]` apart from an SMT walk's
+/// `[(T0, c0), (T1, c1)]` over the same chains.
+type LanesKey = [(ThreadId, u64); 2];
+
+/// A frontend's state graphs, keyed by their lanes, plus the encoding
+/// scratch buffer and the counters.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Graphs {
-    by_pair: BTreeMap<(u64, u64), StateGraph>,
+    by_lanes: BTreeMap<LanesKey, StateGraph>,
     scratch: Vec<u64>,
     stats: MemoStats,
 }
 
 impl Graphs {
-    /// Drops every graph (the counters stay).
+    /// Drops every graph and the scratch buffer (the counters stay).
     pub(super) fn clear(&mut self) {
-        self.by_pair.clear();
+        self.by_lanes.clear();
+        self.scratch = Vec::new();
     }
 
-    /// Takes the pair's graph out of the map for a walk; `None` when
-    /// the pair has none (after dropping every graph when the map is
-    /// full, so the walk's graph fits when it is handed back).
-    fn take(&mut self, pair: (u64, u64)) -> Option<StateGraph> {
-        let graph = self.by_pair.remove(&pair);
-        if graph.is_none() && self.by_pair.len() >= MAX_GRAPHS {
-            self.by_pair.clear();
+    /// Takes the lanes' graph out of the map for a walk; `None` when
+    /// they have none (after dropping every graph when the map is full,
+    /// so the walk's graph fits when it is handed back).
+    fn take(&mut self, key: &LanesKey) -> Option<StateGraph> {
+        let graph = self.by_lanes.remove(key);
+        if graph.is_none() && self.by_lanes.len() >= MAX_GRAPHS {
+            self.by_lanes.clear();
         }
         graph
     }
@@ -166,11 +171,9 @@ pub struct SmtWalk<'f> {
     fe: &'f mut Frontend,
     /// Lane `i`'s hardware thread and its chain's plan.
     lanes: [(ThreadId, Rc<DeliveryPlan>); 2],
-    /// The key the graph is stored under when the walk ends; `None` for
-    /// a round walk, whose graph is dropped with it.
-    stored: Option<(u64, u64)>,
     /// Whether every step runs the plain path: LCP-bearing chains and
-    /// the `SetPartitioned` ablation policy. `graph` then stays empty.
+    /// the `SetPartitioned` ablation policy. `graph` then stays empty
+    /// and is not stored.
     plain: bool,
     graph: StateGraph,
     cur: u32,
@@ -180,8 +183,8 @@ pub struct SmtWalk<'f> {
     traced: bool,
     /// The report of the last step served without an edge.
     last: IterationReport,
-    /// The region-encoding buffer: the frontend's, handed back with an
-    /// SMT walk's graph; a round walk's own, dropped with it.
+    /// The region-encoding buffer, the frontend's, handed back when the
+    /// walk ends.
     scratch: Vec<u64>,
 }
 
@@ -201,6 +204,11 @@ const fn source_from(code: u64) -> UopSource {
     }
 }
 
+/// The key a walk of `lanes` stores its graph under.
+fn key_of(lanes: &[(ThreadId, Rc<DeliveryPlan>); 2]) -> LanesKey {
+    lanes.each_ref().map(|(tid, plan)| (*tid, plan.key))
+}
+
 /// The physical DSB sets of a set mask, ascending.
 fn sets_of(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -214,24 +222,25 @@ fn sets_of(mut mask: u64) -> impl Iterator<Item = usize> {
 
 impl Frontend {
     /// Starts a walk of `chains[0]` on T0 (lane 0) and `chains[1]` on T1
-    /// (lane 1) through the pair's whole-run state graph (see
-    /// [`SmtWalk`]). The graph persists across walks of the same pair;
-    /// [`Frontend::reconfigure`] clears it, and every other mutator is
-    /// covered because a walk interns its entry state from live state.
+    /// (lane 1) through their state graph (see [`SmtWalk`]). The graph
+    /// persists across walks of the same lanes until
+    /// [`Frontend::release_graphs`] or [`Frontend::reconfigure`]; every
+    /// other mutator is covered because a walk interns its entry state
+    /// from live state.
     ///
     /// # Panics
     ///
     /// Panics if the geometry's µops-per-line is zero
     /// (`Block::line_slots_for`).
     pub fn smt_walk(&mut self, chains: [&BlockChain; 2]) -> SmtWalk<'_> {
-        self.walk([(ThreadId::T0, chains[0]), (ThreadId::T1, chains[1])], true)
+        self.walk([(ThreadId::T0, chains[0]), (ThreadId::T1, chains[1])])
     }
 
     /// Starts a walk of one thread's Init/Encode/Decode rounds: lane 0
     /// runs `recv` and lane 1 `encode` (`recv` again when there is no
-    /// encoding), both on `tid`. The graph lives only as long as the
-    /// walk: a round walk is cheap to rebuild, while a stored graph per
-    /// channel would grow the frontend by kilobytes (DESIGN.md §6).
+    /// encoding), both on `tid`. The graph is stored like an SMT walk's,
+    /// under its lanes, until [`Frontend::release_graphs`] (DESIGN.md
+    /// §6).
     ///
     /// # Panics
     ///
@@ -243,11 +252,11 @@ impl Frontend {
         recv: &BlockChain,
         encode: Option<&BlockChain>,
     ) -> SmtWalk<'_> {
-        self.walk([(tid, recv), (tid, encode.unwrap_or(recv))], false)
+        self.walk([(tid, recv), (tid, encode.unwrap_or(recv))])
     }
 
-    /// Starts a walk of `lanes`, on the pair's stored graph when `store`.
-    fn walk(&mut self, lanes: [(ThreadId, &BlockChain); 2], store: bool) -> SmtWalk<'_> {
+    /// Starts a walk of `lanes` on their stored graph, if any.
+    fn walk(&mut self, lanes: [(ThreadId, &BlockChain); 2]) -> SmtWalk<'_> {
         let lanes = lanes.map(|(tid, chain)| {
             let plan = self
                 .plans
@@ -256,8 +265,12 @@ impl Frontend {
         });
         let plain = lanes.iter().any(|(_, p)| p.has_lcp)
             || self.config.dsb_policy == SmtDsbPolicy::SetPartitioned;
-        let stored = (store && !plain).then(|| (lanes[0].1.key, lanes[1].1.key));
-        let graph = match stored.and_then(|pair| self.graphs.take(pair)) {
+        let stored = if plain {
+            None
+        } else {
+            self.graphs.take(&key_of(&lanes))
+        };
+        let graph = match stored {
             Some(graph) => graph,
             None if plain => StateGraph::default(),
             None => {
@@ -278,15 +291,10 @@ impl Frontend {
             }
         };
         let traced = !self.trace.is_off();
-        let scratch = if stored.is_some() {
-            std::mem::take(&mut self.graphs.scratch)
-        } else {
-            Vec::new()
-        };
+        let scratch = std::mem::take(&mut self.graphs.scratch);
         let mut walk = SmtWalk {
             fe: self,
             lanes,
-            stored,
             plain,
             graph,
             cur: 0,
@@ -300,15 +308,24 @@ impl Frontend {
     }
 
     /// Work counters of the state graphs: steps followed and simulated,
-    /// live states and edges, and overflow resets. Deterministic for a
-    /// seeded run; a frontend that never walked reports all zeros.
+    /// the states and edges of the graphs held, and overflow resets.
+    /// Deterministic for a seeded run; a frontend that never walked
+    /// reports all zeros.
     pub fn memo_stats(&self) -> MemoStats {
-        let live = self.graphs.by_pair.values();
+        let live = self.graphs.by_lanes.values();
         MemoStats {
             states: live.clone().map(|g| g.states.len()).sum(),
             edges: live.map(|g| g.edges).sum(),
             ..self.graphs.stats
         }
+    }
+
+    /// Drops every state graph (the counters stay). A caller that owns
+    /// the frontend between calls, such as a covert channel, releases
+    /// the graphs once its call is done, so a frontend at rest holds
+    /// none (DESIGN.md §6).
+    pub fn release_graphs(&mut self) {
+        self.graphs.clear();
     }
 
     /// Encodes the run region (see the module docs) into `out`.
@@ -579,14 +596,14 @@ impl SmtWalk<'_> {
 }
 
 impl Drop for SmtWalk<'_> {
-    /// Materializes the walk's final state and hands an SMT walk's graph
-    /// back to the frontend.
+    /// Materializes the walk's final state and hands the graph (unless
+    /// the walk is plain) and the scratch buffer back to the frontend.
     fn drop(&mut self) {
         self.materialize();
-        if let Some(pair) = self.stored {
+        if !self.plain {
             let graph = std::mem::take(&mut self.graph);
-            self.fe.graphs.by_pair.insert(pair, graph);
-            self.fe.graphs.scratch = std::mem::take(&mut self.scratch);
+            self.fe.graphs.by_lanes.insert(key_of(&self.lanes), graph);
         }
+        self.fe.graphs.scratch = std::mem::take(&mut self.scratch);
     }
 }
