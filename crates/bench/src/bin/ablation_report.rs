@@ -25,7 +25,7 @@ fn with_config(channel: &str, model: ProcessorModel, config: FrontendConfig) -> 
     let mut ch = ChannelSpec::new(channel)
         .model(model)
         .seed(4)
-        .frontend_config(config, 4)
+        .frontend_config(config)
         .build()
         .expect("registered timing channel");
     match ch.try_calibrate() {

@@ -306,11 +306,7 @@ fn main() -> ExitCode {
         names.iter().map(String::as_str).collect()
     };
 
-    let faults = match faults_spec {
-        Some(spec) => FaultPlan::parse(&spec),
-        None => FaultPlan::from_env(),
-    };
-    let faults = match faults {
+    let faults = match FaultPlan::parse(faults_spec.as_deref().unwrap_or("")) {
         Ok(plan) => plan,
         Err(e) => {
             eprintln!("bad fault spec: {e}\n{}", usage());

@@ -259,73 +259,56 @@ fn measure(budget: &Budget) -> Vec<Metric> {
     push("core_run_once_memo_miss", ns, budget.iter_ops);
 
     // Per-bit covert-channel costs (the quantity that bounds how many
-    // Table II-VI scenarios a sweep can afford); channels come from the
-    // registry and are measured through the CovertChannel debug hook.
+    // Table II-VI scenarios a sweep can afford). Every channel is timed
+    // the same way: one op is a 2-bit `transmit` through the driver's
+    // whole decode path (ambiguity-band resamples included), state
+    // graphs built and released within the call; the warm-up ops pay
+    // for calibration. Channels come from the registry.
+    let time_bits = |ch: &mut dyn CovertChannel, ops: u64| {
+        time_ns_per_op(ops / 4, budget.samples, ops, || {
+            black_box(ch.transmit(&[false, true]));
+        })
+    };
+    let registry = |channel: &str, model: ProcessorModel| {
+        ChannelSpec::new(channel)
+            .model(model)
+            .seed(1)
+            .build()
+            .expect("registered channel")
+    };
     for (metric, channel) in [
         ("bit_non_mt_eviction", "non-mt-fast-eviction"),
         ("bit_non_mt_misalignment", "non-mt-fast-misalignment"),
     ] {
-        let mut ch = ChannelSpec::new(channel)
-            .model(ProcessorModel::xeon_e2288g())
-            .seed(1)
-            .build()
-            .expect("registered non-MT channel");
-        let mut bit = false;
-        let ns = time_ns_per_op(budget.bit_ops / 4, budget.samples, budget.bit_ops, || {
-            bit = !bit;
-            black_box(ch.debug_measure(bit));
-        });
+        let mut ch = registry(channel, ProcessorModel::xeon_e2288g());
+        let ns = time_bits(ch.as_mut(), budget.bit_ops);
         push(metric, ns, budget.bit_ops);
 
         // Re-measured with the dormant hook explicitly installed — the
         // per-bit half of the zero-cost-when-off contract.
         ch.set_trace(TraceHook::new(TraceMode::Off));
-        let ns = time_ns_per_op(budget.bit_ops / 4, budget.samples, budget.bit_ops, || {
-            bit = !bit;
-            black_box(ch.debug_measure(bit));
-        });
+        let ns = time_bits(ch.as_mut(), budget.bit_ops);
         push(&format!("trace_off_{metric}"), ns, budget.bit_ops);
     }
 
-    // The power channel's per-bit cost (§VII): one round walk over the
-    // warm-up rounds, then one replay of the remaining ~240 000.
-    let mut power = ChannelSpec::new("power-eviction")
-        .model(ProcessorModel::gold_6226())
-        .seed(1)
-        .build()
-        .expect("registered power channel");
-    let mut bit = false;
-    let ns = time_ns_per_op(budget.bit_ops / 4, budget.samples, budget.bit_ops, || {
-        bit = !bit;
-        black_box(power.debug_measure(bit));
-    });
-    push("bit_power_eviction", ns, budget.bit_ops);
-
-    // The MT channels' per-bit cost (both SMT threads walk the chain
-    // pair's state graph per measure): the eviction channel, and the
-    // misalignment channel, whose steps ping-pong between the threads.
-    // Then one 2-bit slow-switch transmission: the whole decode path,
-    // ambiguity-band resamples included.
+    // The power channel (§VII): per bit, one round walk over the
+    // warm-up rounds, then one replay of the remaining ~240 000. The MT
+    // channels: both SMT threads walk the chain pair's state graph per
+    // measure; the misalignment channel's steps ping-pong between the
+    // threads.
     for (metric, channel) in [
+        ("bit_power_eviction", "power-eviction"),
         ("bit_mt_eviction", "mt-eviction"),
         ("bit_mt_misalignment", "mt-misalignment"),
     ] {
-        let mut mt = ChannelSpec::new(channel)
-            .model(ProcessorModel::gold_6226())
-            .seed(1)
-            .build()
-            .expect("registered SMT channel");
-        let mut bit = false;
-        let ns = time_ns_per_op(budget.bit_ops / 4, budget.samples, budget.bit_ops, || {
-            bit = !bit;
-            black_box(mt.debug_measure(bit));
-        });
+        let mut ch = registry(channel, ProcessorModel::gold_6226());
+        let ns = time_bits(ch.as_mut(), budget.bit_ops);
         push(metric, ns, budget.bit_ops);
     }
 
-    // One SGX MT 1-bit (§VIII-1): a single `run_concurrent` of 10 000
-    // receiver and 1 000 in-enclave sender iterations, the per-bit cost
-    // that dominates Table VI. Every step walks the SMT state graph.
+    // SGX MT (§VIII-1): per bit, a single `run_concurrent` of 10 000
+    // receiver and 1 000 in-enclave sender iterations, the cost that
+    // dominates Table VI. Every step walks the SMT state graph.
     let mut sgx_mt = SgxMtChannel::new(
         ProcessorModel::xeon_e2174g(),
         NonMtKind::Eviction,
@@ -334,18 +317,12 @@ fn measure(budget: &Budget) -> Vec<Metric> {
     )
     .expect("the E-2174G hosts SGX with SMT");
     let sgx_ops = budget.bit_ops / 16;
-    let ns = time_ns_per_op(sgx_ops / 4, budget.samples, sgx_ops, || {
-        black_box(sgx_mt.debug_measure(true));
-    });
+    let ns = time_bits(&mut sgx_mt, sgx_ops);
     push("bit_sgx_mt_eviction", ns, sgx_ops);
-    let mut slow = ChannelSpec::new("slow-switch")
-        .model(ProcessorModel::xeon_e2288g())
-        .seed(1)
-        .build()
-        .expect("registered channel");
-    let ns = time_ns_per_op(budget.bit_ops / 4, budget.samples, budget.bit_ops, || {
-        black_box(slow.transmit(&[false, true]));
-    });
+
+    // Slow-switch, whose LCP chains never walk a graph.
+    let mut slow = registry("slow-switch", ProcessorModel::xeon_e2288g());
+    let ns = time_bits(slow.as_mut(), budget.bit_ops);
     push("bit_slow_switch", ns, budget.bit_ops);
 
     // Model ablations (DESIGN.md §2): one warm iteration per variant.

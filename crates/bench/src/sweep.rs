@@ -25,18 +25,12 @@ use leaky_trace::TraceMode;
 use std::fmt::Write as _;
 use std::path::Path;
 
-/// Worker threads to use when the caller does not say: the
-/// `LEAKY_SWEEP_JOBS` environment variable, else all available cores.
+/// Worker threads to use when the caller does not say: all available
+/// cores.
 pub fn default_jobs() -> usize {
-    std::env::var("LEAKY_SWEEP_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1)
-        })
+    std::thread::available_parallelism()
+        .map(std::num::NonZeroUsize::get)
+        .unwrap_or(1)
 }
 
 /// Always `None`: every sweep now has one rendering, [`render_table`]

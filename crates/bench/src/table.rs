@@ -26,17 +26,6 @@ impl TableWriter {
             .collect::<Vec<_>>()
             .join("  ")
     }
-
-    /// Prints one row to stdout.
-    pub fn print_row(&self, cells: &[String]) {
-        println!("{}", self.row(cells));
-    }
-
-    /// Prints a separator line matching the total width.
-    pub fn print_sep(&self) {
-        let total: usize = self.widths.iter().sum::<usize>() + 2 * self.widths.len();
-        println!("{}", "-".repeat(total));
-    }
 }
 
 /// Convenience: formats a float with the given precision.

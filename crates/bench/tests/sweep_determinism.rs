@@ -8,7 +8,6 @@ use std::process::Command;
 fn sweep(args: &[&str]) -> (String, String, bool) {
     let out = Command::new(env!("CARGO_BIN_EXE_leaky_sweep"))
         .args(args)
-        .env_remove("LEAKY_SWEEP_JOBS")
         .output()
         .expect("leaky_sweep runs");
     (

@@ -1,11 +1,12 @@
 //! Golden tests: every registered sweep spec's full grid, rendered by
-//! `leaky_sweep --format table`, and the stdout of the three binaries
-//! that are not specs (`tab4_slow_switch`, `tab6_sgx`,
-//! `ablation_report`) must match the committed `tests/golden/*.txt`
-//! captures byte for byte.
+//! `leaky_sweep --format table`, and the stdout of every paper-artifact
+//! binary that is not a spec (`tab4_slow_switch`, `tab6_sgx`,
+//! `ablation_report` and the figure binaries) must match the committed
+//! `tests/golden/*.txt` captures byte for byte.
 //!
-//! `LEAKY_SWEEP_JOBS=3` forces the parallel pool path, so these tests
-//! also pin full-grid determinism, not just rendering.
+//! `leaky_sweep` runs at `--jobs 3`, which forces the parallel pool
+//! path, so these tests also pin full-grid determinism, not just
+//! rendering.
 
 use std::path::Path;
 use std::process::Command;
@@ -14,9 +15,40 @@ use std::process::Command;
 const TRACE_GOLDEN: &str =
     "tab3_all_channels_profile=quick_channel=non-mt-fast-eviction_machine=Xeon_E-2288G.csv";
 
+/// The figure and fingerprinting binaries, each pinned by the golden
+/// of its own name.
+const FIGURE_BINS: [(&str, &str); 8] = [
+    (
+        env!("CARGO_BIN_EXE_fig2_path_histogram"),
+        "fig2_path_histogram.txt",
+    ),
+    (env!("CARGO_BIN_EXE_fig3_layout_map"), "fig3_layout_map.txt"),
+    (
+        env!("CARGO_BIN_EXE_fig4_lcp_counters"),
+        "fig4_lcp_counters.txt",
+    ),
+    (
+        env!("CARGO_BIN_EXE_fig9_power_histogram"),
+        "fig9_power_histogram.txt",
+    ),
+    (env!("CARGO_BIN_EXE_fig10_microcode"), "fig10_microcode.txt"),
+    (
+        env!("CARGO_BIN_EXE_fig11_cnn_traces"),
+        "fig11_cnn_traces.txt",
+    ),
+    (
+        env!("CARGO_BIN_EXE_fig12_cnn_distance"),
+        "fig12_cnn_distance.txt",
+    ),
+    (
+        env!("CARGO_BIN_EXE_tab_mobile_fingerprint"),
+        "tab_mobile_fingerprint.txt",
+    ),
+];
+
 /// Committed goldens that are not a registered spec's table: the
-/// RISC-V scenario bundle (`tests/sweep_scenario.rs`), the three
-/// binaries pinned below and the trace CSV.
+/// RISC-V scenario bundle (`tests/sweep_scenario.rs`), the binaries
+/// pinned below and the trace CSV.
 const NON_SPEC_GOLDENS: [&str; 5] = [
     "ablation_report.txt",
     "tab3_riscv.txt",
@@ -33,11 +65,10 @@ fn golden(name: &str) -> String {
     std::fs::read_to_string(golden_dir().join(name)).expect("committed golden output")
 }
 
-/// Runs `bin_path args` at `LEAKY_SWEEP_JOBS=3` and returns its stdout.
+/// Runs `bin_path args` and returns its stdout.
 fn stdout_of(bin_path: &str, args: &[&str]) -> String {
     let out = Command::new(bin_path)
         .args(args)
-        .env("LEAKY_SWEEP_JOBS", "3")
         .output()
         .expect("binary runs");
     assert!(out.status.success(), "{bin_path} {args:?} must exit 0");
@@ -59,7 +90,7 @@ fn spec_matches_golden(name: &str) {
     assert_eq!(
         stdout_of(
             env!("CARGO_BIN_EXE_leaky_sweep"),
-            &[name, "--format", "table"]
+            &[name, "--jobs", "3", "--format", "table"]
         ),
         golden(&format!("{name}.txt")),
         "{name}: leaky_sweep diverged from its committed golden"
@@ -159,10 +190,17 @@ fn ablation_report_matches_committed_output() {
 }
 
 #[test]
+fn figure_binaries_match_committed_output() {
+    for (bin_path, golden_name) in FIGURE_BINS {
+        golden_matches(bin_path, golden_name);
+    }
+}
+
+#[test]
 fn traced_sweep_emits_the_committed_golden_trace() {
     // One tab3 cell's full event stream, byte-for-byte: pins the event
     // vocabulary, the CSV rendering, the per-cell trace filenames AND
-    // (at LEAKY_SWEEP_JOBS=3) that the event stream is independent of
+    // (at --jobs 3) that the event stream is independent of
     // worker scheduling. Regenerate with:
     //   leaky_sweep --quick tab3_all_channels --trace=events --trace-dir DIR
     let name = TRACE_GOLDEN;
@@ -172,6 +210,8 @@ fn traced_sweep_emits_the_committed_golden_trace() {
         &[
             "--quick",
             "tab3_all_channels",
+            "--jobs",
+            "3",
             "--trace=events",
             "--trace-dir",
             dir.to_str().expect("utf-8 temp dir"),
@@ -194,7 +234,11 @@ fn every_spec_has_a_golden_and_every_channel_is_documented() {
     // deleted binary or spec, and a channel missing from EXPERIMENTS.md
     // is invisible to users of the sweep CLI.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let mut expected: Vec<String> = NON_SPEC_GOLDENS.iter().map(|g| g.to_string()).collect();
+    let mut expected: Vec<String> = NON_SPEC_GOLDENS
+        .iter()
+        .chain(FIGURE_BINS.iter().map(|(_, golden)| golden))
+        .map(|g| g.to_string())
+        .collect();
     for name in leaky_exp::experiments::standard_registry().names() {
         let path = golden_dir().join(format!("{name}.txt"));
         let text = std::fs::read_to_string(&path).unwrap_or_default();
@@ -216,7 +260,7 @@ fn every_spec_has_a_golden_and_every_channel_is_documented() {
     committed.sort();
     assert_eq!(
         committed, expected,
-        "tests/golden must hold exactly the spec goldens plus NON_SPEC_GOLDENS"
+        "tests/golden must hold exactly the spec goldens, NON_SPEC_GOLDENS and the FIGURE_BINS goldens"
     );
     let docs = std::fs::read_to_string(root.join("../../EXPERIMENTS.md")).expect("EXPERIMENTS.md");
     for channel in &leaky_frontends::channels::REGISTRY {

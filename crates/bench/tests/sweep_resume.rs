@@ -17,9 +17,6 @@ struct Sweep {
 fn sweep(args: &[&str]) -> Sweep {
     let out = Command::new(env!("CARGO_BIN_EXE_leaky_sweep"))
         .args(args)
-        .env_remove("LEAKY_SWEEP_JOBS")
-        .env_remove("LEAKY_FAULTS")
-        .env_remove("LEAKY_STORE_EPOCH")
         .output()
         .expect("leaky_sweep runs");
     Sweep {

@@ -4,8 +4,8 @@
 //! from file-loaded profiles. That identity is the tentpole claim of the
 //! scenario subsystem: a sweep expressed as data is the same sweep.
 //!
-//! `LEAKY_SWEEP_JOBS=3` forces the parallel pool path for the golden
-//! runs; `tab3_riscv` is additionally pinned jobs 1 vs jobs 4.
+//! `--jobs 3` forces the parallel pool path for the golden runs;
+//! `tab3_riscv` is additionally pinned jobs 1 vs jobs 4.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -21,10 +21,11 @@ fn scenarios_dir() -> PathBuf {
     repo_root().join("scenarios")
 }
 
-fn sweep(args: &[&str], jobs_env: &str) -> std::process::Output {
+/// Runs `leaky_sweep args --jobs jobs` from the repository root.
+fn sweep(args: &[&str], jobs: &str) -> std::process::Output {
     Command::new(env!("CARGO_BIN_EXE_leaky_sweep"))
         .args(args)
-        .env("LEAKY_SWEEP_JOBS", jobs_env)
+        .args(["--jobs", jobs])
         .current_dir(repo_root())
         .output()
         .expect("leaky_sweep runs")
@@ -75,9 +76,7 @@ fn riscv_bundle_matches_golden_and_is_parallel_deterministic() {
         "--format",
         "table",
     ];
-    let mut with_jobs = args.to_vec();
-    with_jobs.extend(["--jobs", "1"]);
-    let j1 = sweep(&with_jobs, "1");
+    let j1 = sweep(&args, "1");
     assert!(j1.status.success(), "tab3_riscv must exit 0");
     let j1 = String::from_utf8(j1.stdout).expect("utf-8 stdout");
     assert_eq!(
@@ -86,9 +85,7 @@ fn riscv_bundle_matches_golden_and_is_parallel_deterministic() {
         "tab3_riscv diverged from committed output"
     );
 
-    let mut with_jobs = args.to_vec();
-    with_jobs.extend(["--jobs", "4"]);
-    let j4 = sweep(&with_jobs, "4");
+    let j4 = sweep(&args, "4");
     assert!(j4.status.success());
     assert_eq!(
         j1,

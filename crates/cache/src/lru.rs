@@ -235,11 +235,6 @@ impl SetAssocCache {
         AccessOutcome::Miss { evicted }
     }
 
-    /// Whether a byte address' line is present (does not disturb LRU state).
-    pub fn contains_addr(&self, addr: u64) -> bool {
-        self.contains_line(self.config.line_of(addr))
-    }
-
     /// Whether a line is present (does not disturb LRU state).
     #[inline]
     pub fn contains_line(&self, line: u64) -> bool {

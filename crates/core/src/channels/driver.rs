@@ -11,7 +11,7 @@
 //! protocol constants that differ between channels.
 
 use leaky_cpu::{Core, MicrocodePatch, ProcessorModel};
-use leaky_frontend::{FrontendConfig, ThreadId, UarchProfile};
+use leaky_frontend::{FrontendConfig, ThreadId};
 use leaky_isa::BlockChain;
 use leaky_stats::threshold::CalibrationError;
 use leaky_stats::ThresholdDecoder;
@@ -54,8 +54,8 @@ pub struct MeasureCtx<'a> {
     pub core: &'a mut Core,
     /// The channel's §V parameters.
     pub params: &'a ChannelParams,
-    /// The calibrated decoder while transmitting; `None` during warm-up,
-    /// calibration and debug measurements.
+    /// The calibrated decoder while transmitting; `None` during warm-up
+    /// and calibration.
     pub decoder: Option<&'a ThresholdDecoder>,
     /// The message's previous bit while transmitting.
     pub prev: Option<bool>,
@@ -77,37 +77,17 @@ pub struct Driver<M> {
 }
 
 impl<M: Measure> Driver<M> {
-    /// A channel on a fresh core for `model` running `profile`.
+    /// A channel on a fresh core for `model` running the frontend
+    /// `config`, reported under `profile_key` (the profile `config` was
+    /// resolved from, or `"custom"` for an explicit override).
     ///
     /// # Panics
     ///
     /// Panics on a degenerate cache geometry (`SetAssocCache::new`).
-    pub(crate) fn on_profile(
-        model: ProcessorModel,
-        profile: &UarchProfile,
-        params: ChannelParams,
-        seed: u64,
-        primitive: M,
-    ) -> Self {
-        Driver {
-            core: Core::with_profile(model, MicrocodePatch::Patch1, profile, seed),
-            params,
-            profile_key: profile.key,
-            decoder: None,
-            primitive,
-        }
-    }
-
-    /// A channel on a fresh core for `model` built straight from an
-    /// explicit frontend configuration (the §XII defense and ablation
-    /// hook), under the profile key `"custom"`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate cache geometry (`SetAssocCache::new`).
-    pub(crate) fn on_config(
+    pub(crate) fn on_frontend(
         model: ProcessorModel,
         config: FrontendConfig,
+        profile_key: &'static str,
         params: ChannelParams,
         seed: u64,
         primitive: M,
@@ -115,7 +95,7 @@ impl<M: Measure> Driver<M> {
         Driver {
             core: Core::with_frontend_config(model, MicrocodePatch::Patch1, config, seed),
             params,
-            profile_key: "custom",
+            profile_key,
             decoder: None,
             primitive,
         }
@@ -279,10 +259,6 @@ impl<M: Measure> CovertChannel for Driver<M> {
 
     fn transmit(&mut self, message: &[bool]) -> ChannelRun {
         Driver::transmit(self, message)
-    }
-
-    fn debug_measure(&mut self, bit: bool) -> f64 {
-        self.sample(bit, None, None)
     }
 
     fn set_trace(&mut self, hook: TraceHook) {

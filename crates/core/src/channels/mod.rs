@@ -57,11 +57,6 @@ pub trait CovertChannel: std::fmt::Debug {
     /// [`CovertChannel::try_calibrate`] first to observe that outcome.
     fn transmit(&mut self, message: &[bool]) -> ChannelRun;
 
-    /// Debug hook: one raw per-bit measurement (cycles or watts,
-    /// whatever the channel's receiver observes), exposed for
-    /// diagnostics and `perf_report`'s per-bit metrics.
-    fn debug_measure(&mut self, bit: bool) -> f64;
-
     /// Installs a trace hook (DESIGN.md §12); behavior-free. The hook
     /// reaches the channel's simulated `Frontend` and also receives the
     /// driver's calibration and per-bit decode events.

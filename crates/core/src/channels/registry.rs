@@ -27,13 +27,13 @@
 //! assert_eq!(run.provenance().unwrap().channel, "non-mt-fast-eviction");
 //! ```
 
-use leaky_cpu::ProcessorModel;
+use leaky_cpu::{MicrocodePatch, ProcessorModel};
 use leaky_frontend::{check_geometry, FrontendConfig, UarchProfile};
 use leaky_isa::{BlockChain, CodeRegion, FrontendGeometry, LcpPattern};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::channels::driver::Driver;
+use crate::channels::driver::{Driver, Measure};
 use crate::channels::mt::{Mt, MtChannel, MtNoise};
 use crate::channels::non_mt::{NonMt, NonMtChannel, NonMtKind};
 use crate::channels::power::{Power, PowerChannel};
@@ -52,15 +52,9 @@ pub struct ChannelInfo {
     pub description: &'static str,
     /// Whether the channel needs both hyper-threads of a core (builds
     /// fail with [`BuildError::SmtUnavailable`] on SMT-less machines).
+    /// These are also the channels with an environmental-noise knob
+    /// ([`ChannelSpec::noise`]): only they model co-runner jitter.
     pub requires_smt: bool,
-    /// Whether the channel has an environmental-noise knob
-    /// ([`ChannelSpec::noise`]; only the MT channels model co-runner
-    /// jitter).
-    pub supports_noise: bool,
-    /// Whether the channel has a frontend-config override hook
-    /// ([`ChannelSpec::frontend_config`]; the §XII/ablation surface of
-    /// the timing channels).
-    pub supports_frontend_override: bool,
 }
 
 /// Every registered channel, in paper-section order. Names double as the
@@ -72,72 +66,54 @@ pub const REGISTRY: [ChannelInfo; 9] = [
         section: "V-A",
         description: "cross-thread DSB way-eviction timing channel",
         requires_smt: true,
-        supports_noise: true,
-        supports_frontend_override: true,
     },
     ChannelInfo {
         name: "mt-misalignment",
         section: "V-B",
         description: "cross-thread LSD misalignment-collision timing channel",
         requires_smt: true,
-        supports_noise: true,
-        supports_frontend_override: true,
     },
     ChannelInfo {
         name: "non-mt-stealthy-eviction",
         section: "V-C",
         description: "same-thread DSB eviction channel, decoy-set 0-encoding",
         requires_smt: false,
-        supports_noise: false,
-        supports_frontend_override: true,
     },
     ChannelInfo {
         name: "non-mt-fast-eviction",
         section: "V-C",
         description: "same-thread DSB eviction channel, silent 0-encoding",
         requires_smt: false,
-        supports_noise: false,
-        supports_frontend_override: true,
     },
     ChannelInfo {
         name: "non-mt-stealthy-misalignment",
         section: "V-D",
         description: "same-thread misalignment channel, aligned-decoy 0-encoding",
         requires_smt: false,
-        supports_noise: false,
-        supports_frontend_override: true,
     },
     ChannelInfo {
         name: "non-mt-fast-misalignment",
         section: "V-D",
         description: "same-thread misalignment channel, silent 0-encoding",
         requires_smt: false,
-        supports_noise: false,
-        supports_frontend_override: true,
     },
     ChannelInfo {
         name: "slow-switch",
         section: "V-E",
         description: "LCP stall / DSB-MITE switch-interleaving channel",
         requires_smt: false,
-        supports_noise: false,
-        supports_frontend_override: false,
     },
     ChannelInfo {
         name: "power-eviction",
         section: "VII",
         description: "RAPL power reading of the DSB eviction channel",
         requires_smt: false,
-        supports_noise: false,
-        supports_frontend_override: false,
     },
     ChannelInfo {
         name: "power-misalignment",
         section: "VII",
         description: "RAPL power reading of the misalignment channel",
         requires_smt: false,
-        supports_noise: false,
-        supports_frontend_override: false,
     },
 ];
 
@@ -215,15 +191,11 @@ pub enum BuildError {
     /// A noise model was supplied but the channel has no environmental
     /// noise knob (only the MT channels do).
     NoiseUnsupported(&'static str),
-    /// A frontend-config override was supplied but the channel has no
-    /// such hook (only the timing channels used by the §XII/ablation
-    /// evaluations do).
-    FrontendOverrideUnsupported(&'static str),
-    /// The parameters violate the §V constraints under the profile's
-    /// geometry (see [`ChannelParams::validate`]).
+    /// The parameters violate the §V constraints under the channel's
+    /// frontend geometry (see [`ChannelParams::validate`]).
     InvalidParams(ParamsError),
-    /// The profile's (or the frontend override's) geometry is outside
-    /// what the frontend can model (see [`check_geometry`]).
+    /// The channel's frontend geometry is outside what the frontend can
+    /// model (see [`check_geometry`]).
     UnsupportedGeometry(String),
 }
 
@@ -237,9 +209,6 @@ impl std::fmt::Display for BuildError {
             BuildError::NoiseUnsupported(name) => {
                 write!(f, "{name} has no environmental-noise model")
             }
-            BuildError::FrontendOverrideUnsupported(name) => {
-                write!(f, "{name} has no frontend-config override hook")
-            }
             BuildError::InvalidParams(e) => write!(f, "invalid channel parameters: {e}"),
             BuildError::UnsupportedGeometry(e) => write!(f, "unsupported geometry: {e}"),
         }
@@ -249,8 +218,8 @@ impl std::fmt::Display for BuildError {
 impl std::error::Error for BuildError {}
 
 /// The core seed of an MT channel under a frontend override: a fixed
-/// constant, not the override's seed (which applies to the non-MT
-/// channels only), so the committed ablation outputs stay put.
+/// constant, not the spec's seed (which still seeds the channel's noise
+/// RNG), so the committed ablation outputs stay put.
 const MT_OVERRIDE_SEED: u64 = 0xab1a7e;
 
 /// A declarative channel configuration: registry name plus everything a
@@ -264,7 +233,7 @@ pub struct ChannelSpec {
     profile: UarchProfile,
     params: Option<ChannelParams>,
     noise: Option<MtNoise>,
-    frontend: Option<(FrontendConfig, u64)>,
+    frontend_override: Option<FrontendConfig>,
     seed: u64,
 }
 
@@ -279,7 +248,7 @@ impl ChannelSpec {
             profile: UarchProfile::skylake(),
             params: None,
             noise: None,
-            frontend: None,
+            frontend_override: None,
             seed: 0,
         }
     }
@@ -311,15 +280,14 @@ impl ChannelSpec {
         self
     }
 
-    /// Replaces the built channel's frontend with an explicit
-    /// configuration (the §XII defense-evaluation and ablation hook;
-    /// only channels with `supports_frontend_override` accept it).
-    ///
-    /// `seed` seeds the core built from `config` for the non-MT channels
-    /// only: an MT channel's override core takes a fixed internal seed,
-    /// which the committed ablation outputs depend on.
-    pub fn frontend_config(mut self, config: FrontendConfig, seed: u64) -> Self {
-        self.frontend = Some((config, seed));
+    /// Runs the channel on an explicit frontend configuration instead of
+    /// the profile's (the §XII defense-evaluation and ablation hook). The
+    /// channel is laid out, checked and reported (profile key
+    /// `"custom"`) under `config` as given: the machine does not gate its
+    /// LSD. An MT channel's core then takes a fixed internal seed, which
+    /// the committed ablation outputs depend on.
+    pub fn frontend_config(mut self, config: FrontendConfig) -> Self {
+        self.frontend_override = Some(config);
         self
     }
 
@@ -335,12 +303,14 @@ impl ChannelSpec {
     ///
     /// [`BuildError::UnknownChannel`] for names outside [`REGISTRY`];
     /// [`BuildError::SmtUnavailable`] for MT channels on SMT-less
-    /// machines; [`BuildError::NoiseUnsupported`] /
-    /// [`BuildError::FrontendOverrideUnsupported`] when an override has
-    /// no hook on the selected channel; [`BuildError::UnsupportedGeometry`]
-    /// for a geometry the frontend cannot model; [`BuildError::InvalidParams`]
+    /// machines; [`BuildError::NoiseUnsupported`] for a noise model on a
+    /// channel without one; [`BuildError::UnsupportedGeometry`] for a
+    /// geometry the frontend cannot model; [`BuildError::InvalidParams`]
     /// when the parameters violate the §V constraints under the
-    /// profile's geometry.
+    /// channel's geometry. Every check reads the one frontend the
+    /// channel then runs on: the profile's, with the LSD gated by the
+    /// machine, or the [`ChannelSpec::frontend_config`] override as
+    /// given.
     pub fn build(&self) -> Result<Box<dyn CovertChannel>, BuildError> {
         let info = channel_info(&self.kind)
             .ok_or_else(|| BuildError::UnknownChannel(self.kind.clone()))?;
@@ -349,24 +319,17 @@ impl ChannelSpec {
             None => default_params(info.name)
                 .ok_or_else(|| BuildError::UnknownChannel(self.kind.clone()))?,
         };
-        if self.noise.is_some() && !info.supports_noise {
+        if self.noise.is_some() && !info.requires_smt {
             return Err(BuildError::NoiseUnsupported(info.name));
-        }
-        if self.frontend.is_some() && !info.supports_frontend_override {
-            return Err(BuildError::FrontendOverrideUnsupported(info.name));
         }
         if info.requires_smt && !self.model.smt_enabled {
             return Err(BuildError::SmtUnavailable {
                 model: self.model.name,
             });
         }
-        let geometries = std::iter::once(&self.profile.geometry)
-            .chain(self.frontend.as_ref().map(|(config, _)| &config.geometry));
-        for geometry in geometries {
-            check_geometry(geometry).map_err(BuildError::UnsupportedGeometry)?;
-        }
-        validate_params(info.name, &params, &self.profile.geometry)
-            .map_err(BuildError::InvalidParams)?;
+        let (config, _) = self.frontend();
+        check_geometry(&config.geometry).map_err(BuildError::UnsupportedGeometry)?;
+        validate_params(info.name, &params, &config.geometry).map_err(BuildError::InvalidParams)?;
         use EncodeMode::{Fast, Stealthy};
         use NonMtKind::{Eviction, Misalignment};
         Ok(match info.name {
@@ -383,6 +346,34 @@ impl ChannelSpec {
         })
     }
 
+    /// The one frontend the channel runs on, and the profile key its
+    /// runs report: the profile's configuration with the LSD gated by the
+    /// machine (exactly as [`Core::with_profile`](leaky_cpu::Core::with_profile)
+    /// builds it), or an override as given under the key `"custom"`.
+    pub(crate) fn frontend(&self) -> (FrontendConfig, &'static str) {
+        match self.frontend_override {
+            Some(config) => (config, "custom"),
+            None => (
+                self.model
+                    .profile_config(MicrocodePatch::Patch1, &self.profile),
+                self.profile.key,
+            ),
+        }
+    }
+
+    /// A channel on [`ChannelSpec::frontend`], its primitive laid out
+    /// under that frontend's geometry.
+    fn driver<M: Measure>(
+        &self,
+        params: ChannelParams,
+        seed: u64,
+        primitive: impl FnOnce(&FrontendGeometry) -> M,
+    ) -> Driver<M> {
+        let (config, profile_key) = self.frontend();
+        let primitive = primitive(&config.geometry);
+        Driver::on_frontend(self.model, config, profile_key, params, seed, primitive)
+    }
+
     // The typed builders behind `build`'s arms, which have checked the
     // spec first; crate tests call them directly to read a channel's core.
 
@@ -393,61 +384,62 @@ impl ChannelSpec {
         mode: EncodeMode,
         params: ChannelParams,
     ) -> NonMtChannel {
-        let (recv, send_one, send_zero) = layout(kind, &params, &self.profile.geometry);
-        let primitive = NonMt {
-            kind,
-            mode,
-            recv,
-            send_one,
-            send_zero: (mode == EncodeMode::Stealthy).then_some(send_zero),
-        };
-        match self.frontend {
-            Some((config, seed)) => Driver::on_config(self.model, config, params, seed, primitive),
-            None => Driver::on_profile(self.model, &self.profile, params, self.seed, primitive),
-        }
+        self.driver(params, self.seed, |geom| {
+            let (recv, send_one, send_zero) = layout(kind, &params, geom);
+            NonMt {
+                kind,
+                mode,
+                recv,
+                send_one,
+                send_zero: (mode == EncodeMode::Stealthy).then_some(send_zero),
+            }
+        })
     }
 
     /// A §V-A/§V-B MT channel.
     pub(crate) fn mt(&self, kind: NonMtKind, params: ChannelParams) -> MtChannel {
-        let (recv, send_one, _) = layout(kind, &params, &self.profile.geometry);
-        let primitive = Mt {
-            kind,
-            noise: self.noise.unwrap_or_default(),
-            recv,
-            send_one,
-            rng: StdRng::seed_from_u64(self.seed ^ 0xc0ff_ee00),
+        let seed = match self.frontend_override {
+            Some(_) => MT_OVERRIDE_SEED,
+            None => self.seed,
         };
-        match self.frontend {
-            Some((config, _)) => {
-                Driver::on_config(self.model, config, params, MT_OVERRIDE_SEED, primitive)
+        self.driver(params, seed, |geom| {
+            let (recv, send_one, _) = layout(kind, &params, geom);
+            Mt {
+                kind,
+                noise: self.noise.unwrap_or_default(),
+                recv,
+                send_one,
+                rng: StdRng::seed_from_u64(self.seed ^ 0xc0ff_ee00),
             }
-            None => Driver::on_profile(self.model, &self.profile, params, self.seed, primitive),
-        }
+        })
     }
 
     /// A §VII power channel (stealthy zero-encoding, as in the paper's
     /// power evaluation).
     pub(crate) fn power(&self, kind: NonMtKind, params: ChannelParams) -> PowerChannel {
-        let (recv, send_one, send_zero) = layout(kind, &params, &self.profile.geometry);
-        let primitive = Power {
-            kind,
-            recv,
-            send_one,
-            send_zero,
-            rng: StdRng::seed_from_u64(self.seed ^ 0x70f_f4e7),
-        };
-        Driver::on_profile(self.model, &self.profile, params, self.seed, primitive)
+        self.driver(params, self.seed, |geom| {
+            let (recv, send_one, send_zero) = layout(kind, &params, geom);
+            Power {
+                kind,
+                recv,
+                send_one,
+                send_zero,
+                rng: StdRng::seed_from_u64(self.seed ^ 0x70f_f4e7),
+            }
+        })
     }
 
     /// The §V-E slow-switch channel: two loop bodies of `2r` adds each
     /// (mixed and ordered interleavings) in a geometry-aware code region;
-    /// the LCP stall and path-switch penalties come from the profile.
+    /// the LCP stall and path-switch penalties come from the frontend's
+    /// cost model.
     pub(crate) fn slow_switch(&self, params: ChannelParams) -> SlowSwitchChannel {
-        let mut region = CodeRegion::with_geometry(SENDER_REGION, self.profile.geometry);
-        let mixed = BlockChain::new(vec![region.lcp_block(LcpPattern::Mixed, params.r)]);
-        let ordered = BlockChain::new(vec![region.lcp_block(LcpPattern::Ordered, params.r)]);
-        let primitive = SlowSwitch { mixed, ordered };
-        Driver::on_profile(self.model, &self.profile, params, self.seed, primitive)
+        self.driver(params, self.seed, |geom| {
+            let mut region = CodeRegion::with_geometry(SENDER_REGION, *geom);
+            let mixed = BlockChain::new(vec![region.lcp_block(LcpPattern::Mixed, params.r)]);
+            let ordered = BlockChain::new(vec![region.lcp_block(LcpPattern::Ordered, params.r)]);
+            SlowSwitch { mixed, ordered }
+        })
     }
 }
 
@@ -671,7 +663,7 @@ mod tests {
         };
         let mut ch = ChannelSpec::new("non-mt-stealthy-eviction")
             .model(ProcessorModel::xeon_e2288g())
-            .frontend_config(config, 5)
+            .frontend_config(config)
             .seed(5)
             .build()
             .unwrap();
@@ -683,14 +675,31 @@ mod tests {
                 assert!(run.error_rate() > 0.25, "defended channel leaked");
             }
         }
-        // ...and has no hook on the power channels.
-        let err = ChannelSpec::new("power-eviction")
-            .frontend_config(FrontendConfig::default(), 5)
-            .build();
-        assert_eq!(
-            err.unwrap_err(),
-            BuildError::FrontendOverrideUnsupported("power-eviction")
-        );
+        // ...and every channel runs on an override.
+        for info in &REGISTRY {
+            let ch = ChannelSpec::new(info.name)
+                .frontend_config(FrontendConfig::default())
+                .build()
+                .unwrap();
+            assert_eq!(ch.profile_key(), "custom", "{}", info.name);
+        }
+    }
+
+    #[test]
+    fn an_override_geometry_is_checked_like_a_profile_geometry() {
+        // The eviction decoy set 19 is beyond a 16-set DSB, whether the
+        // geometry arrives through a profile or an explicit override.
+        let mut profile = UarchProfile::skylake();
+        profile.geometry.dsb_sets = 16;
+        let expected = BuildError::InvalidParams(ParamsError::DsbSet { set: 19, sets: 16 });
+        let spec = ChannelSpec::new("non-mt-stealthy-eviction");
+        let err = spec.clone().profile(profile).build().unwrap_err();
+        assert_eq!(err, expected);
+        let err = spec
+            .frontend_config(FrontendConfig::from_profile(&profile))
+            .build()
+            .unwrap_err();
+        assert_eq!(err, expected);
     }
 
     /// Calibrates `ch`, then transmits on it, checking that neither call

@@ -14,7 +14,7 @@
 //! they calibrate, decode and trace exactly like the registry channels;
 //! they are not registry rows.
 
-use leaky_cpu::{ProcessorModel, ThreadWork};
+use leaky_cpu::{MicrocodePatch, ProcessorModel, ThreadWork};
 use leaky_frontend::{ThreadId, UarchProfile};
 use leaky_isa::BlockChain;
 
@@ -77,9 +77,17 @@ fn sgx_driver<M: Measure>(
         return Err(SgxAttackError::NoSmt { model: model.name });
     }
     let profile = UarchProfile::skylake();
-    let (recv, one, zero) = layout(kind, &params, &profile.geometry);
+    let config = model.profile_config(MicrocodePatch::Patch1, &profile);
+    let (recv, one, zero) = layout(kind, &params, &config.geometry);
     let primitive = primitive(recv, one, zero);
-    Ok(Driver::on_profile(model, &profile, params, seed, primitive))
+    Ok(Driver::on_frontend(
+        model,
+        config,
+        profile.key,
+        params,
+        seed,
+        primitive,
+    ))
 }
 
 /// Non-MT SGX covert channel (§VIII-2): one enclave entry and exit per bit,

@@ -93,9 +93,9 @@ struct Accounts {
     /// ([`BlockChain::key`], frontend profile key) pair and kept
     /// MRU-first — `finish_run` is the hottest path, so the common case
     /// is one equality probe on the front slot. The profile-key half
-    /// makes [`Core::reconfigure_frontend`] safe: entries memoised under
-    /// a previous configuration stop matching instead of leaking into
-    /// the new one.
+    /// makes a [`Frontend::reconfigure`] through [`Core::frontend_mut`]
+    /// safe: entries memoised under a previous configuration stop
+    /// matching instead of leaking into the new one.
     backend_cache: Vec<((u64, u64), f64)>,
     rng: StdRng,
 }
@@ -157,11 +157,7 @@ impl Core {
         profile: &UarchProfile,
         seed: u64,
     ) -> Self {
-        let config = FrontendConfig {
-            lsd_enabled: profile.lsd_enabled && model.lsd_enabled_under(patch),
-            ..FrontendConfig::from_profile(profile)
-        };
-        Self::with_frontend_config(model, patch, config, seed)
+        Self::with_frontend_config(model, patch, model.profile_config(patch, profile), seed)
     }
 
     /// Creates a core with a fully explicit frontend configuration — the
@@ -234,20 +230,6 @@ impl Core {
         self.frontend.take_trace()
     }
 
-    /// Swaps the frontend onto a new configuration in place (microcode
-    /// update / machine change semantics — see
-    /// [`Frontend::reconfigure`]), keeping clocks, RAPL state and RNG
-    /// streams. The backend-throughput memo needs no flush: its entries
-    /// are keyed by (chain, profile key), so values memoised under the
-    /// old configuration simply stop matching.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a degenerate cache geometry (`SetAssocCache::new`).
-    pub fn reconfigure_frontend(&mut self, config: FrontendConfig) {
-        self.frontend.reconfigure(config);
-    }
-
     /// Drops the frontend's state graphs (see
     /// [`Frontend::release_graphs`]); the walks of later calls rebuild
     /// them. Behavior-free: every result stays bit-identical.
@@ -294,18 +276,6 @@ impl Core {
         let overhead = self.frontend.config().costs.timer_overhead;
         self.accounts.clock[tid.index()] += overhead;
         self.timer.read(self.accounts.clock[tid.index()])
-    }
-
-    /// A low-precision (10 Hz) timer reading for the §XI side channel.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configured timer resolution is not positive
-    /// (`Timer::read_low_res`).
-    pub fn low_res_time(&mut self, tid: ThreadId) -> f64 {
-        let resolution = self.accounts.model.freq_hz() / 10.0;
-        self.timer
-            .read_low_res(self.accounts.clock[tid.index()], resolution)
     }
 
     /// Advances a thread's clock without doing frontend work (spin/sleep).
@@ -1128,7 +1098,7 @@ mod tests {
         let icl_config = FrontendConfig::from_profile(&UarchProfile::icelake());
         let mut reconfigured = Core::new(ProcessorModel::gold_6226(), 9);
         reconfigured.run_loop(ThreadId::T0, &c, 10); // populate the memo
-        reconfigured.reconfigure_frontend(icl_config);
+        reconfigured.frontend_mut().reconfigure(icl_config);
         let after = reconfigured.run_once(ThreadId::T0, &c);
 
         let mut fresh = Core::with_frontend_config(

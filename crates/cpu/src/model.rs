@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use leaky_frontend::{FrontendConfig, UarchProfile};
+
 /// A microcode patch level for the Gold 6226 test machine (§X). The paper
 /// found that the newer patch silently disables the LSD — the observable its
 /// fingerprinting attack detects.
@@ -146,6 +148,17 @@ impl ProcessorModel {
     /// Whether the LSD is active under a given microcode patch.
     pub fn lsd_enabled_under(&self, patch: MicrocodePatch) -> bool {
         self.lsd_available && patch.lsd_enabled()
+    }
+
+    /// The frontend this machine runs under `profile`: the profile's
+    /// geometry, costs and LSD, with the LSD further gated by the
+    /// machine and `patch` (a patch can disable loop streaming, never
+    /// enable it on a profile that lacks it).
+    pub fn profile_config(&self, patch: MicrocodePatch, profile: &UarchProfile) -> FrontendConfig {
+        FrontendConfig {
+            lsd_enabled: profile.lsd_enabled && self.lsd_enabled_under(patch),
+            ..FrontendConfig::from_profile(profile)
+        }
     }
 }
 

@@ -7,8 +7,7 @@
 //! tests assert that a sweep with one panicking cell renders
 //! byte-identically at one and four workers.
 //!
-//! Plans are written as a compact spec string (CLI `--faults`, or the
-//! `LEAKY_FAULTS` environment variable):
+//! Plans are written as a compact spec string (CLI `--faults`):
 //!
 //! ```text
 //! panic@2:demo/i=3;error:demo/i=5;abort:demo/i=6;corrupt:demo/i=0
@@ -146,15 +145,6 @@ impl FaultPlan {
             }
         }
         Ok(plan)
-    }
-
-    /// Loads the plan from the `LEAKY_FAULTS` environment variable
-    /// (absent or empty means no faults).
-    pub fn from_env() -> Result<FaultPlan, FaultParseError> {
-        match std::env::var("LEAKY_FAULTS") {
-            Ok(spec) => FaultPlan::parse(&spec),
-            Err(_) => Ok(FaultPlan::default()),
-        }
     }
 
     /// Adds one fault (test/builder convenience).

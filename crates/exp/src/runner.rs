@@ -153,18 +153,14 @@ pub trait Experiment: Sync {
 /// The fingerprint cached results are keyed under: entry-format version,
 /// workspace version, experiment name and the spec's own
 /// [`Experiment::code_version`], condensed through the workspace FNV-1a.
-/// The `LEAKY_STORE_EPOCH` environment variable, when set, is folded in
-/// too — tests and operators use it to force a cold store without
-/// recompiling or deleting anything.
+/// A pure function of the code: to force a cold sweep, point `--store`
+/// at a fresh directory.
 pub fn code_fingerprint(exp: &dyn Experiment) -> u64 {
     let mut h = Fnv1a::new();
     h.write_bytes(leaky_store::FORMAT_VERSION.as_bytes());
     h.write_bytes(env!("CARGO_PKG_VERSION").as_bytes());
     h.write_bytes(exp.name().as_bytes());
     h.write_u64(exp.code_version() as u64);
-    if let Ok(epoch) = std::env::var("LEAKY_STORE_EPOCH") {
-        h.write_bytes(epoch.as_bytes());
-    }
     h.finish()
 }
 

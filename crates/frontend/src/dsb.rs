@@ -140,11 +140,6 @@ impl Dsb {
         self.policy
     }
 
-    /// Whether the DSB is currently in two-thread (partitioned) mode.
-    pub fn is_partitioned(&self) -> bool {
-        self.partitioned
-    }
-
     /// Switches between solo and two-thread mode. Returns the lines flushed
     /// by the transition (the paper's partition-transition evictions).
     pub fn set_partitioned(&mut self, partitioned: bool) -> Vec<LineId> {
@@ -175,11 +170,6 @@ impl Dsb {
             }
             _ => full,
         }
-    }
-
-    /// Ways available to one thread in the current mode.
-    pub fn effective_ways(&self) -> usize {
-        self.geom.dsb_ways
     }
 
     /// Logical MRU position of `packed` in a set, if resident. Probes the

@@ -13,9 +13,8 @@
 use leaky_cache::{CacheConfig, SetAssocCache};
 use leaky_isa::{BlockChain, FrontendGeometry};
 use leaky_trace::{Source, TraceEvent, TraceHook, UnlockReason};
-use leaky_uarch::UarchProfile;
+use leaky_uarch::{CostModel, UarchProfile};
 
-use crate::costs::CostModel;
 use crate::counters::{detect_report_period, IterationReport, UopSource};
 use crate::dsb::{Dsb, LineId, SmtDsbPolicy};
 use crate::plan::{pack_lock_member, DeliveryPlan, PlanBlock, PlanCache};

@@ -48,7 +48,6 @@
 #![warn(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod costs;
 pub mod counters;
 pub mod dsb;
 pub mod engine;
@@ -56,12 +55,12 @@ pub mod lsd;
 mod plan;
 pub mod reference;
 
-pub use costs::CostModel;
 pub use counters::{detect_report_period, IterationReport, UopSource};
 pub use dsb::{Dsb, LineId, SmtDsbPolicy};
 pub use engine::{
     check_geometry, EdgeNote, Frontend, FrontendConfig, MemoStats, SmtWalk, ThreadId,
 };
+pub use leaky_uarch::CostModel;
 // Re-exported so frontend consumers can install hooks without naming
 // `leaky_trace` themselves (the hook rides on `Frontend`, not the config).
 pub use leaky_trace::{TraceHook, TraceMode};

@@ -475,8 +475,8 @@ pub fn parse_bundle(
                 phase_slip_probability: probability("phase_slip_probability")?,
             };
             for ch in &channels {
-                let supports = channel_info(ch).is_some_and(|i| i.supports_noise);
-                if !supports {
+                // Only the MT channels model co-runner jitter.
+                if !channel_info(ch).is_some_and(|i| i.requires_smt) {
                     return Err(ScenarioError::at(
                         t.line,
                         format!(

@@ -55,15 +55,6 @@ impl SpectreResult {
             self.l1i_misses as f64 / self.l1i_accesses as f64
         }
     }
-
-    /// L1D-only miss rate.
-    pub fn l1d_miss_rate(&self) -> f64 {
-        if self.l1d_accesses == 0 {
-            0.0
-        } else {
-            self.l1d_misses as f64 / self.l1d_accesses as f64
-        }
-    }
 }
 
 /// An in-domain Spectre v1 attack using one disclosure channel.
@@ -162,11 +153,6 @@ impl SpectreV1 {
             l1d_accesses: l1d.accesses,
             l1d_misses: l1d.misses,
         }
-    }
-
-    /// The attacker thread's elapsed cycles (for bandwidth estimates).
-    pub fn elapsed_cycles(&self) -> f64 {
-        self.ctx.core.clock(ThreadId::T0)
     }
 }
 

@@ -49,7 +49,7 @@ fn set_partitioning_does_not_stop_the_mt_channel() {
     };
     let mut ch = ChannelSpec::new("mt-eviction")
         .model(ProcessorModel::gold_6226())
-        .frontend_config(config, 3)
+        .frontend_config(config)
         .seed(3)
         .build()
         .unwrap();
@@ -73,7 +73,7 @@ fn constant_time_frontend_kills_the_non_mt_channels() {
         // The stealthier variant: equal dummy work.
         let mut ch = ChannelSpec::new(format!("non-mt-stealthy-{kind}"))
             .model(ProcessorModel::xeon_e2288g())
-            .frontend_config(config, 5)
+            .frontend_config(config)
             .seed(5)
             .build()
             .unwrap();
