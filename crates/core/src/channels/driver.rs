@@ -181,18 +181,27 @@ impl<M: Measure> Driver<M> {
     /// the reported transmission time, matching the paper's methodology.
     /// The core's state graphs live through the whole call, calibration
     /// included, and are released when it returns, so a channel at rest
-    /// holds none (DESIGN.md §6).
+    /// holds none (DESIGN.md §6). One call walks the graphs calibration
+    /// built; [`Driver::try_calibrate`] then `try_transmit` rebuilds them.
+    ///
+    /// # Errors
+    ///
+    /// [`CalibrationError`] when calibration finds the two bit classes
+    /// indistinguishable; nothing is transmitted.
     ///
     /// # Panics
     ///
-    /// Panics if calibration finds indistinguishable bit classes (use
-    /// [`Driver::try_calibrate`] first to observe that outcome), or if
-    /// the transmission spans no cycles (`ChannelRun::new`), which a
-    /// calibrated channel never does.
-    pub fn transmit(&mut self, message: &[bool]) -> ChannelRun {
-        let decoder = self
-            .calibrated()
-            .expect("calibration produced indistinguishable classes");
+    /// Panics if the transmission spans no cycles (`ChannelRun::new`),
+    /// which a calibrated channel never does, or if a negative cost
+    /// reaches the simulated core (`Core::idle`).
+    pub fn try_transmit(&mut self, message: &[bool]) -> Result<ChannelRun, CalibrationError> {
+        let decoder = match self.calibrated() {
+            Ok(decoder) => decoder,
+            Err(err) => {
+                self.core.release_graphs();
+                return Err(err);
+            }
+        };
         let start = self.clock();
         self.core.trace_mut().emit(|| TraceEvent::SessionStart {
             bits: message.len() as u64,
@@ -226,7 +235,7 @@ impl<M: Measure> Driver<M> {
             errors,
         });
         self.core.release_graphs();
-        ChannelRun::new(
+        Ok(ChannelRun::new(
             message.to_vec(),
             received,
             self.clock() - start,
@@ -236,7 +245,18 @@ impl<M: Measure> Driver<M> {
             channel: self.primitive.name(),
             profile: self.profile_key,
             params: self.params,
-        })
+        }))
+    }
+
+    /// [`Driver::try_transmit`] for a channel known to calibrate.
+    ///
+    /// # Panics
+    ///
+    /// Panics if calibration finds indistinguishable bit classes, and
+    /// where [`Driver::try_transmit`] panics.
+    pub fn transmit(&mut self, message: &[bool]) -> ChannelRun {
+        self.try_transmit(message)
+            .expect("calibration produced indistinguishable classes")
     }
 }
 
@@ -257,8 +277,8 @@ impl<M: Measure> CovertChannel for Driver<M> {
         Driver::try_calibrate(self)
     }
 
-    fn transmit(&mut self, message: &[bool]) -> ChannelRun {
-        Driver::transmit(self, message)
+    fn try_transmit(&mut self, message: &[bool]) -> Result<ChannelRun, CalibrationError> {
+        Driver::try_transmit(self, message)
     }
 
     fn set_trace(&mut self, hook: TraceHook) {

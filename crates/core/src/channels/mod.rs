@@ -49,13 +49,25 @@ pub trait CovertChannel: std::fmt::Debug {
     fn try_calibrate(&mut self) -> Result<(), CalibrationError>;
 
     /// Transmits a message, calibrating first if necessary (calibration
-    /// is excluded from the reported rate, matching §VI methodology).
+    /// is excluded from the reported rate, matching §VI methodology), in
+    /// one call: its simulation reuses what calibration simulated.
+    ///
+    /// # Errors
+    ///
+    /// [`CalibrationError`] when calibration finds the bit classes
+    /// indistinguishable (the §XII defense succeeding).
+    fn try_transmit(&mut self, message: &[bool]) -> Result<ChannelRun, CalibrationError>;
+
+    /// [`CovertChannel::try_transmit`] for a channel known to calibrate.
     ///
     /// # Panics
     ///
     /// Panics if calibration finds indistinguishable bit classes; use
-    /// [`CovertChannel::try_calibrate`] first to observe that outcome.
-    fn transmit(&mut self, message: &[bool]) -> ChannelRun;
+    /// [`CovertChannel::try_transmit`] to observe that outcome.
+    fn transmit(&mut self, message: &[bool]) -> ChannelRun {
+        self.try_transmit(message)
+            .expect("calibration produced indistinguishable classes")
+    }
 
     /// Installs a trace hook (DESIGN.md §12); behavior-free. The hook
     /// reaches the channel's simulated `Frontend` and also receives the

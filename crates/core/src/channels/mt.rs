@@ -303,6 +303,46 @@ mod tests {
     }
 
     #[test]
+    fn one_call_transmission_walks_the_calibration_graphs() {
+        // `try_transmit` calibrates and transmits in one call, so the
+        // message walks the graphs calibration built: the counters are
+        // the skylake eviction row of `memo_counters_are_pinned`.
+        // Calibrating in a call of its own releases those graphs, and the
+        // message re-simulates the steps calibration had recorded, for
+        // the same run.
+        let build = || {
+            ChannelSpec::new("mt-eviction")
+                .profile(UarchProfile::skylake())
+                .seed(5)
+                .mt(NonMtKind::Eviction, ChannelParams::mt_defaults())
+        };
+        let message = MessagePattern::Random.generate(16, 5);
+        let mut one = build();
+        let run = one.try_transmit(&message).expect("calibrates");
+        let mut two = build();
+        two.try_calibrate().expect("calibrates");
+        assert_eq!(two.transmit(&message), run);
+        let stats = [&one, &two].map(|ch| ch.core.frontend().memo_stats());
+        assert_eq!(
+            stats,
+            [
+                leaky_frontend::MemoStats {
+                    followed: 37_340,
+                    bulk: 14_789,
+                    simulated: 60,
+                    ..leaky_frontend::MemoStats::default()
+                },
+                leaky_frontend::MemoStats {
+                    followed: 37_289,
+                    bulk: 14_785,
+                    simulated: 111,
+                    ..leaky_frontend::MemoStats::default()
+                },
+            ]
+        );
+    }
+
+    #[test]
     fn smt_disabled_machine_is_rejected() {
         let err = ChannelSpec::new("mt-eviction")
             .model(ProcessorModel::xeon_e2288g())

@@ -79,6 +79,10 @@ struct Accounts {
     backend: Backend,
     power: PowerModel,
     rapl: Rapl,
+    /// A thread clock below which no RAPL deposit reaches an update
+    /// boundary ([`quiet_clock`]), refreshed whenever `apply` deposits
+    /// past it.
+    rapl_quiet: f64,
     clock: [f64; 2],
     /// Sibling frontend demand (0..~1) used by the fingerprinting victim
     /// model to modulate SMT sharing.
@@ -173,13 +177,15 @@ impl Core {
         config: FrontendConfig,
         seed: u64,
     ) -> Self {
+        let rapl = Rapl::new(seed ^ 0x9e37_79b9);
         Core {
             frontend: Frontend::new(config),
             timer: Timer::new(NoiseModel::with_sigma(model.timing_noise_sigma), seed),
             accounts: Accounts {
                 backend: Backend::skylake(),
                 power: PowerModel::gold6226(),
-                rapl: Rapl::new(seed ^ 0x9e37_79b9),
+                rapl_quiet: quiet_clock(&model, &rapl),
+                rapl,
                 clock: [0.0, 0.0],
                 sibling_demand: [0.0, 0.0],
                 trace_sibling: [false, false],
@@ -331,8 +337,13 @@ impl Core {
     /// cycles and energy depend only on the edge and on the SMT backend
     /// factor (the sibling's recent µops per cycle, or a trace-driven
     /// sibling's demand), so they are cached on the edge under that
-    /// factor. A step advances the clock, deposits its energy and adds
-    /// to its [`LoopRun`] in the plain loop's order.
+    /// factor. A step advances the clock, deposits its energy (a plain
+    /// add between RAPL update boundaries, see `Accounts::apply`) and
+    /// adds its cycles to its [`LoopRun`] in the plain loop's order. The
+    /// runs' reports are the walk's lane totals
+    /// ([`SmtWalk::finish`](leaky_frontend::SmtWalk::finish)):
+    /// the walk adds each step's cycle fields in order and folds the
+    /// counts in once, so no step adds a whole report here.
     ///
     /// Once one thread is done, the other's *lone tail* often reaches a
     /// state whose edge is a self-loop with its charge noted under the
@@ -363,11 +374,11 @@ impl Core {
         let chains = [work0.chain, work1.chain];
         let accounts = &mut self.accounts;
         let mut walk = self.frontend.smt_walk(chains);
-        let profile_key = walk.frontend().profile_key();
-        let costs = walk.frontend().config().costs;
+        let profile_key = walk.profile_key();
+        let costs = walk.config().costs;
         while let Some(pick) = accounts.pick(&remaining) {
             let tid = [ThreadId::T0, ThreadId::T1][pick];
-            let factor = accounts.smt_factor(tid, walk.frontend().both_active());
+            let factor = accounts.smt_factor(tid, walk.both_active());
             // A lone tail on a self-loop charged under this factor. The
             // factor cannot change while only this thread runs: no
             // thread (de)activates and the sibling's µops per cycle and
@@ -382,11 +393,10 @@ impl Core {
             let steps = match tail {
                 Some((_, [cycles, joules, upc])) => {
                     let n = remaining[pick];
-                    let report = walk.follow_repeated(pick, n);
+                    walk.follow_repeated(pick, n);
                     let charge = Charge { cycles, joules };
                     accounts.apply_repeated(pick, charge, upc, n);
                     runs[pick].cycles = add_repeated(runs[pick].cycles, cycles, n);
-                    runs[pick].report.add_repeated(report, n);
                     n
                 }
                 None => {
@@ -402,7 +412,6 @@ impl Core {
                     };
                     accounts.apply(pick, charge);
                     runs[pick].cycles += charge.cycles;
-                    runs[pick].report += *report;
                     1
                 }
             };
@@ -412,7 +421,9 @@ impl Core {
                 walk.deactivate(tid);
             }
         }
-        drop(walk);
+        for (run, report) in runs.iter_mut().zip(walk.finish()) {
+            run.report = report;
+        }
         let [r0, r1] = runs;
         (r0, r1)
     }
@@ -432,8 +443,8 @@ impl Core {
     /// call, since no thread (de)activates and the sibling's µops per
     /// cycle and demand do not move; a note taken under another call's
     /// factor is re-keyed. Each step is applied to the clock and the
-    /// RAPL counter, and added to the round's run, in the plain loop's
-    /// order.
+    /// RAPL counter in the plain loop's order; only the last round's
+    /// steps are added to the returned run.
     ///
     /// # Panics
     ///
@@ -458,27 +469,21 @@ impl Core {
         };
         let accounts = &mut self.accounts;
         let mut walk = self.frontend.round_walk(tid, recv, encode);
-        let costs = walk.frontend().config().costs;
+        let costs = walk.config().costs;
         let cost = Cost {
-            profile_key: walk.frontend().profile_key(),
+            profile_key: walk.profile_key(),
             costs: &costs,
-            factor: accounts.smt_factor(tid, walk.frontend().both_active()),
+            factor: accounts.smt_factor(tid, walk.both_active()),
         };
-        for _ in 0..rounds {
-            for (i, &lane) in lanes.iter().enumerate() {
+        for round in 1..=rounds {
+            for &lane in lanes {
                 let (report, note) = walk.step(lane);
                 let charge = match note {
                     Some(note) => accounts.charge_noted(&cost, tid, chains[lane], report, note),
                     None => accounts.charge_at(&cost, tid, chains[lane], 1, report),
                 };
                 accounts.apply(tid.index(), charge);
-                if i == 0 {
-                    last = LoopRun {
-                        cycles: charge.cycles,
-                        iterations: 1,
-                        report: *report,
-                    };
-                } else {
+                if round == rounds {
                     last.cycles += charge.cycles;
                     last.iterations += 1;
                     last.report += *report;
@@ -739,10 +744,21 @@ impl Accounts {
     }
 
     /// Advances thread `t`'s clock by the charge and deposits its energy.
+    /// Below the quiet clock the deposit is a plain energy add
+    /// ([`Rapl::deposit_quiet`]), with no seconds division and no
+    /// boundary test; at or past it [`Rapl::deposit`] runs and the quiet
+    /// clock is derived anew. Reads and bulk deposits move the boundary
+    /// only forward, so a quiet clock derived before them stays
+    /// conservative.
     fn apply(&mut self, t: usize, charge: Charge) {
         self.clock[t] += charge.cycles;
-        let now = self.seconds();
-        self.rapl.deposit(charge.joules, now);
+        if self.clock[0].max(self.clock[1]) < self.rapl_quiet {
+            self.rapl.deposit_quiet(charge.joules);
+        } else {
+            let now = self.seconds();
+            self.rapl.deposit(charge.joules, now);
+            self.rapl_quiet = quiet_clock(&self.model, &self.rapl);
+        }
     }
 
     /// `n` lone steps of thread `t` along one self-loop edge, whose note
@@ -769,6 +785,22 @@ impl Accounts {
         let model = &self.model;
         self.rapl
             .deposit_repeated(charge.joules, n, |k| seconds_at(model, clock_at(k)));
+    }
+}
+
+/// A clock (cycles) at and below which a deposit reaches no update
+/// boundary of `rapl`: the next boundary's clock, less a relative margin
+/// of 1e-9, far wider than the rounding of the conversion to seconds and
+/// of RAPL's boundary test, checked at the clock itself. The check
+/// covers every lower clock, because the conversion (a division by the
+/// frequency) and the boundary test are both non-decreasing in the
+/// clock. Should the check ever fail, no clock is quiet.
+fn quiet_clock(model: &ProcessorModel, rapl: &Rapl) -> f64 {
+    let clock = rapl.next_update_s() * model.freq_hz() * (1.0 - 1e-9);
+    if rapl.reaches_update(model.cycles_to_seconds(clock)) {
+        f64::NEG_INFINITY
+    } else {
+        clock
     }
 }
 
@@ -1696,6 +1728,53 @@ mod tests {
                 kept,
                 released
             );
+        }
+
+        /// `Accounts::apply`, which skips RAPL's boundary math below its
+        /// quiet clock, leaves the clocks and the whole RAPL counter
+        /// equal to a plain `Rapl::deposit` at every step: random cycles
+        /// on either thread (so the other thread's clock may lead), reads
+        /// in between, and deposits whose clock lands exactly on the
+        /// quiet clock, just below it, and on the update boundary.
+        #[test]
+        fn rapl_quiet_deposits_match_plain_deposits(
+            steps in proptest::collection::vec(
+                (0u8..7, 0.0f64..400_000.0, 0.0f64..1e-4, proptest::prelude::any::<bool>()),
+                1..200),
+            model in 0usize..4,
+            seed in 0u64..1_000,
+        ) {
+            let model = ProcessorModel::all()[model];
+            let mut core = Core::new(model, seed);
+            let mut plain = Rapl::new(seed ^ 0x9e37_79b9);
+            let mut clock = [0.0f64; 2];
+            let mut quiet = 0;
+            for (i, &(kind, cycles, joules, t1)) in steps.iter().enumerate() {
+                let t = usize::from(t1);
+                let landing = |target: f64| (target - clock[t]).max(0.0);
+                let cycles = match kind {
+                    0 => cycles,
+                    1 => cycles / 1_000.0,
+                    2 => landing(core.accounts.rapl_quiet),
+                    3 => landing(f64::from_bits(core.accounts.rapl_quiet.to_bits() - 1)),
+                    4 => landing(plain.next_update_s() * model.freq_hz()),
+                    _ => {
+                        let now = seconds_at(&model, clock);
+                        proptest::prop_assert_eq!(core.read_rapl(), plain.read(now), "step {}", i);
+                        continue;
+                    }
+                };
+                quiet += u32::from(
+                    (clock[t] + cycles).max(clock[1 - t]) < core.accounts.rapl_quiet,
+                );
+                core.accounts.apply(t, Charge { cycles, joules });
+                clock[t] += cycles;
+                plain.deposit(joules, seconds_at(&model, clock));
+                proptest::prop_assert_eq!(core.accounts.clock, clock, "step {}", i);
+                proptest::prop_assert_eq!(&core.accounts.rapl, &plain, "step {}", i);
+                proptest::prop_assert!(core.accounts.rapl_quiet.is_finite());
+            }
+            proptest::prop_assert!(quiet > 0 || steps.len() < 60, "no quiet deposit");
         }
     }
 }

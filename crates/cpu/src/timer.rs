@@ -1,9 +1,9 @@
-//! Noisy timing sources: `rdtscp` and a low-precision timer.
+//! The noisy `rdtscp` timing source.
 //!
 //! All the paper's timing attacks run at user level using `rdtscp` (§III).
-//! Real measurements carry pipeline jitter and occasional interrupt spikes;
-//! the §XI side channel additionally assumes only a *low-frequency* (10 Hz)
-//! timer is available, as on hardened platforms.
+//! Real measurements carry pipeline jitter and occasional interrupt spikes.
+//! The §XI side channel's *low-frequency* (10 Hz) timer is the sample
+//! window of `leaky_frontends`' IPC sampler, not a reading of this one.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -73,17 +73,6 @@ impl Timer {
         value
     }
 
-    /// Produces a low-precision reading: quantized to `resolution_cycles`
-    /// (e.g. one tenth of a second of cycles for the §XI 10 Hz timer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `resolution_cycles` is not positive.
-    pub fn read_low_res(&mut self, clock_cycles: f64, resolution_cycles: f64) -> f64 {
-        assert!(resolution_cycles > 0.0, "resolution must be positive");
-        (self.read(clock_cycles) / resolution_cycles).floor() * resolution_cycles
-    }
-
     fn gaussian(&mut self) -> f64 {
         let u1: f64 = self.rng.gen_range(f64::EPSILON..1.0);
         let u2: f64 = self.rng.gen_range(0.0..1.0);
@@ -132,13 +121,6 @@ mod tests {
         let spikes = (0..n).filter(|_| t.read(0.0) > 500.0).count();
         let rate = spikes as f64 / n as f64;
         assert!((rate - 0.1).abs() < 0.02, "spike rate {rate}");
-    }
-
-    #[test]
-    fn low_res_quantizes() {
-        let mut t = Timer::new(NoiseModel::noiseless(), 0);
-        assert_eq!(t.read_low_res(1234.0, 100.0), 1200.0);
-        assert_eq!(t.read_low_res(99.0, 100.0), 0.0);
     }
 
     #[test]

@@ -84,8 +84,11 @@ pub(crate) fn uarch(key: &str) -> UarchProfile {
 }
 
 /// Runs one covert-channel cell: builds the spec's channel from the
-/// registry, transmits `message`, and reports the standard rate /
-/// error / capacity metrics with the run's provenance attached.
+/// registry, calibrates it and transmits `message` in one
+/// [`try_transmit`](leaky_frontends::channels::CovertChannel::try_transmit)
+/// call (so the transmission walks the state graphs calibration built),
+/// and reports the standard rate / error / capacity metrics with the
+/// run's provenance attached.
 ///
 /// Structural gaps and defended frontends map to the sweep vocabulary:
 /// an SMT channel on an SMT-less machine is `None` (the paper's missing
@@ -123,7 +126,7 @@ pub fn channel_cell_traced(
         profile: ch.profile_key(),
         params: ch.params(),
     };
-    if ch.try_calibrate().is_err() {
+    let Ok(run) = ch.try_transmit(message) else {
         return Some(
             CellMeasurement::with_provenance(
                 vec![
@@ -135,8 +138,7 @@ pub fn channel_cell_traced(
             )
             .with_telemetry(ch.take_trace().into_telemetry()),
         );
-    }
-    let run = ch.transmit(message);
+    };
     Some(
         CellMeasurement::with_provenance(
             vec![

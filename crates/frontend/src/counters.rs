@@ -119,16 +119,39 @@ impl IterationReport {
     /// `*self += *r`: the float fields go through
     /// [`leaky_stats::add_repeated`], the counts add `n ×` their value.
     pub fn add_repeated(&mut self, r: &IterationReport, n: u64) {
+        self.add_cycles_repeated(r, n);
+        self.add_counts(r, n);
+    }
+
+    /// The cycle-field half of [`IterationReport::add_repeated`].
+    pub(crate) fn add_cycles_repeated(&mut self, r: &IterationReport, n: u64) {
         use leaky_stats::add_repeated;
         self.cycles = add_repeated(self.cycles, r.cycles, n);
-        self.lsd_uops += r.lsd_uops * n;
-        self.dsb_uops += r.dsb_uops * n;
-        self.mite_uops += r.mite_uops * n;
         self.lcp_stall_cycles = add_repeated(self.lcp_stall_cycles, r.lcp_stall_cycles, n);
         self.switch_penalty_cycles =
             add_repeated(self.switch_penalty_cycles, r.switch_penalty_cycles, n);
         self.crossing_penalty_cycles =
             add_repeated(self.crossing_penalty_cycles, r.crossing_penalty_cycles, n);
+    }
+
+    /// Adds `r`'s four cycle fields, the `f64` half of `*self += *r`:
+    /// the only part whose order across additions matters.
+    #[inline]
+    pub(crate) fn add_cycles(&mut self, r: &IterationReport) {
+        self.cycles += r.cycles;
+        self.lcp_stall_cycles += r.lcp_stall_cycles;
+        self.switch_penalty_cycles += r.switch_penalty_cycles;
+        self.crossing_penalty_cycles += r.crossing_penalty_cycles;
+    }
+
+    /// Adds `n ×` `r`'s eight count fields, the integer half of `n`
+    /// additions of `r`. Integer adds commute, so the counts of many
+    /// steps can be added in any order.
+    #[inline]
+    pub(crate) fn add_counts(&mut self, r: &IterationReport, n: u64) {
+        self.lsd_uops += r.lsd_uops * n;
+        self.dsb_uops += r.dsb_uops * n;
+        self.mite_uops += r.mite_uops * n;
         self.dsb_to_mite_switches += r.dsb_to_mite_switches * n;
         self.dsb_evictions += r.dsb_evictions * n;
         self.lsd_flushes += r.lsd_flushes * n;
@@ -207,18 +230,8 @@ impl Add for IterationReport {
 impl AddAssign for IterationReport {
     #[inline]
     fn add_assign(&mut self, rhs: IterationReport) {
-        self.cycles += rhs.cycles;
-        self.lsd_uops += rhs.lsd_uops;
-        self.dsb_uops += rhs.dsb_uops;
-        self.mite_uops += rhs.mite_uops;
-        self.lcp_stall_cycles += rhs.lcp_stall_cycles;
-        self.switch_penalty_cycles += rhs.switch_penalty_cycles;
-        self.crossing_penalty_cycles += rhs.crossing_penalty_cycles;
-        self.dsb_to_mite_switches += rhs.dsb_to_mite_switches;
-        self.dsb_evictions += rhs.dsb_evictions;
-        self.lsd_flushes += rhs.lsd_flushes;
-        self.l1i_misses += rhs.l1i_misses;
-        self.l1i_accesses += rhs.l1i_accesses;
+        self.add_cycles(&rhs);
+        self.add_counts(&rhs, 1);
     }
 }
 

@@ -24,10 +24,19 @@
 //!
 //! An edge holds what a step changes outside the region: its report
 //! (added to the thread's cumulative counters), its L1I statistics delta
-//! and, when it was captured traced, its events. The live frontend is
-//! written back (*materialized*) only where something outside the walk
-//! reads it: before a missing edge is simulated, before a finished thread
-//! is deactivated, and when the walk ends.
+//! and, when it was captured traced, its events. Following an edge does
+//! only the work that must stay in step order: it adds the report's four
+//! `f64` cycle fields to the thread's counters and to the lane's total
+//! for the walk, and counts the follow on the edge. The integer fields
+//! and the L1I delta commute, so they are *folded* in as `count ×` their
+//! value once per walk, when it ends, and before a full graph is
+//! cleared. The live frontend is written back (*materialized*) only
+//! where something outside the walk reads it: before a missing edge is
+//! simulated and when the walk ends. Deactivating a finished thread is
+//! not one of them: it changes only the activity bits (and a flag of the
+//! DSB that the region does not hold), so its successor is the current
+//! state with its first word patched, recorded once per state and
+//! thread.
 
 use std::collections::BTreeMap;
 use std::rc::Rc;
@@ -36,7 +45,7 @@ use leaky_cache::CacheStats;
 use leaky_isa::BlockChain;
 use leaky_trace::{TraceEvent, TraceHook, TraceMode};
 
-use super::{Frontend, LoopLock, ThreadId};
+use super::{Frontend, FrontendConfig, LoopLock, ThreadId};
 use crate::counters::{IterationReport, UopSource};
 use crate::dsb::SmtDsbPolicy;
 use crate::plan::DeliveryPlan;
@@ -86,6 +95,9 @@ struct Edge {
     report: IterationReport,
     /// The step's L1I statistics delta.
     l1i: CacheStats,
+    /// Follows whose counts (the report's integer fields and `l1i`) are
+    /// not yet folded in (see [`SmtWalk::fold`]).
+    pending: u64,
     /// Whether `events` was captured with tracing on: an untraced edge
     /// never serves a traced step.
     traced: bool,
@@ -98,6 +110,9 @@ struct State {
     code: Rc<[u64]>,
     /// Out-edge per lane.
     edges: [Option<Edge>; 2],
+    /// Per thread, the state [`SmtWalk::deactivate`] leads to, once
+    /// recorded.
+    off: [Option<u32>; 2],
 }
 
 /// Which DSB and L1I sets a walk's steps touch.
@@ -114,10 +129,14 @@ struct StateGraph {
     ids: BTreeMap<Rc<[u64]>, u32>,
     states: Vec<State>,
     edges: usize,
+    /// The (state, lane) edges whose `pending` count is not zero.
+    pending: Vec<(u32, usize)>,
 }
 
 impl StateGraph {
+    /// Drops every state and edge; the caller folds pending counts first.
     fn clear(&mut self) {
+        debug_assert!(self.pending.is_empty());
         self.ids.clear();
         self.states.clear();
         self.edges = 0;
@@ -162,10 +181,13 @@ impl Graphs {
 ///
 /// Every step is bit-identical to [`Frontend::run_iteration`] on the
 /// lane's thread and chain: the report, the cumulative counters, the L1I
-/// statistics, the emitted trace events and — once materialized — every
-/// piece of frontend state. The live frontend is materialized before a
-/// missing edge is simulated, in [`SmtWalk::deactivate`], and when the
-/// walk is dropped.
+/// statistics, the emitted trace events and — once materialized and
+/// folded — every piece of frontend state. The live frontend is
+/// materialized before a missing edge is simulated and when the walk is
+/// dropped; the counts of followed steps are folded in when the walk
+/// ends. So while it runs, a walk lends out only what no step changes
+/// ([`SmtWalk::both_active`], [`SmtWalk::profile_key`],
+/// [`SmtWalk::config`]).
 #[derive(Debug)]
 pub struct SmtWalk<'f> {
     fe: &'f mut Frontend,
@@ -183,6 +205,9 @@ pub struct SmtWalk<'f> {
     traced: bool,
     /// The report of the last step served without an edge.
     last: IterationReport,
+    /// Each lane's report over the walk: cycle fields added per step,
+    /// counts folded in with the cumulative counters'.
+    totals: [IterationReport; 2],
     /// The region-encoding buffer, the frontend's, handed back when the
     /// walk ends.
     scratch: Vec<u64>,
@@ -301,6 +326,7 @@ impl Frontend {
             live: true,
             traced,
             last: IterationReport::new(),
+            totals: [IterationReport::new(); 2],
             scratch,
         };
         walk.intern_live();
@@ -328,10 +354,15 @@ impl Frontend {
         self.graphs.clear();
     }
 
+    /// The region's first word: the activity bits.
+    fn activity_word(&self) -> u64 {
+        self.active[0] as u64 | (self.active[1] as u64) << 1
+    }
+
     /// Encodes the run region (see the module docs) into `out`.
     fn encode_region(&self, region: &Region, out: &mut Vec<u64>) {
         out.clear();
-        out.push(self.active[0] as u64 | (self.active[1] as u64) << 1);
+        out.push(self.activity_word());
         out.push(self.external_mite_pressure[0].to_bits());
         out.push(self.external_mite_pressure[1].to_bits());
         // Per thread: streak key, then one word holding the streak count
@@ -376,10 +407,7 @@ impl Frontend {
         region: &Region,
         code: &[u64],
     ) {
-        debug_assert_eq!(
-            code[0],
-            self.active[0] as u64 | (self.active[1] as u64) << 1
-        );
+        debug_assert_eq!(code[0], self.activity_word());
         let mut at = 3;
         for u in 0..2 {
             let word = code[at + 1];
@@ -421,10 +449,20 @@ impl Frontend {
 }
 
 impl SmtWalk<'_> {
-    /// The frontend, as of the last materialization plus every followed
-    /// step's counters.
-    pub fn frontend(&self) -> &Frontend {
-        self.fe
+    /// Whether both hardware threads are active (see
+    /// [`Frontend::both_active`]).
+    pub fn both_active(&self) -> bool {
+        self.fe.both_active()
+    }
+
+    /// The frontend's profile key (see [`Frontend::profile_key`]).
+    pub fn profile_key(&self) -> u64 {
+        self.fe.profile_key()
+    }
+
+    /// The frontend's configuration.
+    pub fn config(&self) -> &FrontendConfig {
+        self.fe.config()
     }
 
     /// One iteration of `lane`'s chain on its thread: follows the
@@ -432,31 +470,45 @@ impl SmtWalk<'_> {
     /// traced, if tracing is on), else materializes, simulates and
     /// records it. Returns the step's report and, for a step on the
     /// graph, its edge's note.
+    ///
+    /// A followed step adds the report's four cycle fields to the
+    /// thread's cumulative counters and to the lane's total, re-emits
+    /// the edge's events when traced, counts the follow on the edge and
+    /// moves to its target. The report's counts and the L1I delta wait
+    /// for the next fold (see the module docs).
     pub fn step(&mut self, lane: usize) -> (&IterationReport, Option<&mut EdgeNote>) {
         if self.plain {
             let (tid, plan) = &self.lanes[lane];
             self.last = self.fe.run_iteration_plan(*tid, plan);
+            self.totals[lane] += self.last;
             return (&self.last, None);
         }
         let traced = self.traced;
-        let cur = self.cur as usize;
-        let known = self.graph.states[cur].edges[lane]
+        let cur = self.cur;
+        let known = self.graph.states[cur as usize].edges[lane]
             .as_ref()
             .is_some_and(|edge| edge.traced || !traced);
         if !known {
             return self.simulate(lane);
         }
-        let Some(edge) = self.graph.states[cur].edges[lane].as_mut() else {
+        let StateGraph {
+            states, pending, ..
+        } = &mut self.graph;
+        let Some(edge) = states[cur as usize].edges[lane].as_mut() else {
             unreachable!("the edge was just found");
         };
         let fe = &mut *self.fe;
-        fe.cumulative[self.lanes[lane].0.index()] += edge.report;
-        fe.l1i.add_stats(edge.l1i);
+        fe.cumulative[self.lanes[lane].0.index()].add_cycles(&edge.report);
+        self.totals[lane].add_cycles(&edge.report);
         if traced {
             for event in &edge.events {
                 fe.trace.emit(|| event.clone());
             }
         }
+        if edge.pending == 0 {
+            pending.push((cur, lane));
+        }
+        edge.pending += 1;
         fe.graphs.stats.followed += 1;
         self.cur = edge.target;
         self.live = false;
@@ -476,38 +528,71 @@ impl SmtWalk<'_> {
     }
 
     /// Follows `lane`'s self-loop edge `n` times at once, bit-identical
-    /// to `n` calls of [`SmtWalk::step`]: the report goes into the lane
-    /// thread's cumulative counters through
-    /// [`IterationReport::add_repeated`], the L1I statistics get `n ×`
-    /// the edge's delta, and `followed` (and [`MemoStats::bulk`]) grow
-    /// by `n`. The region does not move, so the live frontend stays as
-    /// current as it was. Returns the edge's report.
+    /// to `n` calls of [`SmtWalk::step`]: the cycle fields go into the
+    /// lane thread's cumulative counters and the lane's total through
+    /// [`leaky_stats::add_repeated`], the edge counts `n` more follows,
+    /// and `followed` (and [`MemoStats::bulk`]) grow by `n`. The region
+    /// does not move, so the live frontend stays as current as it was.
     ///
     /// # Panics
     ///
     /// Panics if [`SmtWalk::self_loop`] finds no self-loop for `lane`.
-    pub fn follow_repeated(&mut self, lane: usize, n: u64) -> &IterationReport {
+    pub fn follow_repeated(&mut self, lane: usize, n: u64) {
         assert!(
             self.self_loop(lane).is_some(),
             "lane {lane} is not on a self-loop"
         );
-        let Some(edge) = self.graph.states[self.cur as usize].edges[lane].as_ref() else {
+        let cur = self.cur;
+        let StateGraph {
+            states, pending, ..
+        } = &mut self.graph;
+        let Some(edge) = states[cur as usize].edges[lane].as_mut() else {
             unreachable!("the self-loop was just found");
         };
         let fe = &mut *self.fe;
-        fe.cumulative[self.lanes[lane].0.index()].add_repeated(&edge.report, n);
-        fe.l1i.add_stats(edge.l1i.times(n));
+        fe.cumulative[self.lanes[lane].0.index()].add_cycles_repeated(&edge.report, n);
+        self.totals[lane].add_cycles_repeated(&edge.report, n);
+        if edge.pending == 0 {
+            pending.push((cur, lane));
+        }
+        edge.pending += n;
         fe.graphs.stats.followed += n;
         fe.graphs.stats.bulk += n;
-        &edge.report
     }
 
-    /// Marks `tid` idle once its work is done: materializes, applies
-    /// [`Frontend::set_active`] and interns the resulting state.
+    /// Marks `tid` idle once its work is done, as
+    /// [`Frontend::set_active`] does, without materializing. A walk that
+    /// is not plain runs under the `Competitive` or `Shared` policy, so
+    /// `set_active(tid, false)` changes only the activity bits and
+    /// [`Dsb`](crate::Dsb)'s partition flag, which the region does not
+    /// hold: it applies to the live frontend as it stands, and the
+    /// successor is the current state with its activity word patched.
+    /// The successor is interned once per (state, thread) and recorded
+    /// on the state; later deactivations follow the record.
     pub fn deactivate(&mut self, tid: ThreadId) {
-        self.materialize();
         self.fe.set_active(tid, false);
-        self.intern_live();
+        if self.plain {
+            return;
+        }
+        let state = &self.graph.states[self.cur as usize];
+        if let Some(next) = state.off[tid.index()] {
+            self.cur = next;
+            return;
+        }
+        let from = self.cur as usize;
+        self.scratch.clear();
+        self.scratch.extend_from_slice(&state.code);
+        self.scratch[0] = self.fe.activity_word();
+        if !self.intern() {
+            self.graph.states[from].off[tid.index()] = Some(self.cur);
+        }
+    }
+
+    /// Ends the walk, returning each lane's report over it: exactly the
+    /// sum of the reports of its steps, in step order.
+    pub fn finish(mut self) -> [IterationReport; 2] {
+        self.fold();
+        self.totals
     }
 
     /// Simulates `lane`'s step on the materialized frontend (capturing
@@ -532,6 +617,7 @@ impl SmtWalk<'_> {
         }
         let l1i = fe.l1i.stats().since(before);
         fe.graphs.stats.simulated += 1;
+        self.totals[lane] += report;
         let from = self.cur as usize;
         if self.intern_live() {
             // The graph was cleared to make room: `from` is gone.
@@ -539,6 +625,9 @@ impl SmtWalk<'_> {
             return (&self.last, None);
         }
         let slot = &mut self.graph.states[from].edges[lane];
+        // An edge is re-recorded only by a traced walk, which never
+        // follows an untraced edge, after earlier walks folded theirs.
+        debug_assert!(slot.as_ref().is_none_or(|edge| edge.pending == 0));
         if slot.is_none() {
             self.graph.edges += 1;
         }
@@ -546,11 +635,30 @@ impl SmtWalk<'_> {
             target: self.cur,
             report,
             l1i,
+            pending: 0,
             traced: self.traced,
             events,
             note: None,
         });
         (&edge.report, Some(&mut edge.note))
+    }
+
+    /// Folds the pending follows' counts into the cumulative counters,
+    /// the lanes' totals and the L1I statistics: `n` follows of an edge
+    /// add `n ×` its report's integer fields and its L1I delta.
+    fn fold(&mut self) {
+        let StateGraph {
+            states, pending, ..
+        } = &mut self.graph;
+        for (state, lane) in pending.drain(..) {
+            let Some(edge) = states[state as usize].edges[lane].as_mut() else {
+                unreachable!("a pending edge is recorded");
+            };
+            let n = std::mem::take(&mut edge.pending);
+            self.fe.cumulative[self.lanes[lane].0.index()].add_counts(&edge.report, n);
+            self.totals[lane].add_counts(&edge.report, n);
+            self.fe.l1i.add_stats(edge.l1i.times(n));
+        }
     }
 
     /// Makes the live frontend hold state `cur`.
@@ -562,48 +670,157 @@ impl SmtWalk<'_> {
         }
     }
 
-    /// Interns the live frontend's region as the current state, first
-    /// clearing the graph when it is full. Returns whether it cleared.
+    /// Interns the live frontend's region as the current state (see
+    /// [`SmtWalk::intern`]).
     fn intern_live(&mut self) -> bool {
         if self.plain {
             return false;
         }
-        let graph = &mut self.graph;
-        let code = &mut self.scratch;
-        self.fe.encode_region(&graph.region, code);
-        let mut reset = false;
-        self.cur = match graph.ids.get(&code[..]) {
-            Some(&id) => id,
-            None => {
-                if graph.states.len() >= MAX_STATES {
-                    graph.clear();
-                    self.fe.graphs.stats.resets += 1;
-                    reset = true;
-                }
-                let id = graph.states.len() as u32;
-                let interned: Rc<[u64]> = Rc::from(&code[..]);
-                graph.ids.insert(Rc::clone(&interned), id);
-                graph.states.push(State {
-                    code: interned,
-                    edges: [None, None],
-                });
-                id
-            }
-        };
+        self.fe.encode_region(&self.graph.region, &mut self.scratch);
         self.live = true;
+        self.intern()
+    }
+
+    /// Interns the encoded region in the scratch buffer as the current
+    /// state, first folding and clearing the graph when it is full.
+    /// Returns whether it cleared.
+    fn intern(&mut self) -> bool {
+        let code = &self.scratch[..];
+        if let Some(&id) = self.graph.ids.get(code) {
+            self.cur = id;
+            return false;
+        }
+        let reset = self.graph.states.len() >= MAX_STATES;
+        if reset {
+            self.fold();
+            self.graph.clear();
+            self.fe.graphs.stats.resets += 1;
+        }
+        let graph = &mut self.graph;
+        let id = graph.states.len() as u32;
+        let interned: Rc<[u64]> = Rc::from(&self.scratch[..]);
+        graph.ids.insert(Rc::clone(&interned), id);
+        graph.states.push(State {
+            code: interned,
+            edges: [None, None],
+            off: [None, None],
+        });
+        self.cur = id;
         reset
     }
 }
 
 impl Drop for SmtWalk<'_> {
-    /// Materializes the walk's final state and hands the graph (unless
-    /// the walk is plain) and the scratch buffer back to the frontend.
+    /// Materializes the walk's final state, folds the pending counts and
+    /// hands the graph (unless the walk is plain) and the scratch buffer
+    /// back to the frontend.
     fn drop(&mut self) {
         self.materialize();
+        self.fold();
         if !self.plain {
             let graph = std::mem::take(&mut self.graph);
             self.fe.graphs.by_lanes.insert(key_of(&self.lanes), graph);
         }
         self.fe.graphs.scratch = std::mem::take(&mut self.scratch);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use leaky_isa::{same_set_chain, Alignment, DsbSet};
+    use proptest::prelude::any;
+
+    impl SmtWalk<'_> {
+        /// Deactivation as a materialization point: materialize, apply
+        /// [`Frontend::set_active`] and intern the live region.
+        fn deactivate_materialized(&mut self, tid: ThreadId) {
+            self.materialize();
+            self.fe.set_active(tid, false);
+            self.intern_live();
+        }
+    }
+
+    /// Every piece of the frontend but its graphs, which differ in the
+    /// recorded successors.
+    fn state_of(fe: &mut Frontend) -> String {
+        let graphs = std::mem::take(&mut fe.graphs);
+        let state = format!("{fe:?}");
+        fe.graphs = graphs;
+        state
+    }
+
+    /// Whether a graph of `fe` holds a recorded successor.
+    fn has_successor(fe: &Frontend) -> bool {
+        fe.graphs
+            .by_lanes
+            .values()
+            .flat_map(|graph| &graph.states)
+            .any(|state| state.off.iter().any(Option::is_some))
+    }
+
+    proptest::proptest! {
+        /// A deactivation served from a recorded successor equals
+        /// materializing, `set_active` and interning: the same state id,
+        /// and after each walk is dropped the same frontend, under both
+        /// policies a walk runs on, whichever thread finishes first. Each
+        /// walk runs twice, so the second meets the successors the first
+        /// recorded.
+        #[test]
+        fn recorded_deactivation_matches_a_materialized_one(
+            specs in proptest::collection::vec((0u8..4, 1usize..10, any::<bool>()), 2..3),
+            walks in proptest::collection::vec(
+                (0u64..80, 0u64..40, any::<bool>(), any::<u64>()),
+                1..4),
+            shared in any::<bool>(),
+            lsd_enabled in any::<bool>(),
+        ) {
+            let chains: Vec<BlockChain> = specs
+                .iter()
+                .enumerate()
+                .map(|(i, &(set, n, misaligned))| {
+                    let align = if misaligned { Alignment::Misaligned } else { Alignment::Aligned };
+                    let base = 0x0041_8000 + i as u64 * 0x0040_0000 + u64::from(set) * 32;
+                    same_set_chain(base, DsbSet::new(set), n, align)
+                })
+                .collect();
+            let config = FrontendConfig {
+                lsd_enabled,
+                dsb_policy: if shared { SmtDsbPolicy::Shared } else { SmtDsbPolicy::Competitive },
+                ..FrontendConfig::default()
+            };
+            let mut recorded = Frontend::new(config);
+            let mut materialized = Frontend::new(config);
+            for &(both, lone, t1_first, pattern) in walks.iter().flat_map(|w| [w, w]) {
+                let first = if t1_first { ThreadId::T1 } else { ThreadId::T0 };
+                let mut ids = Vec::new();
+                for (fe, served) in [(&mut recorded, true), (&mut materialized, false)] {
+                    fe.set_active(ThreadId::T0, true);
+                    fe.set_active(ThreadId::T1, true);
+                    let mut walk = fe.smt_walk([&chains[0], &chains[1]]);
+                    let mut at = Vec::new();
+                    for k in 0..both {
+                        walk.step((pattern >> (k % 64) & 1) as usize);
+                    }
+                    for (tid, steps) in [(first, lone), (first.other(), 0)] {
+                        if served {
+                            walk.deactivate(tid);
+                        } else {
+                            walk.deactivate_materialized(tid);
+                        }
+                        at.push(walk.cur);
+                        for _ in 0..steps {
+                            walk.step(first.other().index());
+                        }
+                    }
+                    drop(walk);
+                    ids.push(at);
+                }
+                proptest::prop_assert_eq!(&ids[0], &ids[1]);
+                proptest::prop_assert_eq!(state_of(&mut recorded), state_of(&mut materialized));
+                proptest::prop_assert_eq!(recorded.memo_stats(), materialized.memo_stats());
+            }
+            proptest::prop_assert!(has_successor(&recorded));
+        }
     }
 }

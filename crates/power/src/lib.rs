@@ -178,9 +178,33 @@ impl Rapl {
     ///
     /// Panics if `joules` is negative.
     pub fn deposit(&mut self, joules: f64, now_s: f64) {
+        self.deposit_quiet(joules);
+        self.advance(now_s);
+    }
+
+    /// Deposits `joules` at a time that does not reach the next update
+    /// boundary ([`Rapl::reaches_update`] is false for it): a plain
+    /// energy add, exactly what [`Rapl::deposit`] does at such a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `joules` is negative.
+    #[inline]
+    pub fn deposit_quiet(&mut self, joules: f64) {
         assert!(joules >= 0.0, "energy cannot decrease");
         self.energy_uj += joules * 1e6;
-        self.advance(now_s);
+    }
+
+    /// The time of the next update boundary, seconds. It never
+    /// decreases: deposits and reads only move the boundary forward.
+    pub fn next_update_s(&self) -> f64 {
+        self.last_update_s + Self::UPDATE_INTERVAL_S
+    }
+
+    /// Whether a deposit or read at `now_s` reaches the next update
+    /// boundary. Non-decreasing in `now_s`.
+    pub fn reaches_update(&self, now_s: f64) -> bool {
+        Self::crosses(self.last_update_s, now_s)
     }
 
     /// Deposits `joules` `n` times, exactly as `n` calls of
