@@ -264,6 +264,41 @@ mod tests {
     }
 
     #[test]
+    fn a_solo_batch_after_a_contended_one_simulates_two_iterations() {
+        // The uncontended batch of `Mt::batch`: 100 solo receiver
+        // iterations right after a 100 + 100-step contended batch.
+        // `run_iterations` simulates two of them, then finds the period-1
+        // cycle and charges the other 98 at once, on both profiles:
+        // `icelake` has no LSD, so its two come from the DSB, but it
+        // simulates no more of them than `skylake`.
+        use leaky_trace::{Source, TraceEvent, TraceHook, TraceMode};
+        for (profile, source) in [("skylake", Source::Lsd), ("icelake", Source::Dsb)] {
+            let mut ch = ChannelSpec::new("mt-eviction")
+                .profile(UarchProfile::by_key(profile).unwrap())
+                .seed(5)
+                .mt(NonMtKind::Eviction, ChannelParams::mt_defaults());
+            ch.primitive.batch(&mut ch.core, true, 100, 100);
+            ch.core.set_trace(TraceHook::new(TraceMode::Events));
+            ch.primitive.batch(&mut ch.core, false, 100, 0);
+            let trace = ch.core.take_trace();
+            let iterations: Vec<(u64, Source)> = trace
+                .events()
+                .unwrap_or_default()
+                .iter()
+                .filter_map(|event| match *event {
+                    TraceEvent::Iteration { weight, source, .. } => Some((weight, source)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(
+                iterations,
+                [(1, source), (1, source), (98, source)],
+                "{profile}"
+            );
+        }
+    }
+
+    #[test]
     fn memo_counters_are_pinned() {
         // One seeded 16-bit transmission per MT configuration that
         // `channel_stream` runs: every `run_concurrent` walks its chain

@@ -337,7 +337,13 @@ impl Core {
     /// cycles and energy depend only on the edge and on the SMT backend
     /// factor (the sibling's recent µops per cycle, or a trace-driven
     /// sibling's demand), so they are cached on the edge under that
-    /// factor. A step advances the clock, deposits its energy (a plain
+    /// factor. A step on an edge whose note is keyed under the current
+    /// factor takes the fast path,
+    /// [`SmtWalk::follow_noted`](leaky_frontend::SmtWalk::follow_noted),
+    /// which follows the edge and hands back the noted charge; any other
+    /// step runs [`SmtWalk::step`](leaky_frontend::SmtWalk::step) and
+    /// charges it from its note or anew, re-keying the note. A step
+    /// advances the clock, deposits its energy (a plain
     /// add between RAPL update boundaries, see `Accounts::apply`) and
     /// adds its cycles to its [`LoopRun`] in the plain loop's order. The
     /// runs' reports are the walk's lane totals
@@ -400,15 +406,22 @@ impl Core {
                     n
                 }
                 None => {
-                    let (report, note) = walk.step(pick);
-                    let cost = Cost {
-                        profile_key,
-                        costs: &costs,
-                        factor,
-                    };
-                    let charge = match note {
-                        Some(note) => accounts.charge_noted(&cost, tid, chains[pick], report, note),
-                        None => accounts.charge_at(&cost, tid, chains[pick], 1, report),
+                    let charge = match walk.follow_noted(pick, factor.to_bits()) {
+                        Some(noted) => accounts.charge_of_note(pick, noted),
+                        None => {
+                            let (report, note) = walk.step(pick);
+                            let cost = Cost {
+                                profile_key,
+                                costs: &costs,
+                                factor,
+                            };
+                            match note {
+                                Some(note) => {
+                                    accounts.charge_noted(&cost, tid, chains[pick], report, note)
+                                }
+                                None => accounts.charge_at(&cost, tid, chains[pick], 1, report),
+                            }
+                        }
                     };
                     accounts.apply(pick, charge);
                     runs[pick].cycles += charge.cycles;
@@ -439,7 +452,9 @@ impl Core {
     /// later calls reuse until [`Core::release_graphs`]: a step whose
     /// edge is recorded follows it instead of simulating, and its cycles
     /// and energy come from the edge's note as in
-    /// [`Core::run_concurrent`]. The SMT factor stands still across the
+    /// [`Core::run_concurrent`], through its fast path in every round but
+    /// the last, whose reports the returned run keeps. The SMT factor
+    /// stands still across the
     /// call, since no thread (de)activates and the sibling's µops per
     /// cycle and demand do not move; a note taken under another call's
     /// factor is re-keyed. Each step is applied to the clock and the
@@ -475,8 +490,16 @@ impl Core {
             costs: &costs,
             factor: accounts.smt_factor(tid, walk.both_active()),
         };
+        let key = cost.factor.to_bits();
         for round in 1..=rounds {
             for &lane in lanes {
+                if round < rounds {
+                    if let Some(noted) = walk.follow_noted(lane, key) {
+                        let charge = accounts.charge_of_note(tid.index(), noted);
+                        accounts.apply(tid.index(), charge);
+                        continue;
+                    }
+                }
                 let (report, note) = walk.step(lane);
                 let charge = match note {
                     Some(note) => accounts.charge_noted(&cost, tid, chains[lane], report, note),
@@ -685,17 +708,25 @@ impl Accounts {
     ) -> Charge {
         let t = tid.index();
         let key = cost.factor.to_bits();
-        if let Some((k, [cycles, joules, upc])) = *note {
+        if let Some((k, noted)) = *note {
             if k == key {
-                if cycles > 0.0 {
-                    self.recent_upc[t] = upc;
-                }
-                return Charge { cycles, joules };
+                return self.charge_of_note(t, noted);
             }
         }
         let charge = self.charge_at(cost, tid, chain, 1, report);
         *note = Some((key, [charge.cycles, charge.joules, self.recent_upc[t]]));
         charge
+    }
+
+    /// The charge a note under the current SMT factor holds for thread
+    /// `t`'s step, leaving behind the recent µops per cycle it records,
+    /// exactly as [`Accounts::charge_at`] would.
+    #[inline]
+    fn charge_of_note(&mut self, t: usize, [cycles, joules, upc]: [f64; 3]) -> Charge {
+        if cycles > 0.0 {
+            self.recent_upc[t] = upc;
+        }
+        Charge { cycles, joules }
     }
 
     /// What a run costs: the frontend/backend bottleneck in cycles, and
@@ -1360,6 +1391,15 @@ mod tests {
             if let Some(diff) = state_diff(&fast, &plain) {
                 return Err(format!("run {i}: {diff} diverged"));
             }
+            // The frontends' `Debug` shows their whole state but leaves
+            // out the memos, graphs and plans.
+            let (a, b) = (
+                format!("{:?}", fast.frontend()),
+                format!("{:?}", plain.frontend()),
+            );
+            if a != b {
+                return Err(format!("run {i}: frontends diverged: {a} vs {b}"));
+            }
             for c in chains {
                 for tid in [ThreadId::T0, ThreadId::T1] {
                     if fast.frontend().lsd_locked(tid, c) != plain.frontend().lsd_locked(tid, c) {
@@ -1562,6 +1602,38 @@ mod tests {
             let outcome =
                 differential(config(lsd_enabled, shared), seed, &chains, &schedule, |_, _| {});
             proptest::prop_assert!(outcome.is_ok(), "{}", outcome.unwrap_err());
+        }
+
+        /// The SMT factor moves between and within calls, so steps meet
+        /// edge notes taken under another factor and re-key them mid-walk
+        /// (the fallback of the noted-edge fast path). Between calls a
+        /// trace-driven sibling's demand changes on either thread; within
+        /// a call the receiver's aligned chain runs beside a misaligned or
+        /// L1I-thrashing sender, whose µops per cycle differ from step to
+        /// step, and so does the factor it leaves its simulated sibling.
+        #[test]
+        fn run_concurrent_matches_the_plain_step_loop_when_the_smt_factor_moves(
+            recv in (0u8..4, 1usize..9),
+            send in (0u8..4, 1usize..9, 1u8..3),
+            runs in proptest::collection::vec((50u64..300, 20u64..300, 0u8..3, 0u8..5), 2..6),
+            lsd_enabled in proptest::prelude::any::<bool>(),
+            shared in proptest::prelude::any::<bool>(),
+            seed in 0u64..1_000,
+        ) {
+            let chains = chains_from(&[(0, recv.0, recv.1, 0), (1, send.0, send.1, send.2)]);
+            let schedule: Vec<_> = runs.iter().map(|&(p, q, _, _)| (0, 1, p, q)).collect();
+            let outcome = differential(config(lsd_enabled, shared), seed, &chains, &schedule, |i, core| {
+                let (_, _, thread, level) = runs[i];
+                let demand = 0.25 * f64::from(level);
+                match thread {
+                    1 => core.set_sibling_demand(ThreadId::T0, demand),
+                    2 => core.set_sibling_demand(ThreadId::T1, demand),
+                    _ => {}
+                }
+            });
+            proptest::prop_assert!(outcome.is_ok(), "{}", outcome.as_ref().unwrap_err());
+            let (stats, _) = outcome.unwrap();
+            proptest::prop_assert!(stats.followed > 0, "no step followed: {:?}", stats);
         }
 
         /// Balanced ping-pong: two chains of the same shape (so the same

@@ -79,8 +79,9 @@ pub struct InsertOutcome {
 /// two patterns the paper's attacks hammer O(1) instead of O(ways)
 /// memmoves — promoting the LRU tail (a warm loop walking its lines
 /// cyclically) and evict-plus-fill (a thrashing set) are both just a head
-/// decrement and one slot write.
-#[derive(Debug, Clone)]
+/// decrement and one slot write. Where the head sits is not state, so
+/// the `Debug` output shows each set's lines in MRU order instead.
+#[derive(Clone)]
 pub struct Dsb {
     geom: FrontendGeometry,
     policy: SmtDsbPolicy,
@@ -96,6 +97,29 @@ pub struct Dsb {
     /// geometry), letting the per-access index be an AND instead of a
     /// 64-bit division; `None` falls back to `%` for odd ablations.
     index_mask: Option<u64>,
+}
+
+impl std::fmt::Debug for Dsb {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        /// One set's resident lines, MRU first.
+        struct Set<'a>(&'a Dsb, usize);
+        impl std::fmt::Debug for Set<'_> {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                f.debug_list().entries(self.0.lines_of(self.1)).finish()
+            }
+        }
+        f.debug_struct("Dsb")
+            .field("geom", &self.geom)
+            .field("policy", &self.policy)
+            .field("partitioned", &self.partitioned)
+            .field(
+                "sets",
+                &(0..self.lens.len())
+                    .map(|set| Set(self, set))
+                    .collect::<Vec<_>>(),
+            )
+            .finish_non_exhaustive()
+    }
 }
 
 impl Dsb {
@@ -329,32 +353,30 @@ impl Dsb {
         }
     }
 
-    /// Flushes every line owned by one thread; returns them.
-    pub fn flush_thread(&mut self, thread: u8) -> Vec<LineId> {
+    /// Flushes every line owned by one thread, appending them to
+    /// `victims` set by set, each set's MRU first. Each set is compacted
+    /// in place: its ring is rotated so the MRU sits in slot 0, then the
+    /// survivors move down over the victims in MRU order.
+    pub fn flush_thread(&mut self, thread: u8, victims: &mut Vec<LineId>) {
         let ways = self.geom.dsb_ways;
         let thread_bit = (thread as u64) << 8;
-        let mut flushed = Vec::new();
-        let mut kept_buf = vec![0u64; ways];
         for set in 0..self.lens.len() {
             let base = set * ways;
-            let head = self.heads[set] as usize;
-            let len = self.lens[set] as usize;
+            let ring = &mut self.lines[base..base + ways];
+            ring.rotate_left(self.heads[set] as usize);
             let mut kept = 0usize;
-            for i in 0..len {
-                let packed = self.lines[base + Self::phys(head, i, ways)];
+            for i in 0..self.lens[set] as usize {
+                let packed = ring[i];
                 if packed & (1 << 8) == thread_bit {
-                    flushed.push(unpack_line(packed));
+                    victims.push(unpack_line(packed));
                 } else {
-                    kept_buf[kept] = packed;
+                    ring[kept] = packed;
                     kept += 1;
                 }
             }
-            // Re-lay the survivors from slot 0, preserving MRU order.
-            self.lines[base..base + kept].copy_from_slice(&kept_buf[..kept]);
             self.heads[set] = 0;
             self.lens[set] = kept as u8;
         }
-        flushed
     }
 
     /// Flushes everything; returns the flushed lines.
@@ -414,8 +436,12 @@ impl Dsb {
 
     /// Resident lines (MRU first) in the physical set that `line` maps to.
     pub fn set_lines_for(&self, line: LineId) -> impl Iterator<Item = LineId> + '_ {
+        self.lines_of(self.set_index(line))
+    }
+
+    /// Resident lines (MRU first) in physical set `set`.
+    fn lines_of(&self, set: usize) -> impl Iterator<Item = LineId> + '_ {
         let ways = self.geom.dsb_ways;
-        let set = self.set_index(line);
         let base = set * ways;
         let head = self.heads[set] as usize;
         let len = self.lens[set] as usize;
@@ -571,8 +597,9 @@ mod tests {
         let mut d = dsb(SmtDsbPolicy::Competitive);
         d.insert(line(0, 0));
         d.insert(line(1, 32));
-        let flushed = d.flush_thread(0);
-        assert_eq!(flushed.len(), 1);
+        let mut flushed = Vec::new();
+        d.flush_thread(0, &mut flushed);
+        assert_eq!(flushed, [line(0, 0)]);
         assert_eq!(d.occupancy(0), 0);
         assert_eq!(d.occupancy(1), 1);
     }
@@ -587,9 +614,95 @@ mod tests {
         d.insert(line(1, 2 * 32));
         d.insert(line(0, 3 * 32));
         d.insert(line(1, 4 * 32));
-        d.flush_thread(0);
+        d.flush_thread(0, &mut Vec::new());
         let order: Vec<u64> = d.set_lines_for(line(1, 0)).map(|l| l.window).collect();
         assert_eq!(order, vec![4 * 32, 2 * 32, 0]);
+    }
+
+    impl Dsb {
+        /// The reference for [`Dsb::flush_thread`], a copy-out flush:
+        /// each set's survivors are copied out in MRU order, then laid
+        /// back from slot 0; the victims come back in a new `Vec`.
+        fn flush_thread_copy_out(&mut self, thread: u8) -> Vec<LineId> {
+            let ways = self.geom.dsb_ways;
+            let thread_bit = (thread as u64) << 8;
+            let mut flushed = Vec::new();
+            let mut kept_buf = vec![0u64; ways];
+            for set in 0..self.lens.len() {
+                let base = set * ways;
+                let head = self.heads[set] as usize;
+                let len = self.lens[set] as usize;
+                let mut kept = 0usize;
+                for i in 0..len {
+                    let packed = self.lines[base + Self::phys(head, i, ways)];
+                    if packed & (1 << 8) == thread_bit {
+                        flushed.push(unpack_line(packed));
+                    } else {
+                        kept_buf[kept] = packed;
+                        kept += 1;
+                    }
+                }
+                self.lines[base..base + kept].copy_from_slice(&kept_buf[..kept]);
+                self.heads[set] = 0;
+                self.lens[set] = kept as u8;
+            }
+            flushed
+        }
+
+        /// Each set's occupancy, ring head and lines, MRU first.
+        fn sets(&self) -> Vec<(u8, u8, Vec<LineId>)> {
+            (0..self.lens.len())
+                .map(|set| {
+                    (
+                        self.lens[set],
+                        self.heads[set],
+                        self.lines_of(set).collect(),
+                    )
+                })
+                .collect()
+        }
+    }
+
+    proptest::proptest! {
+        /// The in-place flush equals the copy-out one on random
+        /// geometries: fills from both threads and hits that promote
+        /// lines and move ring heads, with flushes of either thread in
+        /// between. After each flush both DSBs hold the same lines per
+        /// set in MRU order, with the same occupancy and head, and the
+        /// victims come out in the same order (it decides the order of
+        /// the `LsdUnlock` events their locks emit).
+        #[test]
+        fn in_place_flush_matches_the_copy_out_flush(
+            geometry in (1usize..40, 1usize..12),
+            ops in proptest::collection::vec((0u8..8, 0u8..2, 0u64..256, 0u8..2), 1..300),
+        ) {
+            let (dsb_sets, dsb_ways) = geometry;
+            let geom = FrontendGeometry {
+                dsb_sets,
+                dsb_ways,
+                ..FrontendGeometry::skylake()
+            };
+            let mut in_place = Dsb::new(geom, SmtDsbPolicy::Competitive);
+            let mut copy_out = in_place.clone();
+            let mut victims = Vec::new();
+            for (op, thread, window, chunk) in ops {
+                let line = LineId { thread, window, chunk };
+                match op {
+                    // Mostly accesses: a hit promotes (the tail rotates
+                    // the ring), a miss into a full set evicts.
+                    0..=6 => {
+                        proptest::prop_assert_eq!(in_place.access(line), copy_out.access(line));
+                    }
+                    _ => {
+                        victims.clear();
+                        in_place.flush_thread(thread, &mut victims);
+                        let expected = copy_out.flush_thread_copy_out(thread);
+                        proptest::prop_assert_eq!(&victims, &expected);
+                        proptest::prop_assert_eq!(in_place.sets(), copy_out.sets());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

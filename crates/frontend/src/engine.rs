@@ -255,8 +255,9 @@ const MAX_STEADY_PERIOD: usize = 16;
 /// A loop currently locked into the LSD of one thread. All bookkeeping is
 /// inline (no heap): membership is a sorted array of packed
 /// `(window << 8) | chunk` entries copied from the delivery plan, probed
-/// by binary search on evictions.
-#[derive(Debug, Clone)]
+/// by binary search on evictions. Its `Debug` shows only the
+/// meaningful prefixes of the two arrays.
+#[derive(Clone)]
 struct LoopLock {
     key: u64,
     uops: u32,
@@ -275,6 +276,18 @@ struct LoopLock {
     /// Only `crossings[..n_crossings]` is meaningful.
     crossings: [u64; MAX_LOCK_CROSSINGS],
     n_crossings: u8,
+}
+
+impl std::fmt::Debug for LoopLock {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("LoopLock")
+            .field("key", &self.key)
+            .field("uops", &self.uops)
+            .field("set_mask", &self.set_mask)
+            .field("lines", &&self.lines[..self.n_lines as usize])
+            .field("crossings", &&self.crossings[..self.n_crossings as usize])
+            .finish()
+    }
 }
 
 impl LoopLock {
@@ -320,8 +333,11 @@ impl LoopLock {
 /// The simulated frontend shared by two hardware threads.
 ///
 /// See the [crate-level documentation](crate) for the model, and
-/// [`Frontend::run_iteration`] for the central operation.
-#[derive(Debug, Clone)]
+/// [`Frontend::run_iteration`] for the central operation. Its `Debug`
+/// output shows the model's state; the memos and scratch buffers (plans,
+/// state graphs, flush victims, run history), which never change a
+/// result, are left out.
+#[derive(Clone)]
 pub struct Frontend {
     config: FrontendConfig,
     dsb: Dsb,
@@ -354,6 +370,51 @@ pub struct Frontend {
     /// [`Frontend::round_walk`], one per walked lane pair (a few at
     /// most), kept until [`Frontend::release_graphs`].
     graphs: graph::Graphs,
+    /// The victims of the last [`Dsb::flush_thread`], kept so a warm
+    /// flush does not allocate.
+    victims: Vec<LineId>,
+    /// The recent reports [`Frontend::run_iterations`] looks for a
+    /// steady-state cycle in, kept so a warm run does not allocate.
+    history: Vec<IterationReport>,
+}
+
+impl std::fmt::Debug for Frontend {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Destructured without `..`, so a new field is a compile error
+        // here until it is shown or left out on purpose.
+        let Frontend {
+            config,
+            dsb,
+            l1i,
+            locks,
+            last_source,
+            active,
+            pending_lsd_flush,
+            external_mite_pressure,
+            lock_streak,
+            cumulative,
+            plans: _,
+            config_key,
+            trace,
+            graphs: _,
+            victims: _,
+            history: _,
+        } = self;
+        f.debug_struct("Frontend")
+            .field("config", config)
+            .field("dsb", dsb)
+            .field("l1i", l1i)
+            .field("locks", locks)
+            .field("last_source", last_source)
+            .field("active", active)
+            .field("pending_lsd_flush", pending_lsd_flush)
+            .field("external_mite_pressure", external_mite_pressure)
+            .field("lock_streak", lock_streak)
+            .field("cumulative", cumulative)
+            .field("config_key", config_key)
+            .field("trace", trace)
+            .finish_non_exhaustive()
+    }
 }
 
 /// [`UopSource`] → trace [`Source`] (the trace crate sits below this one
@@ -390,6 +451,8 @@ impl Frontend {
             config_key: config.profile_key(),
             trace: TraceHook::Off,
             graphs: graph::Graphs::default(),
+            victims: Vec::new(),
+            history: Vec::new(),
             config,
         }
     }
@@ -485,6 +548,7 @@ impl Frontend {
     }
 
     /// Whether both hardware threads are currently active.
+    #[inline]
     pub fn both_active(&self) -> bool {
         self.active[0] && self.active[1]
     }
@@ -518,10 +582,13 @@ impl Frontend {
             {
                 if let Some(solo) = previously_solo {
                     if solo != tid {
-                        let victims = self.dsb.flush_thread(solo.index() as u8);
-                        for line in victims {
+                        let mut victims = std::mem::take(&mut self.victims);
+                        victims.clear();
+                        self.dsb.flush_thread(solo.index() as u8, &mut victims);
+                        for &line in &victims {
                             self.invalidate_lock_if_member(line);
                         }
+                        self.victims = victims;
                     }
                 }
             }
@@ -715,7 +782,9 @@ impl Frontend {
             .plans
             .get_or_build(chain, &self.config.geometry, self.config_key);
         let mut total = IterationReport::new();
-        let mut history: Vec<IterationReport> = Vec::with_capacity(2 * MAX_STEADY_PERIOD);
+        let mut history = std::mem::take(&mut self.history);
+        history.clear();
+        history.reserve(2 * MAX_STEADY_PERIOD);
         let mut done = 0u64;
         while done < n {
             let r = self.run_iteration_plan(tid, &plan);
@@ -744,13 +813,15 @@ impl Frontend {
             }
             total += r;
         }
+        self.history = history;
         total
     }
 
     /// Removes every DSB line and LSD lock belonging to `tid` (models
     /// context-switch / enclave teardown).
     pub fn flush_thread_state(&mut self, tid: ThreadId) {
-        self.dsb.flush_thread(tid.index() as u8);
+        self.victims.clear();
+        self.dsb.flush_thread(tid.index() as u8, &mut self.victims);
         self.locks[tid.index()] = None;
         self.pending_lsd_flush[tid.index()] = false;
     }

@@ -148,11 +148,13 @@ impl StateGraph {
 /// `[(T0, c0), (T1, c1)]` over the same chains.
 type LanesKey = [(ThreadId, u64); 2];
 
-/// A frontend's state graphs, keyed by their lanes, plus the encoding
-/// scratch buffer and the counters.
+/// A frontend's state graphs with their lanes, plus the encoding
+/// scratch buffer and the counters. At most [`MAX_GRAPHS`] graphs, so
+/// they sit in a `Vec` searched linearly; taking one out and handing it
+/// back moves it without allocating once the `Vec` has room.
 #[derive(Debug, Clone, Default)]
 pub(super) struct Graphs {
-    by_lanes: BTreeMap<LanesKey, StateGraph>,
+    by_lanes: Vec<(LanesKey, StateGraph)>,
     scratch: Vec<u64>,
     stats: MemoStats,
 }
@@ -164,15 +166,19 @@ impl Graphs {
         self.scratch = Vec::new();
     }
 
-    /// Takes the lanes' graph out of the map for a walk; `None` when
-    /// they have none (after dropping every graph when the map is full,
-    /// so the walk's graph fits when it is handed back).
+    /// Takes the lanes' graph out for a walk; `None` when they have none
+    /// (after dropping every graph when all slots are taken, so the
+    /// walk's graph fits when it is handed back).
     fn take(&mut self, key: &LanesKey) -> Option<StateGraph> {
-        let graph = self.by_lanes.remove(key);
-        if graph.is_none() && self.by_lanes.len() >= MAX_GRAPHS {
-            self.by_lanes.clear();
+        match self.by_lanes.iter().position(|(k, _)| k == key) {
+            Some(at) => Some(self.by_lanes.swap_remove(at).1),
+            None => {
+                if self.by_lanes.len() >= MAX_GRAPHS {
+                    self.by_lanes.clear();
+                }
+                None
+            }
         }
-        graph
     }
 }
 
@@ -338,7 +344,7 @@ impl Frontend {
     /// Deterministic for a seeded run; a frontend that never walked
     /// reports all zeros.
     pub fn memo_stats(&self) -> MemoStats {
-        let live = self.graphs.by_lanes.values();
+        let live = self.graphs.by_lanes.iter().map(|(_, graph)| graph);
         MemoStats {
             states: live.clone().map(|g| g.states.len()).sum(),
             edges: live.map(|g| g.edges).sum(),
@@ -451,6 +457,7 @@ impl Frontend {
 impl SmtWalk<'_> {
     /// Whether both hardware threads are active (see
     /// [`Frontend::both_active`]).
+    #[inline]
     pub fn both_active(&self) -> bool {
         self.fe.both_active()
     }
@@ -476,6 +483,7 @@ impl SmtWalk<'_> {
     /// the edge's events when traced, counts the follow on the edge and
     /// moves to its target. The report's counts and the L1I delta wait
     /// for the next fold (see the module docs).
+    #[inline]
     pub fn step(&mut self, lane: usize) -> (&IterationReport, Option<&mut EdgeNote>) {
         if self.plain {
             let (tid, plan) = &self.lanes[lane];
@@ -513,6 +521,44 @@ impl SmtWalk<'_> {
         self.cur = edge.target;
         self.live = false;
         (&edge.report, Some(&mut edge.note))
+    }
+
+    /// The fast path of [`SmtWalk::step`] for a caller that needs only
+    /// the note: on an untraced walk whose recorded edge for `lane`
+    /// holds a note keyed `key`, follows that edge exactly as `step`'s
+    /// followed branch does (the cycle fields into the thread's
+    /// counters and the lane's total, one more pending follow, the move
+    /// to the target) and returns the note's values. Returns `None`,
+    /// and does nothing, otherwise: a plain or traced walk, no edge, no
+    /// note or a note under another key.
+    #[inline]
+    pub fn follow_noted(&mut self, lane: usize, key: u64) -> Option<[f64; 3]> {
+        // The follow is written out here and in `step`: one helper
+        // shared by both read ~11% fewer `channel_stream` kbit/s (2-core
+        // x86-64, thin LTO), from how the two callers were inlined.
+        if self.plain || self.traced {
+            return None;
+        }
+        let cur = self.cur;
+        let StateGraph {
+            states, pending, ..
+        } = &mut self.graph;
+        let edge = states[cur as usize].edges[lane].as_mut()?;
+        let values = match edge.note {
+            Some((k, values)) if k == key => values,
+            _ => return None,
+        };
+        let fe = &mut *self.fe;
+        fe.cumulative[self.lanes[lane].0.index()].add_cycles(&edge.report);
+        self.totals[lane].add_cycles(&edge.report);
+        if edge.pending == 0 {
+            pending.push((cur, lane));
+        }
+        edge.pending += 1;
+        fe.graphs.stats.followed += 1;
+        self.cur = edge.target;
+        self.live = false;
+        Some(values)
     }
 
     /// The note of `lane`'s out-edge when that edge is a self-loop the
@@ -719,7 +765,7 @@ impl Drop for SmtWalk<'_> {
         self.fold();
         if !self.plain {
             let graph = std::mem::take(&mut self.graph);
-            self.fe.graphs.by_lanes.insert(key_of(&self.lanes), graph);
+            self.fe.graphs.by_lanes.push((key_of(&self.lanes), graph));
         }
         self.fe.graphs.scratch = std::mem::take(&mut self.scratch);
     }
@@ -741,21 +787,12 @@ mod tests {
         }
     }
 
-    /// Every piece of the frontend but its graphs, which differ in the
-    /// recorded successors.
-    fn state_of(fe: &mut Frontend) -> String {
-        let graphs = std::mem::take(&mut fe.graphs);
-        let state = format!("{fe:?}");
-        fe.graphs = graphs;
-        state
-    }
-
     /// Whether a graph of `fe` holds a recorded successor.
     fn has_successor(fe: &Frontend) -> bool {
         fe.graphs
             .by_lanes
-            .values()
-            .flat_map(|graph| &graph.states)
+            .iter()
+            .flat_map(|(_, graph)| &graph.states)
             .any(|state| state.off.iter().any(Option::is_some))
     }
 
@@ -817,7 +854,9 @@ mod tests {
                     ids.push(at);
                 }
                 proptest::prop_assert_eq!(&ids[0], &ids[1]);
-                proptest::prop_assert_eq!(state_of(&mut recorded), state_of(&mut materialized));
+                // The frontends' `Debug` leaves out the graphs, which
+                // differ in the recorded successors.
+                proptest::prop_assert_eq!(format!("{recorded:?}"), format!("{materialized:?}"));
                 proptest::prop_assert_eq!(recorded.memo_stats(), materialized.memo_stats());
             }
             proptest::prop_assert!(has_successor(&recorded));
